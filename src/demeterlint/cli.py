@@ -85,6 +85,8 @@ def _load(options: RunOptions, err) -> _Loaded:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise LoadError("E-PARSE", f"cannot read {path}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise LoadError("E-PARSE", f"cannot decode {path} as UTF-8") from None
         inputs.append(("source", str(path), text))
         units.append(parse_unit(text, str(path)))
 

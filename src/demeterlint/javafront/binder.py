@@ -240,10 +240,6 @@ def _iter_type_nodes(unit: ast.CompilationUnit):
         yield from walk_type(top, prefix + (top.name or ""), None, None)
 
 
-def _init_exprs(init) -> list:
-    return [init]
-
-
 def _stmt_exprs(s) -> list:
     """Children of a statement in token order (statements and expressions)."""
     if isinstance(s, ast.Block):
@@ -346,7 +342,10 @@ def build_type_table(
     per_unit_nodes: list[tuple[ast.CompilationUnit, list[ast.TypeDeclNode]]] = []
     universe: set[str] = {d.name for d in stubs}
     for unit in units:
-        nodes = list(_iter_type_nodes(unit))
+        try:
+            nodes = list(_iter_type_nodes(unit))
+        except RecursionError:
+            raise _too_deep(unit) from None
         per_unit_nodes.append((unit, nodes))
         universe.update(n.qualified_name for n in nodes)
 
@@ -358,6 +357,12 @@ def build_type_table(
     merged = stubs.merge(source)
     merged.validate()
     return merged
+
+
+def _too_deep(unit: ast.CompilationUnit) -> BindError:
+    """A unit whose expressions nest deeper than the recursive walks reach,
+    such as a call chain thousands of links long."""
+    return BindError(unit.file, 1, 1, "nesting too deep to analyze")
 
 
 def _declare(node: ast.TypeDeclNode, env: _UnitEnv, mode: ResolutionMode) -> TypeDecl:
@@ -443,8 +448,11 @@ def bind_and_extract(
     for unit in units:
         env = _UnitEnv(unit, universe)
         extractor = _Extractor(env, table, mode)
-        for node in unit.types:
-            extractor.extract_type(node, enclosing_types=[], enclosing_exec=None)
+        try:
+            for node in unit.types:
+                extractor.extract_type(node, enclosing_types=[], enclosing_exec=None)
+        except RecursionError:
+            raise _too_deep(unit) from None
         out.extend(extractor.executables)
     out.sort(key=Executable.sort_key)
     return out
@@ -983,10 +991,16 @@ class _BodyWalker:
         return _Value(v.type, v.chain, "expression")
 
     def _visit_Binary(self, e: ast.Binary) -> _Value:
-        lv = self.visit_expr(e.left)
-        rv = self.visit_expr(e.right)
-        t = _binary_type(e.op, lv.type, rv.type)
-        return _Value(t, (ProvStep("literal", e.op, t),), "expression")
+        # The parser nests a chain like a + b + c to the left, as deep as the
+        # chain is long, so walk the left spine in a loop, not by recursion.
+        spine = []
+        while isinstance(e, ast.Binary):
+            spine.append(e)
+            e = e.left
+        t = self.visit_expr(e).type
+        for node in reversed(spine):
+            t = _binary_type(node.op, t, self.visit_expr(node.right).type)
+        return _Value(t, (ProvStep("literal", spine[0].op, t),), "expression")
 
     def _visit_InstanceOf(self, e: ast.InstanceOf) -> _Value:
         self.visit_expr(e.expr)

@@ -1,9 +1,18 @@
-"""Tokenizer for the analyzed Java subset (pre-generics, pre-assert)."""
+"""Tokenizer for the analyzed Java subset (pre-generics, pre-assert).
+
+One master regular expression scans the text; each match is one token, one
+run of whitespace or one comment.  Lines are counted from the newlines in
+whitespace and block comments, the only matches that can hold one, and a
+column is the offset from the start of its line.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
+from functools import lru_cache
+from itertools import repeat
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -19,7 +28,7 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-# Longest first so maximal munch falls out of a linear scan.
+# Longest first: of the alternatives that match, the regex takes the first.
 _OPERATORS = [
     ">>>=",
     ">>>", ">>=", "<<=",
@@ -43,159 +52,107 @@ class Kind(Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: Kind
     text: str
     line: int
     col: int
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c in "_$"
+# Alternatives in priority order; the first that matches at a position wins.
+# {A}, {W} and {D} are the identifier-start, identifier-part and digit
+# classes.  A regex class such as \w or \d differs from the str predicates
+# that define them (\d misses '²', which str.isdigit admits), so the classes
+# list their characters: ASCII, plus the non-ASCII ones of the text at hand.
+_PATTERN = r"""
+ (?P<space>[ \t\r\n\f]+)
+|(?P<comment>//[^\n]*|/\*(?s:.)*?\*/)
+|(?P<open_comment>/\*)
+|(?P<word>[{A}][{W}]*)
+|(?P<hex>0[xX][{D}a-fA-F]*)(?P<hex_suffix>[lL])?
+|(?P<number>(?:[{D}]+(?P<point>\.(?!\.)[{D}]*)?|(?P<lead>\.)[{D}]+)(?P<exponent>[eE][+-]?[{D}]+)?)
+   (?P<suffix>[lLfFdD])?
+|(?P<char>'(?:[^'\\\n]|\\[^\n])*')
+|(?P<open_char>')
+|(?P<string>"(?:[^"\\\n]|\\[^\n])*")
+|(?P<open_string>")
+|(?P<punct>{OPS})
+|(?P<bad>(?s:.))
+"""
+
+_SUFFIX_KINDS = {"l": Kind.LONG, "f": Kind.FLOAT, "d": Kind.DOUBLE}
+_UNTERMINATED = {
+    "open_comment": "unterminated comment",
+    "open_char": "unterminated character literal",
+    "open_string": "unterminated string literal",
+}
 
 
-def _is_ident_part(c: str) -> bool:
-    return c.isalnum() or c in "_$"
+@lru_cache(maxsize=64)
+def _scanner(extra: str) -> re.Pattern:
+    """The master pattern, with the non-ASCII characters ``extra`` classified."""
+
+    def chars(test) -> str:
+        return "".join(c for c in extra if test(c))
+
+    return re.compile(
+        _PATTERN.replace("{A}", "A-Za-z_$" + chars(str.isalpha))
+        .replace("{W}", "A-Za-z0-9_$" + chars(str.isalnum))
+        .replace("{D}", "0-9" + chars(str.isdigit))
+        .replace("{OPS}", "|".join(map(re.escape, _OPERATORS))),
+        re.VERBOSE,
+    )
 
 
 def tokenize(text: str, file_name: str) -> list[Token]:
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
+    """The tokens of ``text``, ending with one EOF token; raises ParseError."""
+    extra = "" if text.isascii() else "".join(sorted(c for c in set(text) if not c.isascii()))
+    tokens: list[tuple] = []
+    append = tokens.append
     line = 1
-    col = 1
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n\f":
-            advance(1)
-            continue
-        if c == "/" and i + 1 < n:
-            nxt = text[i + 1]
-            if nxt == "/":
-                while i < n and text[i] != "\n":
-                    advance(1)
-                continue
-            if nxt == "*":
-                start_line, start_col = line, col
-                advance(2)
-                while i + 1 < n and not (text[i] == "*" and text[i + 1] == "/"):
-                    advance(1)
-                if i + 1 >= n:
-                    raise ParseError(file_name, start_line, start_col, "unterminated comment")
-                advance(2)
-                continue
-        if _is_ident_start(c):
-            start = i
-            start_line, start_col = line, col
-            while i < n and _is_ident_part(text[i]):
-                advance(1)
-            word = text[start:i]
-            kind = Kind.KEYWORD if word in KEYWORDS else Kind.IDENT
-            tokens.append(Token(kind, word, start_line, start_col))
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            tokens.append(_number(text, file_name, i, line, col))
-            advance(len(tokens[-1].text))
-            continue
-        if c == "'":
-            tok = _char_literal(text, file_name, i, line, col)
-            tokens.append(tok)
-            advance(len(tok.text))
-            continue
-        if c == '"':
-            tok = _string_literal(text, file_name, i, line, col)
-            tokens.append(tok)
-            advance(len(tok.text))
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(Kind.PUNCT, op, line, col))
-                advance(len(op))
-                break
+    line_start = 0  # offset of the first character of the current line
+    ident, keyword, punct = Kind.IDENT, Kind.KEYWORD, Kind.PUNCT
+    for m in _scanner(extra).finditer(text):
+        group = m.lastgroup
+        if group == "word":
+            word = m.group()
+            append((keyword if word in KEYWORDS else ident, word, line, m.start() - line_start + 1))
+        elif group == "punct":
+            append((punct, m.group(), line, m.start() - line_start + 1))
+        elif group == "space" or group == "comment":
+            newlines = m.group().count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + m.group().rindex("\n") + 1
         else:
-            raise ParseError(file_name, line, col, f"unexpected character {c!r}")
-    tokens.append(Token(Kind.EOF, "", line, col))
-    return tokens
+            append(_literal(m, file_name, line, m.start() - line_start + 1))
+    append((Kind.EOF, "", line, len(text) - line_start + 1))
+    # Plain tuples in the loop, one C-level conversion here: a Token call per
+    # token would cost a Python frame each.
+    return list(map(tuple.__new__, repeat(Token), tokens))
 
 
-def _number(text: str, file_name: str, i: int, line: int, col: int) -> Token:
-    n = len(text)
-    start = i
-    is_float = False
-    if text.startswith(("0x", "0X"), i):
-        i += 2
-        while i < n and (text[i].isdigit() or text[i] in "abcdefABCDEF"):
-            i += 1
-    else:
-        while i < n and text[i].isdigit():
-            i += 1
-        if i < n and text[i] == "." and not text.startswith("..", i):
-            is_float = True
-            i += 1
-            while i < n and text[i].isdigit():
-                i += 1
-        if i < n and text[i] in "eE":
-            j = i + 1
-            if j < n and text[j] in "+-":
-                j += 1
-            if j < n and text[j].isdigit():
-                is_float = True
-                i = j
-                while i < n and text[i].isdigit():
-                    i += 1
-    if i < n and text[i] in "lL":
-        if is_float:
+def _literal(m: re.Match, file_name: str, line: int, col: int) -> Token:
+    """A number, char or string token, or the error the match stands for."""
+    group = m.lastgroup
+    text = m.group()
+    if group == "number" or group == "hex_suffix" or group == "suffix":
+        suffix = m.group("hex_suffix") or m.group("suffix")
+        is_float = group != "hex_suffix" and (
+            m.group("point") or m.group("lead") or m.group("exponent")
+        )
+        if suffix is None:
+            return Token(Kind.DOUBLE if is_float else Kind.INT, text, line, col)
+        kind = _SUFFIX_KINDS[suffix.lower()]
+        if kind is Kind.LONG and is_float:
             raise ParseError(file_name, line, col, "long suffix on a fractional literal")
-        i += 1
-        return Token(Kind.LONG, text[start:i], line, col)
-    if i < n and text[i] in "fF":
-        i += 1
-        return Token(Kind.FLOAT, text[start:i], line, col)
-    if i < n and text[i] in "dD":
-        i += 1
-        return Token(Kind.DOUBLE, text[start:i], line, col)
-    if is_float:
-        return Token(Kind.DOUBLE, text[start:i], line, col)
-    return Token(Kind.INT, text[start:i], line, col)
-
-
-def _char_literal(text: str, file_name: str, i: int, line: int, col: int) -> Token:
-    n = len(text)
-    start = i
-    i += 1
-    while i < n and text[i] != "'":
-        if text[i] == "\\":
-            i += 1
-        if text[i] == "\n":
-            raise ParseError(file_name, line, col, "unterminated character literal")
-        i += 1
-    if i >= n:
-        raise ParseError(file_name, line, col, "unterminated character literal")
-    return Token(Kind.CHAR, text[start : i + 1], line, col)
-
-
-def _string_literal(text: str, file_name: str, i: int, line: int, col: int) -> Token:
-    n = len(text)
-    start = i
-    i += 1
-    while i < n and text[i] != '"':
-        if text[i] == "\\":
-            i += 1
-        if i < n and text[i] == "\n":
-            raise ParseError(file_name, line, col, "unterminated string literal")
-        i += 1
-    if i >= n:
-        raise ParseError(file_name, line, col, "unterminated string literal")
-    return Token(Kind.STRING, text[start : i + 1], line, col)
+        return Token(kind, text, line, col)
+    if group == "hex":
+        return Token(Kind.INT, text, line, col)
+    if group == "char":
+        return Token(Kind.CHAR, text, line, col)
+    if group == "string":
+        return Token(Kind.STRING, text, line, col)
+    if group in _UNTERMINATED:
+        raise ParseError(file_name, line, col, _UNTERMINATED[group])
+    raise ParseError(file_name, line, col, f"unexpected character {text!r}")

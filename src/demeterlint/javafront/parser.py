@@ -3,8 +3,13 @@
 The dialect is the pre-generics language of the corpus: package and import
 declarations, class/interface declarations (nested and anonymous included),
 fields with initializers, methods, constructors, initializer blocks, and the
-statement/expression forms listed in ``parse_unit``.  Constructs outside the
-subset fail with an error naming the construct.
+statement and expression forms below.  Constructs outside the subset fail
+with an error naming the construct.
+
+Binary operators are parsed by precedence climbing (Pratt, "Top Down
+Operator Precedence", 1973) over the level table ``_LEVELS``: one loop and
+one frame per operand, however many levels there are.  Input nested deeper
+than the interpreter's stack allows fails with a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -38,6 +43,24 @@ ASSIGN_OPS = frozenset(
     {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
 )
 
+#: Binary operator levels, loosest first; ``instanceof`` is relational.
+_LEVELS: list[tuple[str, ...]] = [
+    ("||",),
+    ("&&",),
+    ("|",),
+    ("^",),
+    ("&",),
+    ("==", "!="),
+    ("<", ">", "<=", ">=", "instanceof"),
+    ("<<", ">>", ">>>"),
+    ("+", "-"),
+    ("*", "/", "%"),
+]
+_PRECEDENCE = {op: level for level, ops in enumerate(_LEVELS) for op in ops}
+
+#: Punctuators and keywords: the tokens the grammar names by their text.
+_FIXED_KINDS = (Kind.PUNCT, Kind.KEYWORD)
+
 _LITERAL_KINDS = {
     Kind.INT: "int",
     Kind.LONG: "long",
@@ -50,7 +73,12 @@ _LITERAL_KINDS = {
 
 def parse_unit(source_text: str, file_name: str) -> ast.CompilationUnit:
     """Parse one compilation unit; raises ParseError outside the dialect."""
-    return _Parser(tokenize(source_text, file_name), file_name).unit()
+    parser = _Parser(tokenize(source_text, file_name), file_name)
+    try:
+        return parser.unit()
+    except RecursionError:
+        t = parser.toks[parser.pos]
+        raise ParseError(file_name, t.line, t.col, "nesting too deep to parse") from None
 
 
 class _Parser:
@@ -60,16 +88,19 @@ class _Parser:
         self.file = file_name
 
     # -- token plumbing ----------------------------------------------------
+    # ``pos`` never moves past the EOF token, so ``toks[pos]`` is always the
+    # current token; only lookahead (``k`` > 0) needs clamping.
 
-    def peek(self, k: int = 0) -> Token:
+    def peek(self, k: int) -> Token:
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
 
     def at(self, text: str, k: int = 0) -> bool:
-        t = self.peek(k)
-        return t.kind in (Kind.PUNCT, Kind.KEYWORD) and t.text == text
+        t = self.peek(k) if k else self.toks[self.pos]
+        return t.text == text and t.kind in _FIXED_KINDS
 
     def at_ident(self, k: int = 0) -> bool:
-        return self.peek(k).kind is Kind.IDENT
+        t = self.peek(k) if k else self.toks[self.pos]
+        return t.kind is Kind.IDENT
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -78,23 +109,26 @@ class _Parser:
         return t
 
     def accept(self, text: str) -> Token | None:
-        if self.at(text):
-            return self.next()
+        t = self.toks[self.pos]
+        if t.text == text and t.kind in _FIXED_KINDS:
+            self.pos += 1  # never EOF: its text is empty
+            return t
         return None
 
     def expect(self, text: str, context: str) -> Token:
-        if self.at(text):
-            return self.next()
-        t = self.peek()
+        t = self.toks[self.pos]
+        if t.text == text and t.kind in _FIXED_KINDS:
+            self.pos += 1
+            return t
         got = t.text or "end of file"
         raise ParseError(self.file, t.line, t.col, f"expected '{text}' {context}, got '{got}'")
 
     def span(self, tok: Token | None = None) -> ast.Span:
-        t = tok or self.peek()
+        t = tok or self.toks[self.pos]
         return ast.Span(self.file, t.line, t.col)
 
     def fail(self, construct: str, tok: Token | None = None) -> ParseError:
-        t = tok or self.peek()
+        t = tok or self.toks[self.pos]
         return ParseError(self.file, t.line, t.col, f"{construct} is outside the analyzed dialect")
 
     # -- unit and declarations ---------------------------------------------
@@ -118,7 +152,7 @@ class _Parser:
             self.expect(";", "after import declaration")
             imports.append(ast.ImportDecl(name, on_demand, self.span(start)))
         types: list[ast.TypeDeclNode] = []
-        while self.peek().kind is not Kind.EOF:
+        while self.toks[self.pos].kind is not Kind.EOF:
             if self.accept(";"):
                 continue
             types.append(self.type_decl())
@@ -132,19 +166,20 @@ class _Parser:
         return name
 
     def ident(self, context: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind is not Kind.IDENT:
             if t.text == "@":
                 raise self.fail("annotation")
             raise ParseError(
                 self.file, t.line, t.col, f"expected identifier {context}, got '{t.text or 'eof'}'"
             )
-        return self.next()
+        self.pos += 1
+        return t
 
     def modifiers(self) -> list[str]:
         mods: list[str] = []
         while True:
-            t = self.peek()
+            t = self.toks[self.pos]
             if t.kind is Kind.KEYWORD and t.text in MODIFIER_WORDS:
                 # 'static {' and 'synchronized (' open blocks, not modifiers
                 if t.text == "static" and self.at("{", 1):
@@ -157,7 +192,7 @@ class _Parser:
 
     def type_decl(self) -> ast.TypeDeclNode:
         mods = self.modifiers()
-        start = self.peek()
+        start = self.toks[self.pos]
         if self.at("class"):
             kind = "class"
         elif self.at("interface"):
@@ -202,8 +237,9 @@ class _Parser:
         self.expect("{", "to open the type body")
         members: list = []
         while not self.at("}"):
-            if self.peek().kind is Kind.EOF:
-                raise ParseError(self.file, self.peek().line, self.peek().col, "unclosed type body")
+            t = self.toks[self.pos]
+            if t.kind is Kind.EOF:
+                raise ParseError(self.file, t.line, t.col, "unclosed type body")
             if self.accept(";"):
                 continue
             members.append(self.member(type_name))
@@ -211,7 +247,7 @@ class _Parser:
         return members
 
     def member(self, type_name: str | None):
-        start = self.peek()
+        start = self.toks[self.pos]
         start_pos = self.pos
         # initializer blocks: '{' or 'static {'
         if self.at("{"):
@@ -220,16 +256,12 @@ class _Parser:
             self.next()
             return ast.InitBlock(True, self.block(), self.span(start))
         mods = self.modifiers()
-        if self.at("class") or self.at("interface"):
+        t = self.toks[self.pos]
+        if t.kind is Kind.KEYWORD and (t.text == "class" or t.text == "interface"):
             self.pos = start_pos
             return self.type_decl()
         # constructor: Name '(' where Name is the declared type's simple name
-        if (
-            type_name is not None
-            and self.at_ident()
-            and self.peek().text == type_name
-            and self.at("(", 1)
-        ):
+        if t.kind is Kind.IDENT and t.text == type_name and self.at("(", 1):
             name_tok = self.next()
             params = self.param_list()
             self.skip_throws()
@@ -269,7 +301,7 @@ class _Parser:
         params: list[ast.Param] = []
         if not self.at(")"):
             while True:
-                start = self.peek()
+                start = self.toks[self.pos]
                 self.accept("final")
                 ptype = self.type_name("as a parameter type")
                 name = self.ident("as the parameter name").text
@@ -294,7 +326,7 @@ class _Parser:
         return ast.Declarator(name_tok.text, extra, init, ast.Span(self.file, name_tok.line, name_tok.col))
 
     def type_name(self, context: str, allow_void: bool = False) -> ast.TypeName:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind is Kind.KEYWORD and t.text in PRIMITIVE_TYPES:
             if t.text == "void" and not allow_void:
                 raise ParseError(self.file, t.line, t.col, f"'void' is not allowed {context}")
@@ -317,64 +349,68 @@ class _Parser:
         start = self.expect("{", "to open a block")
         stmts: list[ast.Stmt] = []
         while not self.at("}"):
-            if self.peek().kind is Kind.EOF:
+            if self.toks[self.pos].kind is Kind.EOF:
                 raise ParseError(self.file, start.line, start.col, "unclosed block")
             stmts.append(self.stmt())
         self.next()
         return ast.Block(stmts, self.span(start))
 
     def stmt(self) -> ast.Stmt:
-        t = self.peek()
-        if self.at("{"):
-            return self.block()
-        if self.accept(";"):
-            return ast.EmptyStmt(self.span(t))
-        if self.at("if"):
-            self.next()
-            self.expect("(", "after 'if'")
-            cond = self.expr()
-            self.expect(")", "after if condition")
-            then = self.stmt()
-            other = self.stmt() if self.accept("else") else None
-            return ast.IfStmt(cond, then, other, self.span(t))
-        if self.at("while"):
-            self.next()
-            self.expect("(", "after 'while'")
-            cond = self.expr()
-            self.expect(")", "after while condition")
-            return ast.WhileStmt(cond, self.stmt(), self.span(t))
-        if self.at("do"):
-            raise self.fail("do-while statement")
-        if self.at("throw"):
-            raise self.fail("throw statement")
-        if self.at("synchronized"):
-            raise self.fail("synchronized statement")
-        if self.at("class") or self.at("interface"):
-            raise self.fail("local class declaration")
-        if self.at("for"):
-            return self.for_stmt()
-        if self.at("switch"):
-            return self.switch_stmt()
-        if self.at("return"):
-            self.next()
-            value = None if self.at(";") else self.expr()
-            self.expect(";", "after return statement")
-            return ast.ReturnStmt(value, self.span(t))
-        if self.at("break"):
-            self.next()
-            if self.at_ident():
-                raise self.fail("labeled break")
-            self.expect(";", "after 'break'")
-            return ast.BreakStmt(self.span(t))
-        if self.at("continue"):
-            self.next()
-            if self.at_ident():
-                raise self.fail("labeled continue")
-            self.expect(";", "after 'continue'")
-            return ast.ContinueStmt(self.span(t))
-        if self.at("try"):
-            return self.try_stmt()
-        if self.at_ident() and self.at(":", 1):
+        t = self.toks[self.pos]
+        # Only a keyword or punctuator can open the statements tested here.
+        if t.kind is Kind.KEYWORD or t.kind is Kind.PUNCT:
+            text = t.text
+            if text == "{":
+                return self.block()
+            if text == ";":
+                self.pos += 1
+                return ast.EmptyStmt(self.span(t))
+            if text == "if":
+                self.next()
+                self.expect("(", "after 'if'")
+                cond = self.expr()
+                self.expect(")", "after if condition")
+                then = self.stmt()
+                other = self.stmt() if self.accept("else") else None
+                return ast.IfStmt(cond, then, other, self.span(t))
+            if text == "while":
+                self.next()
+                self.expect("(", "after 'while'")
+                cond = self.expr()
+                self.expect(")", "after while condition")
+                return ast.WhileStmt(cond, self.stmt(), self.span(t))
+            if text == "do":
+                raise self.fail("do-while statement")
+            if text == "throw":
+                raise self.fail("throw statement")
+            if text == "synchronized":
+                raise self.fail("synchronized statement")
+            if text == "class" or text == "interface":
+                raise self.fail("local class declaration")
+            if text == "for":
+                return self.for_stmt()
+            if text == "switch":
+                return self.switch_stmt()
+            if text == "return":
+                self.next()
+                value = None if self.at(";") else self.expr()
+                self.expect(";", "after return statement")
+                return ast.ReturnStmt(value, self.span(t))
+            if text == "break":
+                self.next()
+                if self.at_ident():
+                    raise self.fail("labeled break")
+                self.expect(";", "after 'break'")
+                return ast.BreakStmt(self.span(t))
+            if text == "continue":
+                self.next()
+                if self.at_ident():
+                    raise self.fail("labeled continue")
+                self.expect(";", "after 'continue'")
+                return ast.ContinueStmt(self.span(t))
+            if text == "try":
+                return self.try_stmt()
+        elif t.kind is Kind.IDENT and self.at(":", 1):
             raise self.fail("labeled statement")
         decl = self.try_local_decl()
         if decl is not None:
@@ -392,9 +428,9 @@ class _Parser:
         comparisons like ``a < b`` parse as expressions.
         """
         start_pos = self.pos
-        t = self.peek()
+        t = self.toks[self.pos]
         had_final = bool(self.accept("final"))
-        is_primitive = t.kind is Kind.KEYWORD and self.peek().text in PRIMITIVE_TYPES
+        is_primitive = t.kind is Kind.KEYWORD and self.toks[self.pos].text in PRIMITIVE_TYPES
         if not (is_primitive or self.at_ident()):
             if had_final:
                 raise ParseError(self.file, t.line, t.col, "expected a type after 'final'")
@@ -412,7 +448,7 @@ class _Parser:
             if had_final:
                 raise ParseError(self.file, t.line, t.col, "expected a name after the type")
             return None
-        name_tok = self.peek()
+        name_tok = self.toks[self.pos]
         follower = self.peek(1).text
         if follower not in ("=", ",", ";", "["):
             self.pos = start_pos
@@ -473,7 +509,7 @@ class _Parser:
                     labels.append(None)
                 self.expect(":", "after switch label")
             if not labels:
-                t = self.peek()
+                t = self.toks[self.pos]
                 raise ParseError(
                     self.file, t.line, t.col, "expected 'case' or 'default' in switch body"
                 )
@@ -511,9 +547,9 @@ class _Parser:
         return self.assignment()
 
     def assignment(self) -> ast.Expr:
-        start = self.peek()
+        start = self.toks[self.pos]
         left = self.conditional()
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.text == "->":
             raise self.fail("lambda expression", t)
         if t.kind is Kind.PUNCT and t.text in ASSIGN_OPS:
@@ -523,7 +559,7 @@ class _Parser:
         return left
 
     def conditional(self) -> ast.Expr:
-        start = self.peek()
+        start = self.toks[self.pos]
         cond = self.binary(0)
         if self.accept("?"):
             then = self.expr()
@@ -532,39 +568,37 @@ class _Parser:
             return ast.Conditional(cond, then, other, self.span(start))
         return cond
 
-    _LEVELS: list[tuple[str, ...]] = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">=", "instanceof"),
-        ("<<", ">>", ">>>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
+    def binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing over ``_PRECEDENCE``.
 
-    def binary(self, level: int) -> ast.Expr:
-        if level >= len(self._LEVELS):
-            return self.unary()
-        ops = self._LEVELS[level]
-        start = self.peek()
-        left = self.binary(level + 1)
+        Operators from ``min_level`` up to ``ceiling`` extend the left
+        operand.  After an operator of level L only levels up to L may
+        follow; a right operand takes the tighter ones, and ``instanceof``,
+        whose right side is a type, takes none.
+        """
+        start = self.toks[self.pos]
+        left = self.unary()
+        ceiling = len(_LEVELS)
         while True:
-            t = self.peek()
-            if t.text not in ops or t.kind not in (Kind.PUNCT, Kind.KEYWORD):
+            t = self.toks[self.pos]
+            level = _PRECEDENCE.get(t.text)
+            if (
+                level is None
+                or not min_level <= level <= ceiling
+                or t.kind not in _FIXED_KINDS
+            ):
                 return left
-            self.next()
+            self.pos += 1
+            ceiling = level
             if t.text == "instanceof":
                 ty = self.type_name("after 'instanceof'")
                 left = ast.InstanceOf(left, ty, self.span(start))
-                continue
-            right = self.binary(level + 1)
-            left = ast.Binary(t.text, left, right, self.span(start))
+            else:
+                right = self.binary(level + 1)
+                left = ast.Binary(t.text, left, right, self.span(start))
 
     def unary(self) -> ast.Expr:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.text in ("+", "-", "!", "~", "++", "--") and t.kind is Kind.PUNCT:
             self.next()
             return ast.Unary(t.text, self.unary(), True, self.span(t))
@@ -607,8 +641,10 @@ class _Parser:
     def postfix(self) -> ast.Expr:
         expr = self.primary()
         while True:
-            t = self.peek()
-            if self.at("."):
+            t = self.toks[self.pos]
+            if t.kind is not Kind.PUNCT:
+                return expr
+            if t.text == ".":
                 nxt = self.peek(1)
                 if nxt.kind is Kind.KEYWORD and nxt.text == "this":
                     raise self.fail("qualified 'this'", nxt)
@@ -616,20 +652,20 @@ class _Parser:
                     raise self.fail("qualified class instance creation", nxt)
                 if nxt.kind is Kind.KEYWORD and nxt.text == "class":
                     raise self.fail("class literal", nxt)
-                self.next()
+                self.pos += 1
                 name = self.ident("after '.'")
                 if self.at("("):
                     args = self.arg_list()
                     expr = ast.MethodCall(expr, name.text, args, self.span(name))
                 else:
                     expr = ast.FieldAccess(expr, name.text, self.span(name))
-            elif self.at("["):
-                self.next()
+            elif t.text == "[":
+                self.pos += 1
                 index = self.expr()
                 self.expect("]", "after array index")
                 expr = ast.ArrayAccess(expr, index, self.span(t))
-            elif self.at("++") or self.at("--"):
-                self.next()
+            elif t.text == "++" or t.text == "--":
+                self.pos += 1
                 expr = ast.Unary(t.text, expr, False, self.span(t))
             else:
                 return expr
@@ -655,7 +691,7 @@ class _Parser:
         return ast.ArrayInit(items, self.span(start))
 
     def primary(self) -> ast.Expr:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind in _LITERAL_KINDS:
             self.next()
             return ast.Literal(_LITERAL_KINDS[t.kind], t.text, self.span(t))
@@ -727,7 +763,7 @@ class _Parser:
 
     def creator(self) -> ast.Expr:
         start = self.next()  # 'new'
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind is Kind.KEYWORD and t.text in PRIMITIVE_TYPES and t.text != "void":
             self.next()
             elem = ast.TypeName(t.text, 0, self.span(t))
@@ -771,3 +807,4 @@ class _Parser:
                 self.file, start.line, start.col, "array creation needs a dimension or initializer"
             )
         return ast.NewArray(elem, dim_exprs, init, ast.Span(self.file, start.line, start.col))
+

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -9,7 +10,7 @@ from demeterlint.cli import RunOptions, main, run
 from demeterlint.codemodel import ResolutionMode
 from demeterlint.presets import GENERIC, STACK
 
-from conftest import load_case
+from conftest import STUBS, load_case
 
 
 def invoke(options: RunOptions):
@@ -147,6 +148,56 @@ class TestLoadErrors:
         )
         assert (code, out) == (2, b"")
         assert err.startswith("E-PARSE: ") and "cannot read" in err
+
+    def test_non_utf8_source(self, tmp_path):
+        src = tmp_path / "A.java"
+        src.write_bytes(b"class A { /* caf\xe9 */ }")
+        code, out, err = invoke(RunOptions(source_paths=(src,)))
+        assert (code, out) == (2, b"")
+        assert err == f"E-PARSE: cannot decode {src} as UTF-8\n"
+
+
+def _returning(expr: str) -> str:
+    return "class A { String m() { return " + expr + "; } }"
+
+
+def _jdk_options(path, **kw) -> RunOptions:
+    return RunOptions(source_paths=(path,), stub_paths=(STUBS / "jdk.json",), **kw)
+
+
+class TestDeepNesting:
+    """Nesting depth is bounded by the interpreter's stack, never a crash."""
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            _returning("(" * 100 + "null" + ")" * 100),
+            _returning(" + ".join(['"a"'] * 5000)),
+            "class A { A g() { return this; } void m() { this" + ".g()" * 3000 + "; } }",
+        ],
+        ids=["parens-100", "concat-5000", "calls-3000"],
+    )
+    def test_exit_code_and_diagnostics(self, tmp_path, src):
+        path = tmp_path / "A.java"
+        path.write_text(src)
+        code, _, err = invoke(_jdk_options(path, format="json"))
+        assert code in (0, 1, 2)
+        assert all(re.match(r"^[EW]-[A-Z]+: ", line) for line in err.splitlines())
+
+    def test_too_deep_to_parse(self, tmp_path):
+        path = tmp_path / "A.java"
+        path.write_text(_returning("(" * 1000 + "null" + ")" * 1000))
+        code, out, err = invoke(_jdk_options(path))
+        assert (code, out) == (2, b"")
+        assert err.startswith(f"E-PARSE: {path}:1:") and "nesting too deep" in err
+        assert len(err.splitlines()) == 1
+
+    def test_long_concatenation_is_analyzed(self, tmp_path):
+        path = tmp_path / "A.java"
+        path.write_text(_returning(" + ".join(['"a"'] * 600)))
+        code, out, err = invoke(_jdk_options(path, format="json"))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["totals"]["accesses"] == 0
 
 
 class TestStreamPurity:

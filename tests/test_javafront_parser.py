@@ -202,6 +202,12 @@ class TestRejections:
         assert needle in str(e.value)
         assert str(e.value).startswith("E-PARSE: T.java:")
 
+    def test_char_literal_cut_at_end_of_file(self):
+        with pytest.raises(ParseError) as e:
+            parse("class A { char c = '\\")
+        assert (e.value.line, e.value.col) == (1, 20)
+        assert e.value.message == "unterminated character literal"
+
     def test_error_carries_location(self):
         with pytest.raises(ParseError) as e:
             parse("class A {\n  void m() {\n    do { } while(x);\n  }\n}")
