@@ -23,6 +23,7 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from demeterlint.adapt import Adapter, attribute_waterfall, load_config
+from demeterlint.cli import read_source
 from demeterlint.codemodel import LoadError, ResolutionMode, TypeTable, load_stubs
 from demeterlint.javafront import (
     SourceError,
@@ -68,7 +69,7 @@ def collect_sources(root: Path) -> list[Path]:
 def analyze(root: Path, stub_paths: list[Path], mode: ResolutionMode):
     units = []
     for path in collect_sources(root):
-        units.append(parse_unit(path.read_text(encoding="latin-1"), str(path)))
+        units.append(parse_unit(read_source(path), str(path)))
     if not units:
         raise LoadError("E-PARSE", f"no .java files under {root}")
     stubs = TypeTable()

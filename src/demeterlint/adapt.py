@@ -18,10 +18,11 @@ grants with a review status.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .codemodel import LoadError, MemberKind, TypeRef, TypeTable, parse_type_name
 from .demeter import (
@@ -49,20 +50,6 @@ __all__ = [
 ]
 
 CONFIG_SCHEMA = "demeterlint-config/1"
-
-RULE_KINDS = frozenset(
-    {
-        "universal-friend-types",
-        "universal-friend-members",
-        "call-grant",
-        "ctor-params-as-fields",
-        "anon-inner-share",
-        "downcast-param",
-        "aggregation-elements",
-        "friend-implication",
-        "executable-grant",
-    }
-)
 
 MEMBER_PREDICATES = frozenset({"public-static", "array-length"})
 
@@ -109,16 +96,27 @@ class LayeredConfig:
 
     rules: tuple[Rule, ...]  # sorted by (layer, order)
     layer_names: tuple[tuple[int, str], ...]
+    layer_indices: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _at: dict[int, tuple[Rule, ...]] = field(init=False, compare=False, repr=False)
+    _through: tuple[tuple[Rule, ...], ...] = field(init=False, compare=False, repr=False)
 
-    @property
-    def layer_indices(self) -> tuple[int, ...]:
-        return tuple(sorted({r.layer for r in self.rules}))
+    def __post_init__(self) -> None:
+        # Computed once: effective() and attribution ask on every probe.
+        layers = tuple(sorted({r.layer for r in self.rules}))
+        object.__setattr__(self, "layer_indices", layers)
+        object.__setattr__(
+            self, "_at", {k: tuple(r for r in self.rules if r.layer == k) for k in layers}
+        )
+        object.__setattr__(  # parallel to layer_indices
+            self, "_through", tuple(tuple(r for r in self.rules if r.layer <= k) for k in layers)
+        )
 
     def rules_through(self, k: int) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.layer <= k)
+        i = bisect_right(self.layer_indices, k)
+        return self._through[i - 1] if i else ()
 
     def rules_at(self, k: int) -> tuple[Rule, ...]:
-        return tuple(r for r in self.rules if r.layer == k)
+        return self._at.get(k, ())
 
     def name_of(self, layer: int) -> str:
         for idx, name in self.layer_names:
@@ -139,6 +137,98 @@ def _str_tuple(raw, context: str) -> tuple[str, ...]:
     return tuple(raw)
 
 
+def _records(raw, keys: tuple[str, ...], error: str) -> tuple[tuple[str, ...], ...]:
+    out = []
+    for entry in raw:
+        if not isinstance(entry, dict) or not set(keys) <= set(entry):
+            raise ConfigError(error)
+        out.append(tuple(entry[key] for key in keys))
+    return tuple(out)
+
+
+# Each loader checks one raw rule of its kind and returns the Rule payload
+# fields; ``where`` prefixes its error messages.
+
+
+def _load_friend_types(raw: dict, rule_id: str, where: str) -> dict:
+    kw = {
+        "types": _str_tuple(raw.get("types", []), f"{rule_id}.types"),
+        "package_glob": raw.get("package_glob", ""),
+        "implementors_of": _str_tuple(
+            raw.get("implementors_of", []), f"{rule_id}.implementors_of"
+        ),
+    }
+    if not any(kw.values()):
+        raise ConfigError(f"{where}: no types, glob, or implementors")
+    return kw
+
+
+def _load_friend_members(raw: dict, rule_id: str, where: str) -> dict:
+    predicate = raw.get("member_predicate", "")
+    pattern = raw.get("member_pattern")
+    if predicate:
+        if predicate not in MEMBER_PREDICATES:
+            raise ConfigError(f"{where}: unknown member predicate '{predicate}'")
+        return {"member_predicate": predicate}
+    if pattern is None:
+        raise ConfigError(f"{where}: needs member_predicate or member_pattern")
+    (member_pattern,) = _records(
+        [pattern], ("type", "name"), f"{where}: member_pattern needs 'type' and 'name'"
+    )
+    return {"member_pattern": member_pattern}
+
+
+def _load_call_grant(raw: dict, rule_id: str, where: str) -> dict:
+    matchers = raw.get("matcher")
+    if not isinstance(matchers, list) or not matchers:
+        raise ConfigError(f"{where}: call-grant needs a matcher list")
+    return {
+        "matcher": _records(
+            matchers, ("type", "name"), f"{where}: matcher entries need 'type' and 'name'"
+        ),
+        "grants": _str_tuple(raw.get("grants", []), f"{rule_id}.grants"),
+    }
+
+
+def _load_switch(raw: dict, rule_id: str, where: str) -> dict:
+    return {"enabled": bool(raw.get("enabled", True))}
+
+
+def _load_aggregation(raw: dict, rule_id: str, where: str) -> dict:
+    kw = {
+        "field_map": _records(
+            raw.get("field_map", []),
+            ("type", "field", "element"),
+            f"{where}: field_map entries need type/field/element",
+        ),
+        "infer_via": _str_tuple(raw.get("infer_via", []), f"{rule_id}.infer_via"),
+    }
+    if not any(kw.values()):
+        raise ConfigError(f"{where}: empty aggregation rule")
+    return kw
+
+
+def _load_implication(raw: dict, rule_id: str, where: str) -> dict:
+    pairs = raw.get("pairs")
+    if not isinstance(pairs, list) or not pairs:
+        raise ConfigError(f"{where}: needs implication pairs")
+    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise ConfigError(f"{where}: pairs are [from, to]")
+    return {"pairs": tuple((a, b) for a, b in pairs)}
+
+
+def _load_executable_grant(raw: dict, rule_id: str, where: str) -> dict:
+    executables = _str_tuple(raw.get("executables", []), f"{rule_id}.executables")
+    if not executables:
+        raise ConfigError(f"{where}: needs executable ids or globs")
+    grants = _str_tuple(raw.get("grants", []), f"{rule_id}.grants")
+    status = raw.get("status", "accepted")
+    if status not in STATUSES:
+        raise ConfigError(f"{where}: unknown status '{status}'")
+    hint = raw.get("hint", "")
+    return {"executables": executables, "grants": grants, "status": status, "hint": hint}
+
+
 def _parse_rule(raw: dict, default_layer: int, order: int, context: str) -> Rule:
     if not isinstance(raw, dict):
         raise ConfigError(f"{context}: rule must be an object")
@@ -146,96 +236,13 @@ def _parse_rule(raw: dict, default_layer: int, order: int, context: str) -> Rule
     kind = raw.get("kind")
     if not rule_id or not isinstance(rule_id, str):
         raise ConfigError(f"{context}: rule without an id")
-    if kind not in RULE_KINDS:
+    if not isinstance(kind, str) or kind not in RULE_KINDS:
         raise ConfigError(f"{context}: rule {rule_id}: unknown kind '{kind}'")
     layer = raw.get("layer", default_layer)
     if not isinstance(layer, int) or layer < 0:
         raise ConfigError(f"{context}: rule {rule_id}: layer must be a non-negative integer")
-
-    kw: dict = {}
-    if kind == "universal-friend-types":
-        kw["types"] = _str_tuple(raw.get("types", []), f"{rule_id}.types")
-        kw["package_glob"] = raw.get("package_glob", "")
-        kw["implementors_of"] = _str_tuple(
-            raw.get("implementors_of", []), f"{rule_id}.implementors_of"
-        )
-        if not (kw["types"] or kw["package_glob"] or kw["implementors_of"]):
-            raise ConfigError(f"{context}: rule {rule_id}: no types, glob, or implementors")
-    elif kind == "universal-friend-members":
-        predicate = raw.get("member_predicate", "")
-        pattern = raw.get("member_pattern")
-        if predicate:
-            if predicate not in MEMBER_PREDICATES:
-                raise ConfigError(
-                    f"{context}: rule {rule_id}: unknown member predicate '{predicate}'"
-                )
-            kw["member_predicate"] = predicate
-        elif pattern is not None:
-            if not isinstance(pattern, dict) or "type" not in pattern or "name" not in pattern:
-                raise ConfigError(
-                    f"{context}: rule {rule_id}: member_pattern needs 'type' and 'name'"
-                )
-            kw["member_pattern"] = (pattern["type"], pattern["name"])
-        else:
-            raise ConfigError(
-                f"{context}: rule {rule_id}: needs member_predicate or member_pattern"
-            )
-    elif kind == "call-grant":
-        matchers = raw.get("matcher")
-        if not isinstance(matchers, list) or not matchers:
-            raise ConfigError(f"{context}: rule {rule_id}: call-grant needs a matcher list")
-        parsed = []
-        for m in matchers:
-            if not isinstance(m, dict) or "type" not in m or "name" not in m:
-                raise ConfigError(
-                    f"{context}: rule {rule_id}: matcher entries need 'type' and 'name'"
-                )
-            parsed.append((m["type"], m["name"]))
-        kw["matcher"] = tuple(parsed)
-        kw["grants"] = _str_tuple(raw.get("grants", []), f"{rule_id}.grants")
-    elif kind in ("ctor-params-as-fields", "anon-inner-share", "downcast-param"):
-        kw["enabled"] = bool(raw.get("enabled", True))
-    elif kind == "aggregation-elements":
-        entries = []
-        for e in raw.get("field_map", []):
-            if not isinstance(e, dict) or not {"type", "field", "element"} <= set(e):
-                raise ConfigError(
-                    f"{context}: rule {rule_id}: field_map entries need type/field/element"
-                )
-            entries.append((e["type"], e["field"], e["element"]))
-        kw["field_map"] = tuple(entries)
-        kw["infer_via"] = _str_tuple(raw.get("infer_via", []), f"{rule_id}.infer_via")
-        if not (kw["field_map"] or kw["infer_via"]):
-            raise ConfigError(f"{context}: rule {rule_id}: empty aggregation rule")
-    elif kind == "friend-implication":
-        pairs = raw.get("pairs")
-        if not isinstance(pairs, list) or not pairs:
-            raise ConfigError(f"{context}: rule {rule_id}: needs implication pairs")
-        parsed_pairs = []
-        for p in pairs:
-            if not isinstance(p, list) or len(p) != 2:
-                raise ConfigError(f"{context}: rule {rule_id}: pairs are [from, to]")
-            parsed_pairs.append((p[0], p[1]))
-        kw["pairs"] = tuple(parsed_pairs)
-    elif kind == "executable-grant":
-        kw["executables"] = _str_tuple(raw.get("executables", []), f"{rule_id}.executables")
-        if not kw["executables"]:
-            raise ConfigError(f"{context}: rule {rule_id}: needs executable ids or globs")
-        kw["grants"] = _str_tuple(raw.get("grants", []), f"{rule_id}.grants")
-        status = raw.get("status", "accepted")
-        if status not in STATUSES:
-            raise ConfigError(f"{context}: rule {rule_id}: unknown status '{status}'")
-        kw["status"] = status
-        kw["hint"] = raw.get("hint", "")
-
-    return Rule(
-        rule_id=rule_id,
-        kind=kind,
-        layer=layer,
-        tag=raw.get("tag", ""),
-        order=order,
-        **kw,
-    )
+    payload = _KINDS[kind].load(raw, rule_id, f"{context}: rule {rule_id}")
+    return Rule(rule_id, kind, layer, tag=raw.get("tag", ""), order=order, **payload)
 
 
 def load_config(documents: Sequence[str | Path]) -> LayeredConfig:
@@ -333,10 +340,7 @@ class Adapter:
     """
 
     def __init__(
-        self,
-        executables: Sequence[Executable],
-        table: TypeTable,
-        config: LayeredConfig,
+        self, executables: Sequence[Executable], table: TypeTable, config: LayeredConfig
     ):
         self.table = table
         self.config = config
@@ -353,7 +357,16 @@ class Adapter:
         self._ctor_param_cache: dict[str, tuple[TypeRef, ...]] = {}
         self._agg_cache: dict[tuple[str, str], tuple[TypeRef, ...]] = {}
 
-    # -- rule ingredient caches -------------------------------------------
+    # -- grants of the independent kinds --------------------------------------
+    # Each yields the types one rule grants to one executable, from nothing
+    # but the rule, the executable and this run's caches.
+
+    def _grant_friend_types(self, ex: Executable, rule: Rule) -> Iterable[TypeRef]:
+        yield from map(parse_type_name, rule.types)
+        if rule.package_glob:
+            yield from map(TypeRef, self._package_types(rule.package_glob))
+        for interface in rule.implementors_of:
+            yield from map(TypeRef, self._implementors(interface))
 
     def _implementors(self, interface: str) -> tuple[str, ...]:
         got = self._implementors_cache.get(interface)
@@ -380,55 +393,72 @@ class Adapter:
             self._package_cache[glob] = got
         return got
 
-    def _ctor_params(self, owner: str) -> tuple[TypeRef, ...]:
+    def _grant_ctor_params(self, ex: Executable, rule: Rule) -> Iterable[TypeRef]:
+        if not rule.enabled:
+            return ()
+        owner = ex.owner_type.name
         got = self._ctor_param_cache.get(owner)
         if got is None:
-            types: list[TypeRef] = []
-            for ex in self.by_owner.get(owner, ()):
-                if ex.exec_kind != "constructor":
-                    continue
-                for _, t in ex.params:
-                    if not t.is_primitive and t not in types:
-                        types.append(t)
-            got = tuple(types)
-            self._ctor_param_cache[owner] = got
+            got = self._ctor_param_cache[owner] = tuple(dict.fromkeys(
+                t
+                for other in self.by_owner[owner]
+                if other.exec_kind == "constructor"
+                for _, t in other.params
+            ))
         return got
 
-    def _aggregation_elements(self, owner: str, rule: Rule) -> tuple[TypeRef, ...]:
+    def _grant_aggregation(self, ex: Executable, rule: Rule) -> Iterable[TypeRef]:
+        owner = ex.owner_type.name
         got = self._agg_cache.get((owner, rule.rule_id))
         if got is not None:
             return got
-        elements: list[TypeRef] = []
-        for cls, _field_name, element in rule.field_map:
-            if cls == owner:
-                ref = parse_type_name(element)
-                if ref not in elements:
-                    elements.append(ref)
+        elements = dict.fromkeys(
+            parse_type_name(element) for cls, _, element in rule.field_map if cls == owner
+        )
         if rule.infer_via:
-            own_fields = set()
             decl = self.table.get(owner)
-            if decl is not None:
-                own_fields = {
-                    m.name for m in decl.members if m.member_kind is MemberKind.FIELD
-                }
-            for ex in self.by_owner.get(owner, ()):
-                for site in ex.body_accesses:
-                    if site.access_kind != "method-call":
-                        continue
-                    if site.member.name not in rule.infer_via:
-                        continue
+            members = decl.members if decl is not None else ()
+            own_fields = {m.name for m in members if m.member_kind is MemberKind.FIELD}
+            for other in self.by_owner[owner]:
+                for site in other.body_accesses:
                     chain = site.receiver.chain
                     # The receiver must be one of the aggregate's own fields.
-                    if len(chain) != 1 or chain[0].kind != "field":
-                        continue
-                    if chain[0].label not in own_fields:
-                        continue
-                    for t in site.arg_types:
-                        if not t.is_primitive and t not in elements:
-                            elements.append(t)
-        got = tuple(elements)
-        self._agg_cache[(owner, rule.rule_id)] = got
+                    if (
+                        site.access_kind == "method-call"
+                        and site.member.name in rule.infer_via
+                        and len(chain) == 1
+                        and chain[0].kind == "field"
+                        and chain[0].label in own_fields
+                    ):
+                        elements.update(dict.fromkeys(site.arg_types))
+        got = self._agg_cache[(owner, rule.rule_id)] = tuple(elements)
         return got
+
+    def _grant_call(self, ex: Executable, rule: Rule) -> Iterable[TypeRef]:
+        for site in ex.body_accesses:
+            member = site.member
+            if site.access_kind not in ("method-call", "static-member-access"):
+                continue
+            if member.member_kind is not MemberKind.METHOD:
+                continue
+            if any(
+                member.declaring_type == m_type and fnmatchcase(member.name, m_glob)
+                for m_type, m_glob in rule.matcher
+            ):
+                if rule.grants:
+                    yield from map(parse_type_name, rule.grants)
+                else:
+                    yield member.declared_type
+
+    def _grant_downcast(self, ex: Executable, rule: Rule) -> Iterable[TypeRef]:
+        return ex.downcast_param_types if rule.enabled else ()
+
+    def _grant_executable(self, ex: Executable, rule: Rule) -> Iterable[TypeRef]:
+        if rule.status == "accepted" and any(
+            _glob_matches_id(g, ex.id) for g in rule.executables
+        ):
+            return map(parse_type_name, rule.grants)
+        return ()
 
     # -- the effective set ---------------------------------------------------
 
@@ -451,10 +481,9 @@ class Adapter:
             return got
 
         ex = self.by_id[exec_id]
-        owner = ex.owner_type.name
-        rules = [
-            r for r in self.config.rules_through(k) if r.rule_id not in disabled
-        ]
+        rules = self.config.rules_through(k)
+        if disabled:
+            rules = [r for r in rules if r.rule_id not in disabled]
         if not rules:
             return self.base[exec_id]
         roles = self.base[exec_id].seed_roles()
@@ -465,49 +494,11 @@ class Adapter:
             roles.setdefault(type_ref, set()).add(rule.granted_role)
 
         for r in rules:
-            if r.kind == "universal-friend-types":
-                for name in r.types:
-                    grant(parse_type_name(name), r)
-                if r.package_glob:
-                    for name in self._package_types(r.package_glob):
-                        grant(TypeRef(name), r)
-                for interface in r.implementors_of:
-                    for name in self._implementors(interface):
-                        grant(TypeRef(name), r)
-        for r in rules:
-            if r.kind == "ctor-params-as-fields" and r.enabled:
-                for t in self._ctor_params(owner):
+            contribute = _KINDS[r.kind].grant
+            if contribute is not None:
+                for t in contribute(self, ex, r):
                     grant(t, r)
-        for r in rules:
-            if r.kind == "aggregation-elements":
-                for t in self._aggregation_elements(owner, r):
-                    grant(t, r)
-        for r in rules:
-            if r.kind == "call-grant":
-                for site in ex.body_accesses:
-                    if site.access_kind not in ("method-call", "static-member-access"):
-                        continue
-                    if site.member.member_kind is not MemberKind.METHOD:
-                        continue
-                    for m_type, m_glob in r.matcher:
-                        if site.member.declaring_type == m_type and fnmatchcase(
-                            site.member.name, m_glob
-                        ):
-                            if r.grants:
-                                for name in r.grants:
-                                    grant(parse_type_name(name), r)
-                            else:
-                                grant(site.member.declared_type, r)
-                            break
-        for r in rules:
-            if r.kind == "downcast-param" and r.enabled:
-                for t in sorted(ex.downcast_param_types, key=lambda t: t.name):
-                    grant(t, r)
-        for r in rules:
-            if r.kind == "executable-grant" and r.status == "accepted":
-                if any(_glob_matches_id(g, exec_id) for g in r.executables):
-                    for name in r.grants:
-                        grant(parse_type_name(name), r)
+
         share = next(
             (r for r in rules if r.kind == "anon-inner-share" and r.enabled), None
         )
@@ -545,23 +536,12 @@ class Adapter:
 
     # -- classification -------------------------------------------------------
 
-    def classify(
-        self, violations: Sequence[PotentialViolation], jobs: int = 1
-    ) -> list["Verdict"]:
-        """One verdict per violation, sorted by site id.
-
-        Classification is pure per violation, so extra threads change
-        nothing observable; the caches tolerate duplicate computation.
-        """
-        if jobs > 1 and len(violations) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                out = list(pool.map(self._classify_one, violations))
-        else:
-            out = [self._classify_one(v) for v in violations]
-        out.sort(key=lambda verdict: verdict.violation.site.site_id)
-        return out
+    def classify(self, violations: Sequence[PotentialViolation]) -> list["Verdict"]:
+        """One verdict per violation, sorted by site id."""
+        return sorted(
+            map(self._classify_one, violations),
+            key=lambda verdict: verdict.violation.site.site_id,
+        )
 
     def _silenced_at(self, v: PotentialViolation, k: int, disabled=frozenset()) -> bool:
         friends = self.effective(v.executable_id, k, disabled)
@@ -571,33 +551,32 @@ class Adapter:
         for k in self.config.layer_indices:
             if not self._silenced_at(v, k):
                 continue
-            necessary = [
-                r
-                for r in self.config.rules_at(k)
-                if not self._silenced_at(v, k, frozenset({r.rule_id}))
+            at_k = self.config.rules_at(k)
+            ids = [r.rule_id for r in at_k]
+            credited = [
+                r for r in at_k if not self._silenced_at(v, k, frozenset({r.rule_id}))
             ]
-            if necessary:
-                primary, also = necessary[0], necessary[1:]
-            else:
+            if not credited:
                 # Same-layer redundancy: no single rule is necessary, so
-                # attribute to the first rule at k that is sufficient on top
-                # of the previous layers.
-                prev = [r.rule_id for r in self.config.rules_at(k)]
-                sufficient = [
+                # credit the rules at k that suffice alone on top of the
+                # previous layers.
+                credited = [
                     r
-                    for r in self.config.rules_at(k)
-                    if self._silenced_at(
-                        v, k, frozenset(x for x in prev if x != r.rule_id)
-                    )
+                    for r in at_k
+                    if self._silenced_at(v, k, frozenset(ids) - {r.rule_id})
                 ]
-                primary, also = sufficient[0], sufficient[1:]
-            return Verdict(
-                violation=v,
-                outcome="silenced",
-                layer=k,
-                rule_id=primary.rule_id,
-                also_matched=tuple(r.rule_id for r in also),
-            )
+            if not credited:
+                # Only a conjunction of rules at k silences: credit the first
+                # rule whose layer-k prefix completes the silencing.  Silencing
+                # is monotone in that prefix, so bisection finds it.
+                first = bisect_left(
+                    range(len(at_k)),
+                    True,
+                    key=lambda i: self._silenced_at(v, k, frozenset(ids[i + 1 :])),
+                )
+                credited = [at_k[first]]
+            also = tuple(r.rule_id for r in credited[1:])
+            return Verdict(v, "silenced", layer=k, rule_id=credited[0].rule_id, also_matched=also)
         return Verdict(
             violation=v,
             outcome="remaining",
@@ -607,35 +586,51 @@ class Adapter:
 
     def _matching_grant_rules(self, v: PotentialViolation) -> Iterable[Rule]:
         for r in self.config.rules:
-            if r.kind != "executable-grant":
-                continue
-            if not any(_glob_matches_id(g, v.executable_id) for g in r.executables):
-                continue
-            yield r
+            if r.kind == "executable-grant" and any(
+                _glob_matches_id(g, v.executable_id) for g in r.executables
+            ):
+                yield r
+
+    def _would_befriend(self, rule: Rule, v: PotentialViolation) -> bool:
+        granted = self.table.supertype_closure([parse_type_name(n) for n in rule.grants])
+        return v.receiver_type in granted
 
     def _remaining_status(self, v: PotentialViolation) -> str:
         for r in self._matching_grant_rules(v):
-            if r.status == "accepted" or not r.grants:
-                continue
-            would_befriend = self.table.supertype_closure(
-                [parse_type_name(name) for name in r.grants]
-            )
-            if v.receiver_type in would_befriend:
+            if r.status != "accepted" and r.grants and self._would_befriend(r, v):
                 return r.status
         return "candidate-true-positive"
 
     def _remaining_hint(self, v: PotentialViolation) -> str:
         for r in self._matching_grant_rules(v):
-            if not r.hint:
-                continue
-            if r.grants:
-                would_befriend = self.table.supertype_closure(
-                    [parse_type_name(name) for name in r.grants]
-                )
-                if v.receiver_type not in would_befriend:
-                    continue
-            return r.hint
+            if r.hint and (not r.grants or self._would_befriend(r, v)):
+                return r.hint
         return ""
+
+
+# -- the rule kind table ---------------------------------------------------------
+
+
+class _Kind(NamedTuple):
+    load: Callable[[dict, str, str], dict]
+    # None for the kinds that read other rules or the sites; Adapter.effective
+    # applies those itself, after the independent grants.
+    grant: Optional[Callable[[Adapter, Executable, Rule], Iterable[TypeRef]]] = None
+
+
+_KINDS: dict[str, _Kind] = {
+    "universal-friend-types": _Kind(_load_friend_types, Adapter._grant_friend_types),
+    "universal-friend-members": _Kind(_load_friend_members),
+    "call-grant": _Kind(_load_call_grant, Adapter._grant_call),
+    "ctor-params-as-fields": _Kind(_load_switch, Adapter._grant_ctor_params),
+    "anon-inner-share": _Kind(_load_switch),
+    "downcast-param": _Kind(_load_switch, Adapter._grant_downcast),
+    "aggregation-elements": _Kind(_load_aggregation, Adapter._grant_aggregation),
+    "friend-implication": _Kind(_load_implication),
+    "executable-grant": _Kind(_load_executable_grant, Adapter._grant_executable),
+}
+
+RULE_KINDS = frozenset(_KINDS)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ Standard output carries nothing but the requested artifact.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,9 +19,9 @@ from .adapt import Adapter, Verdict, load_config, config_warnings
 from .codemodel import LoadError, ResolutionMode, TypeTable, load_stubs
 from .demeter import FriendSet, detect
 from .javafront import SourceError, bind_and_extract, build_type_table, parse_unit
-from .report import build_report, pct, render, render_chain, to_json_doc
+from .report import build_report, render, render_chain, render_stats
 
-__all__ = ["RunOptions", "main", "run"]
+__all__ = ["RunOptions", "main", "read_source", "run"]
 
 
 @dataclass
@@ -35,7 +34,6 @@ class RunOptions:
     format: str = "text"  # json | text | table
     resolution: ResolutionMode = ResolutionMode.STRICT
     fail_threshold: int = 0
-    jobs: int = 1
 
 
 def _collect_sources(paths: Sequence[Path]) -> list[Path]:
@@ -48,13 +46,31 @@ def _collect_sources(paths: Sequence[Path]) -> list[Path]:
     return files
 
 
-def _diag(err_stream, exc: Exception) -> None:
-    if isinstance(exc, SourceError):
-        err_stream.write(f"{exc}\n")
-    elif isinstance(exc, LoadError):
-        err_stream.write(f"{exc.code}: {exc.message}\n")
-    else:  # pragma: no cover - guarded by caller
-        err_stream.write(f"E-CONFIG: {exc}\n")
+def read_source(path: Path) -> str:
+    """A source file's text; unreadable or non-UTF-8 files are E-PARSE errors."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise LoadError("E-PARSE", f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise LoadError("E-PARSE", f"cannot decode {path} as UTF-8") from None
+
+
+#: The characters ``str.splitlines`` breaks at.
+_LINE_BREAKS = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+
+
+def _line(text: str) -> str:
+    """One stderr line.  Diagnostics echo source text, paths and config
+    strings, so line-break characters in them are shown escaped."""
+    return text.translate(_LINE_BREAKS) + "\n"
+
+
+def _diag(err_stream, exc: SourceError | LoadError) -> None:
+    text = str(exc) if isinstance(exc, SourceError) else f"{exc.code}: {exc.message}"
+    err_stream.write(_line(text))
 
 
 class _Loaded:
@@ -81,18 +97,13 @@ def _load(options: RunOptions, err) -> _Loaded:
 
     units = []
     for path in _collect_sources(options.source_paths):
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise LoadError("E-PARSE", f"cannot read {path}: {exc}") from exc
-        except UnicodeDecodeError:
-            raise LoadError("E-PARSE", f"cannot decode {path} as UTF-8") from None
+        text = read_source(path)
         inputs.append(("source", str(path), text))
         units.append(parse_unit(text, str(path)))
 
     table = build_type_table(units, stubs, options.resolution)
     for warning in config_warnings(config, table):
-        err.write(f"W-CONFIG: {warning}\n")
+        err.write(_line(f"W-CONFIG: {warning}"))
     executables = bind_and_extract(units, table, options.resolution)
     return _Loaded(table, executables, config, inputs)
 
@@ -167,24 +178,6 @@ def _explain(loaded: _Loaded, adapter: Adapter, verdicts, site_id: str, out) -> 
     return 0
 
 
-def _stats(report, fmt: str, out) -> None:
-    if fmt == "json":
-        doc = to_json_doc(report)
-        del doc["rows"], doc["verdicts"]
-        out.write((json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8"))
-        return
-    lines = [
-        f"accesses: {report.accesses}",
-        "potential violations: {} ({} % of accesses)".format(
-            report.potential_violations, pct(report.potential_violations, report.accesses)
-        ),
-        f"remaining: {report.remaining}",
-    ]
-    for (k, n), name in zip(report.silenced_per_layer, report.layer_names):
-        lines.append(f"layer {k} ({name}): {n}")
-    out.write(("\n".join(lines) + "\n").encode("utf-8"))
-
-
 def run(options: RunOptions, out=None, err=None) -> int:
     """Execute one invocation; returns the process exit code."""
     out = out if out is not None else sys.stdout.buffer
@@ -199,7 +192,7 @@ def run(options: RunOptions, out=None, err=None) -> int:
     violations = [
         v for ex in loaded.executables for v in detect(ex, adapter.base[ex.id])
     ]
-    verdicts = adapter.classify(violations, jobs=options.jobs)
+    verdicts = adapter.classify(violations)
 
     if options.mode == "explain":
         try:
@@ -212,7 +205,7 @@ def run(options: RunOptions, out=None, err=None) -> int:
         loaded.executables, verdicts, loaded.config, inputs=loaded.inputs
     )
     if options.mode == "stats":
-        _stats(report, options.format, out)
+        out.write(render_stats(report, options.format))
         return 0
 
     out.write(render(report, options.format))
@@ -243,8 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="unresolved names become unknown types")
     parser.add_argument("--fail-threshold", type=int, default=0, metavar="N",
                         help="max candidate true positives before exit 1")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="classification worker threads")
     parser.add_argument("--version", action="version", version=f"demeterlint {__version__}")
     return parser
 
@@ -263,7 +254,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         format=args.format,
         resolution=args.resolution,
         fail_threshold=args.fail_threshold,
-        jobs=args.jobs,
     )
     return run(options)
 

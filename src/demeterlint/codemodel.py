@@ -406,12 +406,6 @@ class TypeTable:
             )
         raise MemberResolutionError(receiver, name, arity)
 
-    def simple_name_index(self) -> dict[str, list[str]]:
-        index: dict[str, list[str]] = {}
-        for name in sorted(self._decls):
-            index.setdefault(name.rsplit(".", 1)[-1], []).append(name)
-        return index
-
 
 # -- stub loading -----------------------------------------------------------
 

@@ -78,12 +78,6 @@ class FriendSet:
         """Mutable copy of the seed map, for rule application."""
         return {t: set(roles) for t, roles in self.seeds}
 
-    @property
-    def is_base(self) -> bool:
-        return not self.member_exemptions and not any(
-            role.startswith("granted:") for _, roles in self.seeds for role in roles
-        )
-
 
 def make_friend_set(
     table: TypeTable,

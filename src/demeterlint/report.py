@@ -29,6 +29,7 @@ __all__ = [
     "pct",
     "render",
     "render_chain",
+    "render_stats",
 ]
 
 REPORT_SCHEMA = "demeterlint-report/1"
@@ -336,6 +337,24 @@ def render(report: AnalysisReport, fmt: str) -> bytes:
     else:
         raise ValueError(f"unknown report format '{fmt}'")
     return text.encode("utf-8")
+
+
+def render_stats(report: AnalysisReport, fmt: str) -> bytes:
+    """Totals and the waterfall, without rows or verdicts."""
+    if fmt == "json":
+        doc = to_json_doc(report)
+        del doc["rows"], doc["verdicts"]
+        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    lines = [
+        f"accesses: {report.accesses}",
+        "potential violations: {} ({} % of accesses)".format(
+            report.potential_violations, pct(report.potential_violations, report.accesses)
+        ),
+        f"remaining: {report.remaining}",
+    ]
+    for (k, n), name in zip(report.silenced_per_layer, report.layer_names):
+        lines.append(f"layer {k} ({name}): {n}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def parse_report(data: bytes | str) -> dict:

@@ -239,6 +239,14 @@ def naive_classify(ex_id, site, executables, table, config) -> dict:
                     config,
                 )
             ]
+        if not necessary:
+            # Only a conjunction silences: the first rule whose layer-k
+            # prefix, on top of the earlier layers, silences the site.
+            for i, r in enumerate(at_k):
+                later = frozenset(o.rule_id for o in at_k[i + 1 :])
+                if not _still_violates(ex_id, site, k, later, executables, table, config):
+                    necessary = [r]
+                    break
         return {
             "site": site.site_id,
             "outcome": "silenced",

@@ -23,6 +23,32 @@ EXTRA_STUBS = {
 }
 
 
+#: A stub document holding nothing but ``java.lang.Object``.
+OBJECT_STUB = STUBS / "object.json"
+
+#: A site that only a conjunction of redundant rules in one layer silences.
+#: ``.f()`` in ``A#g`` has receiver type ``p.Y``: either of T1/T2 befriends
+#: ``p.X`` and either of I1/I2 then implies ``p.Y``, so no single rule is
+#: necessary and none suffices alone.
+CONJUNCTION_SOURCE = (
+    "package p; class X {} class Y { int f() { return 1; } } "
+    "class Z { Y y() { return null; } } "
+    "class A { int g(Z z) { return z.y().f(); } }"
+)
+CONJUNCTION_CONFIG = json.dumps(
+    {
+        "schema": "demeterlint-config/1",
+        "layer": 0,
+        "rules": [
+            {"id": "T1", "kind": "universal-friend-types", "types": ["p.X"]},
+            {"id": "T2", "kind": "universal-friend-types", "types": ["p.X"]},
+            {"id": "I1", "kind": "friend-implication", "pairs": [["p.X", "p.Y"]]},
+            {"id": "I2", "kind": "friend-implication", "pairs": [["p.X", "p.Y"]]},
+        ],
+    }
+)
+
+
 @dataclass
 class CorpusCase:
     name: str

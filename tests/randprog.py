@@ -182,14 +182,18 @@ def _random_rule(rng: random.Random, rid: str, n_classes: int) -> dict:
     return rule
 
 
-def random_config(seed: int, n_classes: int = 7):
-    """A 0..4 layer stack of randomly parameterized rules."""
+#: A ``max_rules`` for large rule stacks: 0..24 rules per layer, 12 on average.
+LARGE_STACK = 24
+
+
+def random_config(seed: int, n_classes: int = 7, max_rules: int = 3):
+    """A 0..4 layer stack of 0..max_rules randomly parameterized rules each."""
     rng = random.Random(seed * 7919 + 17)
     docs = []
     counter = 0
     for layer in range(rng.randrange(0, 5)):
         rules = []
-        for _ in range(rng.randrange(0, 4)):
+        for _ in range(rng.randrange(0, max_rules + 1)):
             rules.append(_random_rule(rng, f"R{counter}", n_classes))
             counter += 1
         docs.append(

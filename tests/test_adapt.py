@@ -128,6 +128,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown kind"):
             cfg(doc(0, {"id": "R1", "kind": "universal-frend-types", "types": ["p.B"]}))
 
+    def test_unhashable_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown kind"):
+            cfg(doc(0, {"id": "R1", "kind": ["call-grant"]}))
+
     def test_wrong_schema_rejected(self):
         with pytest.raises(ConfigError, match="schema"):
             cfg(json.dumps({"schema": "demeterlint-config/2", "rules": []}))

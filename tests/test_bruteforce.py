@@ -13,8 +13,14 @@ from demeterlint.demeter import detect
 from demeterlint.presets import STACK
 
 from bruteforce import engine_verdicts_as_dicts, naive_detect, oracle_verdicts
-from conftest import build_case_front, build_front
-from randprog import random_config, random_program
+from conftest import (
+    CONJUNCTION_CONFIG,
+    CONJUNCTION_SOURCE,
+    OBJECT_STUB,
+    build_case_front,
+    build_front,
+)
+from randprog import LARGE_STACK, random_config, random_program
 
 
 def compare_project(executables, table, config) -> list[str]:
@@ -65,9 +71,30 @@ class TestRandomEquivalence:
         config = random_config(seed)
         assert compare_project(executables, table, config) == []
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_program_large_rule_stack(self, seed):
+        table, executables = build_front(random_program(seed))
+        config = random_config(seed, max_rules=LARGE_STACK)
+        assert compare_project(executables, table, config) == []
+
     def test_random_program_preset_stack(self):
         # Preset rules name no rp.* types, so they must all be inert.
         table, executables = build_front(random_program(4242))
         config = load_config([str(p) for p in STACK])
         problems = compare_project(executables, table, config)
         assert problems == []
+
+
+class TestConjunctionAttribution:
+    def test_first_completing_prefix_takes_the_credit(self):
+        table, executables = build_front([("A.java", CONJUNCTION_SOURCE)], [OBJECT_STUB])
+        config = load_config([CONJUNCTION_CONFIG])
+        assert compare_project(executables, table, config) == []
+        adapter = Adapter(executables, table, config)
+        violations = [v for ex in executables for v in detect(ex, adapter.base[ex.id])]
+        (verdict,) = adapter.classify(violations)
+        assert verdict.violation.site.member.name == "f"
+        # T1, T2 and I1 is the shortest layer-0 prefix that silences .f().
+        assert (verdict.outcome, verdict.layer, verdict.rule_id, verdict.also_matched) == (
+            "silenced", 0, "I1", ()
+        )

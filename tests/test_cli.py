@@ -1,16 +1,22 @@
 """End-to-end command line behavior: exit codes, stream purity, explain."""
 
+import importlib.util
 import io
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demeterlint.cli import RunOptions, main, run
 from demeterlint.codemodel import ResolutionMode
 from demeterlint.presets import GENERIC, STACK
 
-from conftest import STUBS, load_case
+from conftest import CONJUNCTION_CONFIG, CONJUNCTION_SOURCE, OBJECT_STUB, STUBS, load_case
+from test_lexer_oracle import java_like
 
 
 def invoke(options: RunOptions):
@@ -148,6 +154,15 @@ class TestLoadErrors:
         )
         assert (code, out) == (2, b"")
         assert err.startswith("E-PARSE: ") and "cannot read" in err
+
+    def test_line_breaks_in_echoed_text_stay_on_one_line(self, tmp_path):
+        src = tmp_path / "A.java"
+        src.write_text('"a\u2028b\fc" class A { }')
+        code, out, err = invoke(RunOptions(source_paths=(src,)))
+        assert (code, out) == (2, b"")
+        assert err.splitlines() == [
+            f"E-PARSE: {src}:1:1: expected a type declaration, got '\"a\\u2028b\\x0cc\"'"
+        ]
 
     def test_non_utf8_source(self, tmp_path):
         src = tmp_path / "A.java"
@@ -292,12 +307,71 @@ class TestStats:
 
 
 class TestDeterminism:
-    def test_byte_identical_runs_and_jobs(self):
-        blobs = [
-            invoke(case_options("listing9", STACK, format="json", jobs=jobs))[1]
-            for jobs in (1, 1, 4)
-        ]
-        assert blobs[0] == blobs[1] == blobs[2]
+    def test_byte_identical_runs(self):
+        first, again = (
+            invoke(case_options("listing9", STACK, format="json"))[1] for _ in range(2)
+        )
+        assert first == again
+
+
+class TestConjunction:
+    def test_conjunction_of_redundant_rules_classifies(self, tmp_path):
+        src = tmp_path / "A.java"
+        src.write_text(CONJUNCTION_SOURCE)
+        cfg = tmp_path / "rules.json"
+        cfg.write_text(CONJUNCTION_CONFIG)
+        code, out, err = invoke(
+            RunOptions(source_paths=(src,), stub_paths=(OBJECT_STUB,),
+                       config_paths=(cfg,), format="json")
+        )
+        assert (code, err) == (0, "")
+        (verdict,) = json.loads(out)["verdicts"]
+        assert (verdict["member"], verdict["layer"], verdict["rule"]) == ("f", 0, "I1")
+
+
+LISTING3 = load_case("listing3")
+LISTING3_TEXT = LISTING3.java_files[0].read_text(encoding="utf-8")
+DIAGNOSTIC = re.compile(r"^[EW]-[A-Z]+: ")
+
+#: Source bytes: arbitrary text and bytes, and listing3 with Java-like
+#: fragments spliced in, which reaches binding and classification.
+source_bytes = st.one_of(
+    st.text().map(lambda t: t.encode("utf-8", "surrogatepass")),
+    st.binary(),
+    st.tuples(st.integers(0, len(LISTING3_TEXT)), java_like).map(
+        lambda cut: (LISTING3_TEXT[: cut[0]] + cut[1] + LISTING3_TEXT[cut[0] :]).encode("utf-8")
+    ),
+)
+
+
+class TestContractFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(source_bytes)
+    def test_any_source_keeps_the_contract(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "ElbowHandle.java"
+            src.write_bytes(data)
+            code, _, err = invoke(
+                RunOptions(source_paths=(src,), stub_paths=tuple(LISTING3.stub_files),
+                           config_paths=tuple(STACK), format="json")
+            )
+        assert code in (0, 1, 2)
+        for line in err.splitlines():
+            assert DIAGNOSTIC.match(line), line
+
+
+class TestReproduceScript:
+    def test_non_utf8_source_is_a_parse_error(self, tmp_path, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "reproduce_jhotdraw",
+            Path(__file__).resolve().parents[1] / "scripts" / "reproduce_jhotdraw.py",
+        )
+        repro = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(repro)
+        src = tmp_path / "A.java"
+        src.write_bytes(b"class A { /* caf\xe9 */ }")
+        assert repro.main([str(tmp_path), "--stubs", str(STUBS / "jdk.json")]) == 2
+        assert capsys.readouterr().err == f"E-PARSE: cannot decode {src} as UTF-8\n"
 
 
 class TestMain:

@@ -33,7 +33,8 @@ class TestBaseFriendSet:
         fs = base_friend_set(by_id(exes)["p.A#m()"], table)
         assert seeds_of(fs) == {"p.A": ("self",)}
         assert fs.closure == frozenset({TypeRef("p.A"), TypeRef("java.lang.Object")})
-        assert fs.is_base
+        assert fs.member_exemptions == ()
+        assert not any(role.startswith("granted:") for _, roles in fs.seeds for role in roles)
 
     def test_all_seed_roles(self):
         src = (
