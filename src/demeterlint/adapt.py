@@ -31,7 +31,6 @@ from .demeter import (
     PotentialViolation,
     base_friend_set,
     check_site,
-    make_friend_set,
 )
 from .javafront import Executable
 
@@ -85,10 +84,6 @@ class Rule:
     field_map: tuple[tuple[str, str, str], ...] = ()  # (class, field, element)
     infer_via: tuple[str, ...] = ()
 
-    @property
-    def granted_role(self) -> str:
-        return f"granted:{self.rule_id}"
-
 
 @dataclass(frozen=True)
 class LayeredConfig:
@@ -131,16 +126,45 @@ EMPTY_CONFIG = LayeredConfig(rules=(), layer_names=())
 # -- loading -------------------------------------------------------------------
 
 
+def _string(raw: dict, key: str, where: str, default: str = "") -> str:
+    value = raw.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: {key} must be a string")
+    return value
+
+
+def _is_layer(value) -> bool:
+    # JSON true/false load as bool, which is an int subclass.
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _str_tuple(raw, context: str) -> tuple[str, ...]:
     if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
         raise ConfigError(f"{context}: expected a list of strings")
     return tuple(raw)
 
 
+def _type_names(names: Iterable[str], context: str) -> None:
+    """Check that every name parses as a type reference."""
+    for name in names:
+        try:
+            parse_type_name(name)
+        except LoadError:
+            raise ConfigError(f"{context}: empty type name") from None
+
+
+def _type_tuple(raw, context: str) -> tuple[str, ...]:
+    names = _str_tuple(raw, context)
+    _type_names(names, context)
+    return names
+
+
 def _records(raw, keys: tuple[str, ...], error: str) -> tuple[tuple[str, ...], ...]:
+    if not isinstance(raw, list):
+        raise ConfigError(error)
     out = []
     for entry in raw:
-        if not isinstance(entry, dict) or not set(keys) <= set(entry):
+        if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in keys):
             raise ConfigError(error)
         out.append(tuple(entry[key] for key in keys))
     return tuple(out)
@@ -152,9 +176,9 @@ def _records(raw, keys: tuple[str, ...], error: str) -> tuple[tuple[str, ...], .
 
 def _load_friend_types(raw: dict, rule_id: str, where: str) -> dict:
     kw = {
-        "types": _str_tuple(raw.get("types", []), f"{rule_id}.types"),
-        "package_glob": raw.get("package_glob", ""),
-        "implementors_of": _str_tuple(
+        "types": _type_tuple(raw.get("types", []), f"{rule_id}.types"),
+        "package_glob": _string(raw, "package_glob", where),
+        "implementors_of": _type_tuple(
             raw.get("implementors_of", []), f"{rule_id}.implementors_of"
         ),
     }
@@ -164,7 +188,7 @@ def _load_friend_types(raw: dict, rule_id: str, where: str) -> dict:
 
 
 def _load_friend_members(raw: dict, rule_id: str, where: str) -> dict:
-    predicate = raw.get("member_predicate", "")
+    predicate = _string(raw, "member_predicate", where)
     pattern = raw.get("member_pattern")
     if predicate:
         if predicate not in MEMBER_PREDICATES:
@@ -173,7 +197,7 @@ def _load_friend_members(raw: dict, rule_id: str, where: str) -> dict:
     if pattern is None:
         raise ConfigError(f"{where}: needs member_predicate or member_pattern")
     (member_pattern,) = _records(
-        [pattern], ("type", "name"), f"{where}: member_pattern needs 'type' and 'name'"
+        [pattern], ("type", "name"), f"{where}: member_pattern needs string 'type' and 'name'"
     )
     return {"member_pattern": member_pattern}
 
@@ -184,9 +208,9 @@ def _load_call_grant(raw: dict, rule_id: str, where: str) -> dict:
         raise ConfigError(f"{where}: call-grant needs a matcher list")
     return {
         "matcher": _records(
-            matchers, ("type", "name"), f"{where}: matcher entries need 'type' and 'name'"
+            matchers, ("type", "name"), f"{where}: matcher entries need string 'type' and 'name'"
         ),
-        "grants": _str_tuple(raw.get("grants", []), f"{rule_id}.grants"),
+        "grants": _type_tuple(raw.get("grants", []), f"{rule_id}.grants"),
     }
 
 
@@ -199,10 +223,11 @@ def _load_aggregation(raw: dict, rule_id: str, where: str) -> dict:
         "field_map": _records(
             raw.get("field_map", []),
             ("type", "field", "element"),
-            f"{where}: field_map entries need type/field/element",
+            f"{where}: field_map entries need string type/field/element",
         ),
         "infer_via": _str_tuple(raw.get("infer_via", []), f"{rule_id}.infer_via"),
     }
+    _type_names((element for _, _, element in kw["field_map"]), f"{rule_id}.field_map")
     if not any(kw.values()):
         raise ConfigError(f"{where}: empty aggregation rule")
     return kw
@@ -212,8 +237,12 @@ def _load_implication(raw: dict, rule_id: str, where: str) -> dict:
     pairs = raw.get("pairs")
     if not isinstance(pairs, list) or not pairs:
         raise ConfigError(f"{where}: needs implication pairs")
-    if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
-        raise ConfigError(f"{where}: pairs are [from, to]")
+    if not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(u, str) for u in p)
+        for p in pairs
+    ):
+        raise ConfigError(f"{where}: pairs are [from, to] type names")
+    _type_names((u for pair in pairs for u in pair), f"{rule_id}.pairs")
     return {"pairs": tuple((a, b) for a, b in pairs)}
 
 
@@ -221,11 +250,11 @@ def _load_executable_grant(raw: dict, rule_id: str, where: str) -> dict:
     executables = _str_tuple(raw.get("executables", []), f"{rule_id}.executables")
     if not executables:
         raise ConfigError(f"{where}: needs executable ids or globs")
-    grants = _str_tuple(raw.get("grants", []), f"{rule_id}.grants")
-    status = raw.get("status", "accepted")
+    grants = _type_tuple(raw.get("grants", []), f"{rule_id}.grants")
+    status = _string(raw, "status", where, "accepted")
     if status not in STATUSES:
         raise ConfigError(f"{where}: unknown status '{status}'")
-    hint = raw.get("hint", "")
+    hint = _string(raw, "hint", where)
     return {"executables": executables, "grants": grants, "status": status, "hint": hint}
 
 
@@ -239,10 +268,11 @@ def _parse_rule(raw: dict, default_layer: int, order: int, context: str) -> Rule
     if not isinstance(kind, str) or kind not in RULE_KINDS:
         raise ConfigError(f"{context}: rule {rule_id}: unknown kind '{kind}'")
     layer = raw.get("layer", default_layer)
-    if not isinstance(layer, int) or layer < 0:
+    if not _is_layer(layer):
         raise ConfigError(f"{context}: rule {rule_id}: layer must be a non-negative integer")
-    payload = _KINDS[kind].load(raw, rule_id, f"{context}: rule {rule_id}")
-    return Rule(rule_id, kind, layer, tag=raw.get("tag", ""), order=order, **payload)
+    where = f"{context}: rule {rule_id}"
+    payload = _KINDS[kind].load(raw, rule_id, where)
+    return Rule(rule_id, kind, layer, tag=_string(raw, "tag", where), order=order, **payload)
 
 
 def load_config(documents: Sequence[str | Path]) -> LayeredConfig:
@@ -277,7 +307,7 @@ def load_config(documents: Sequence[str | Path]) -> LayeredConfig:
         if not isinstance(doc, dict) or doc.get("schema") != CONFIG_SCHEMA:
             raise ConfigError(f"{context}: expected schema {CONFIG_SCHEMA}")
         doc_layer = doc.get("layer", next_layer)
-        if not isinstance(doc_layer, int) or doc_layer < 0:
+        if not _is_layer(doc_layer):
             raise ConfigError(f"{context}: layer must be a non-negative integer")
         if doc_layer in seen_layers:
             raise ConfigError(f"{context}: duplicate layer {doc_layer}")
@@ -331,10 +361,33 @@ def _package_of(name: str) -> str:
     return name.rsplit(".", 1)[0] if "." in name else ""
 
 
+#: One rule's contribution to one executable: the non-primitive types it
+#: grants, first occurrence first, and the closure mask of those types.
+Contribution = tuple[tuple[TypeRef, ...], int]
+
+_NOTHING: Contribution = ((), 0)
+
+#: The rules that can change one executable's friend set, each with its
+#: grant as (rule id, types) and that grant's mask; (None, 0) for the kinds
+#: ``Adapter.effective`` applies itself.
+_Active = tuple[tuple[Rule, Optional[tuple[str, tuple[TypeRef, ...]]], int], ...]
+
+
+class _Implication(NamedTuple):
+    """One friend-implication pair, ready for bit tests."""
+
+    rule_id: str
+    premise: int  # bit position
+    conclusion: TypeRef
+    bit: int  # the conclusion's bit position
+    mask: int  # the conclusion's closure
+
+
 class Adapter:
     """Computes effective friend sets and verdicts for one analysis run.
 
-    Holds the caches that make classification cheap: base sets, per-class
+    Holds the caches that make classification cheap: base sets, each rule's
+    parsed payload and its contribution to each executable, per-class
     constructor parameters, aggregation inference, and (executable, layer)
     effective sets, including ablated variants used for attribution.
     """
@@ -351,31 +404,63 @@ class Adapter:
         self.base: dict[str, FriendSet] = {
             ex.id: base_friend_set(ex, table) for ex in executables
         }
+        # Rule payloads parsed once: the types a rule lists (``types`` or
+        # ``grants``), implication pairs and member exemptions.
+        self._listed: dict[str, Contribution] = {}
+        self._implications: dict[str, tuple[_Implication, ...]] = {}
+        self._exemptions: dict[str, MemberExemption] = {}
+        for r in config.rules:
+            self._listed[r.rule_id] = self._close(map(parse_type_name, r.types + r.grants))
+            if r.kind == "friend-implication":
+                pairs = [(parse_type_name(a), parse_type_name(b)) for a, b in r.pairs]
+                self._implications[r.rule_id] = tuple(
+                    _Implication(r.rule_id, table.bit(a), b, table.bit(b), table.closure_mask([b]))
+                    for a, b in pairs
+                    if not b.is_primitive  # a primitive is never a friend, so never implied
+                )
+            elif r.kind == "universal-friend-members":
+                self._exemptions[r.rule_id] = (
+                    MemberExemption(r.rule_id, r.member_predicate)
+                    if r.member_predicate
+                    else MemberExemption(r.rule_id, "pattern", *r.member_pattern)
+                )
+        self._active_cache: dict[tuple[str, int], _Active] = {}
         self._effective_cache: dict[tuple[str, int, frozenset[str]], FriendSet] = {}
+        self._universal_cache: dict[str, Contribution] = {}
         self._implementors_cache: dict[str, tuple[str, ...]] = {}
         self._package_cache: dict[str, tuple[str, ...]] = {}
-        self._ctor_param_cache: dict[str, tuple[TypeRef, ...]] = {}
-        self._agg_cache: dict[tuple[str, str], tuple[TypeRef, ...]] = {}
+        self._ctor_param_cache: dict[str, Contribution] = {}
+        self._agg_cache: dict[tuple[str, str], Contribution] = {}
+        self._grant_rules_cache: dict[str, tuple[Rule, ...]] = {}
+
+    def _close(self, types: Iterable[TypeRef]) -> Contribution:
+        kept = tuple(dict.fromkeys(t for t in types if not t.is_primitive))
+        return kept, self.table.closure_mask(kept)
 
     # -- grants of the independent kinds --------------------------------------
-    # Each yields the types one rule grants to one executable, from nothing
-    # but the rule, the executable and this run's caches.
+    # Each returns what one rule grants to one executable, from nothing but
+    # the rule, the executable and this run's caches.
 
-    def _grant_friend_types(self, ex: Executable, rule: Rule) -> Iterable[TypeRef]:
-        yield from map(parse_type_name, rule.types)
-        if rule.package_glob:
-            yield from map(TypeRef, self._package_types(rule.package_glob))
-        for interface in rule.implementors_of:
-            yield from map(TypeRef, self._implementors(interface))
+    def _grant_friend_types(self, ex: Executable, rule: Rule) -> Contribution:
+        got = self._universal_cache.get(rule.rule_id)
+        if got is None:
+            types = list(self._listed[rule.rule_id][0])
+            if rule.package_glob:
+                types += map(TypeRef, self._package_types(rule.package_glob))
+            for interface in rule.implementors_of:
+                types += map(TypeRef, self._implementors(interface))
+            got = self._universal_cache[rule.rule_id] = self._close(types)
+        return got
 
     def _implementors(self, interface: str) -> tuple[str, ...]:
         got = self._implementors_cache.get(interface)
         if got is None:
             target = parse_type_name(interface)
+            table = self.table
             got = tuple(
                 decl.name
-                for decl in sorted(self.table, key=lambda d: d.name)
-                if target in self.table.supertype_closure([decl.ref])
+                for decl in sorted(table, key=lambda d: d.name)
+                if table.in_mask(table.closure_mask([decl.ref]), target)
             )
             self._implementors_cache[interface] = got
         return got
@@ -393,28 +478,26 @@ class Adapter:
             self._package_cache[glob] = got
         return got
 
-    def _grant_ctor_params(self, ex: Executable, rule: Rule) -> Iterable[TypeRef]:
+    def _grant_ctor_params(self, ex: Executable, rule: Rule) -> Contribution:
         if not rule.enabled:
-            return ()
+            return _NOTHING
         owner = ex.owner_type.name
         got = self._ctor_param_cache.get(owner)
         if got is None:
-            got = self._ctor_param_cache[owner] = tuple(dict.fromkeys(
+            got = self._ctor_param_cache[owner] = self._close(
                 t
                 for other in self.by_owner[owner]
                 if other.exec_kind == "constructor"
                 for _, t in other.params
-            ))
+            )
         return got
 
-    def _grant_aggregation(self, ex: Executable, rule: Rule) -> Iterable[TypeRef]:
+    def _grant_aggregation(self, ex: Executable, rule: Rule) -> Contribution:
         owner = ex.owner_type.name
         got = self._agg_cache.get((owner, rule.rule_id))
         if got is not None:
             return got
-        elements = dict.fromkeys(
-            parse_type_name(element) for cls, _, element in rule.field_map if cls == owner
-        )
+        elements = [parse_type_name(element) for cls, _, element in rule.field_map if cls == owner]
         if rule.infer_via:
             decl = self.table.get(owner)
             members = decl.members if decl is not None else ()
@@ -430,11 +513,12 @@ class Adapter:
                         and chain[0].kind == "field"
                         and chain[0].label in own_fields
                     ):
-                        elements.update(dict.fromkeys(site.arg_types))
-        got = self._agg_cache[(owner, rule.rule_id)] = tuple(elements)
+                        elements += site.arg_types
+        got = self._agg_cache[(owner, rule.rule_id)] = self._close(elements)
         return got
 
-    def _grant_call(self, ex: Executable, rule: Rule) -> Iterable[TypeRef]:
+    def _grant_call(self, ex: Executable, rule: Rule) -> Contribution:
+        returned = []
         for site in ex.body_accesses:
             member = site.member
             if site.access_kind not in ("method-call", "static-member-access"):
@@ -446,21 +530,45 @@ class Adapter:
                 for m_type, m_glob in rule.matcher
             ):
                 if rule.grants:
-                    yield from map(parse_type_name, rule.grants)
-                else:
-                    yield member.declared_type
+                    return self._listed[rule.rule_id]
+                returned.append(member.declared_type)
+        return self._close(returned)
 
-    def _grant_downcast(self, ex: Executable, rule: Rule) -> Iterable[TypeRef]:
-        return ex.downcast_param_types if rule.enabled else ()
+    def _grant_downcast(self, ex: Executable, rule: Rule) -> Contribution:
+        return self._close(ex.downcast_param_types) if rule.enabled else _NOTHING
 
-    def _grant_executable(self, ex: Executable, rule: Rule) -> Iterable[TypeRef]:
+    def _grant_executable(self, ex: Executable, rule: Rule) -> Contribution:
         if rule.status == "accepted" and any(
             _glob_matches_id(g, ex.id) for g in rule.executables
         ):
-            return map(parse_type_name, rule.grants)
-        return ()
+            return self._listed[rule.rule_id]
+        return _NOTHING
 
     # -- the effective set ---------------------------------------------------
+
+    def _active(self, ex: Executable, k: int) -> _Active:
+        """The rules through layer k that can change ``ex``'s friend set, in
+        order: the independent rules that grant ``ex`` something and every
+        rule of the other kinds.  Built layer on layer, so each rule's
+        contribution to ``ex`` is computed once."""
+        layers = self.config.layer_indices
+        i = bisect_right(layers, k)
+        if not i:
+            return ()
+        key = (ex.id, layers[i - 1])
+        got = self._active_cache.get(key)
+        if got is None:
+            active = list(self._active(ex, layers[i - 2]) if i > 1 else ())
+            for r in self.config.rules_at(layers[i - 1]):
+                grant = _KINDS[r.kind].grant
+                if grant is None:
+                    active.append((r, None, 0))
+                    continue
+                types, mask = grant(self, ex, r)
+                if types:
+                    active.append((r, (r.rule_id, types), mask))
+            got = self._active_cache[key] = tuple(active)
+        return got
 
     def effective(
         self,
@@ -480,57 +588,46 @@ class Adapter:
         if got is not None:
             return got
 
-        ex = self.by_id[exec_id]
+        base = self.base[exec_id]
         rules = self.config.rules_through(k)
-        if disabled:
-            rules = [r for r in rules if r.rule_id not in disabled]
-        if not rules:
-            return self.base[exec_id]
-        roles = self.base[exec_id].seed_roles()
+        if len(disabled) >= len(rules) and disabled.issuperset(r.rule_id for r in rules):
+            return base
+        ex = self.by_id[exec_id]
+        mask = base.mask
+        grants: list[tuple[str, tuple[TypeRef, ...]]] = []
+        implications: list[_Implication] = []
+        exemptions = []
+        share = None
+        for r, granted, granted_mask in self._active(ex, k):
+            if r.rule_id in disabled:
+                continue
+            if granted is not None:
+                grants.append(granted)
+                mask |= granted_mask
+            elif r.kind == "friend-implication":
+                implications.extend(self._implications[r.rule_id])
+            elif r.kind == "universal-friend-members":
+                exemptions.append(self._exemptions[r.rule_id])
+            elif share is None and r.enabled:  # the first enabled anon-inner-share
+                share = r
 
-        def grant(type_ref: TypeRef, rule: Rule) -> None:
-            if type_ref.is_primitive:
-                return
-            roles.setdefault(type_ref, set()).add(rule.granted_role)
-
-        for r in rules:
-            contribute = _KINDS[r.kind].grant
-            if contribute is not None:
-                for t in contribute(self, ex, r):
-                    grant(t, r)
-
-        share = next(
-            (r for r in rules if r.kind == "anon-inner-share" and r.enabled), None
-        )
         if share is not None and ex.enclosing_executable is not None:
             enclosing = self.effective(ex.enclosing_executable, k, disabled)
-            for t, _ in enclosing.seeds:
-                grant(t, share)
+            # Every seed of the enclosing set: its base seeds and its grants.
+            grants.append((share.rule_id, tuple(t for t, _ in enclosing.base)))
+            grants.extend((share.rule_id, types) for _, types in enclosing.grants)
+            mask |= enclosing.mask
 
-        implications = [
-            (parse_type_name(a), parse_type_name(b), r)
-            for r in rules
-            if r.kind == "friend-implication"
-            for a, b in r.pairs
-        ]
-        closure = self.table.supertype_closure(roles)
         changed = bool(implications)
         while changed:
             changed = False
-            for premise, conclusion, r in implications:
-                if premise in closure and conclusion not in closure:
-                    grant(conclusion, r)
-                    closure = self.table.supertype_closure(roles)
+            for rule_id, premise, conclusion, bit, implied in implications:
+                if mask >> premise & 1 and not mask >> bit & 1:
+                    grants.append((rule_id, (conclusion,)))
+                    mask |= implied
                     changed = True
 
-        exemptions = [
-            MemberExemption(r.rule_id, r.member_predicate)
-            if r.member_predicate
-            else MemberExemption(r.rule_id, "pattern", r.member_pattern[0], r.member_pattern[1])
-            for r in rules
-            if r.kind == "universal-friend-members"
-        ]
-        got = make_friend_set(self.table, roles, exemptions)
+        got = FriendSet(self.table, base.base, mask, tuple(grants), tuple(exemptions))
         self._effective_cache[key] = got
         return got
 
@@ -584,16 +681,19 @@ class Adapter:
             hint=self._remaining_hint(v),
         )
 
-    def _matching_grant_rules(self, v: PotentialViolation) -> Iterable[Rule]:
-        for r in self.config.rules:
-            if r.kind == "executable-grant" and any(
-                _glob_matches_id(g, v.executable_id) for g in r.executables
-            ):
-                yield r
+    def _matching_grant_rules(self, v: PotentialViolation) -> tuple[Rule, ...]:
+        got = self._grant_rules_cache.get(v.executable_id)
+        if got is None:
+            got = self._grant_rules_cache[v.executable_id] = tuple(
+                r
+                for r in self.config.rules
+                if r.kind == "executable-grant"
+                and any(_glob_matches_id(g, v.executable_id) for g in r.executables)
+            )
+        return got
 
     def _would_befriend(self, rule: Rule, v: PotentialViolation) -> bool:
-        granted = self.table.supertype_closure([parse_type_name(n) for n in rule.grants])
-        return v.receiver_type in granted
+        return self.table.in_mask(self._listed[rule.rule_id][1], v.receiver_type)
 
     def _remaining_status(self, v: PotentialViolation) -> str:
         for r in self._matching_grant_rules(v):
@@ -615,7 +715,7 @@ class _Kind(NamedTuple):
     load: Callable[[dict, str, str], dict]
     # None for the kinds that read other rules or the sites; Adapter.effective
     # applies those itself, after the independent grants.
-    grant: Optional[Callable[[Adapter, Executable, Rule], Iterable[TypeRef]]] = None
+    grant: Optional[Callable[[Adapter, Executable, Rule], Contribution]] = None
 
 
 _KINDS: dict[str, _Kind] = {

@@ -6,11 +6,16 @@ and a table maps qualified names to declarations.  Declarations come from
 two origins, analyzed source and stub documents, and are merged into one
 table before analysis.
 
-Two operations carry the semantic weight.  ``supertype_closure`` computes
-the reflexive-transitive supertype set used for friendship checks, and
+Two operations carry the semantic weight.  ``closure_mask`` computes the
+reflexive-transitive supertype set used for friendship checks, and
 ``resolve_member`` finds the member an access refers to, searching the
 receiver first and then its supertypes depth-first, extends before
 implements.
+
+Closures are interned bitmasks: the table gives every type it meets one bit
+and memoizes each type's closure as a Python int, so the closure of a seed
+set is an OR of memoized masks and a membership test is one bit test.
+``supertype_closure`` decodes the same mask into a set of references.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class TypeKind(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeRef:
     """A reference to a type by qualified name.
 
@@ -84,6 +89,9 @@ class TypeRef:
 
     def __str__(self) -> str:
         return self.name
+
+
+_OBJECT = TypeRef(OBJECT_NAME)
 
 
 def array_of(element: TypeRef) -> TypeRef:
@@ -137,7 +145,7 @@ class Origin(Enum):
     STUB = "stub"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemberDecl:
     """One declared field, method, or constructor.
 
@@ -225,9 +233,17 @@ def _check_members(decl_name: str, members: Iterable[MemberDecl]) -> None:
 
 @dataclass
 class TypeTable:
-    """All known type declarations, keyed by qualified name."""
+    """All known type declarations, keyed by qualified name.
+
+    Also the interning of closures: ``_bits`` gives each type met a bit
+    position (``_types`` is the reverse), and ``_masks`` memoizes each type's
+    closure mask until the next ``add``.
+    """
 
     _decls: dict[str, TypeDecl] = field(default_factory=dict)
+    _bits: dict[TypeRef, int] = field(default_factory=dict, init=False, repr=False)
+    _types: list[TypeRef] = field(default_factory=list, init=False, repr=False)
+    _masks: dict[TypeRef, int] = field(default_factory=dict, init=False, repr=False)
 
     def __contains__(self, name: str) -> bool:
         return name in self._decls
@@ -242,6 +258,7 @@ class TypeTable:
         return self._decls.get(name)
 
     def add(self, decl: TypeDecl) -> None:
+        self._masks.clear()
         existing = self._decls.get(decl.name)
         if existing is not None:
             if existing.structurally_equal(decl):
@@ -298,27 +315,55 @@ class TypeTable:
 
     # -- closure ----------------------------------------------------------
 
-    def supertype_closure(self, seeds: Iterable[TypeRef]) -> frozenset[TypeRef]:
-        """Reflexive-transitive supertypes of ``seeds``.
+    def bit(self, ref: TypeRef) -> int:
+        """The bit position of ``ref``, interning it on first sight."""
+        got = self._bits.get(ref)
+        if got is None:
+            got = self._bits[ref] = len(self._types)
+            self._types.append(ref)
+        return got
+
+    def in_mask(self, mask: int, ref: TypeRef) -> bool:
+        """Whether ``ref`` is in the closure ``mask``."""
+        got = self._bits.get(ref)
+        return got is not None and mask >> got & 1 == 1
+
+    def closure_mask(self, seeds: Iterable[TypeRef]) -> int:
+        """Reflexive-transitive supertypes of ``seeds``, as a mask.
 
         Seeds must already be primitive-free; callers filter.  Unknown types
         close to themselves.  An array closes to itself, its element's
         closure, and the shared array pseudo-type.  Declared types implicitly
         reach ``java.lang.Object`` even when no supertype is written.
         """
-        out: set[TypeRef] = set()
-        work: list[TypeRef] = []
+        mask = 0
         for ref in seeds:
-            if ref.is_primitive:
-                raise ValueError(f"primitive seed {ref.name} (callers must filter)")
-            work.append(ref)
+            got = self._masks.get(ref)
+            if got is None:
+                if ref.is_primitive:
+                    raise ValueError(f"primitive seed {ref.name} (callers must filter)")
+                got = self._masks[ref] = self._close(ref)
+            mask |= got
+        return mask
+
+    def _close(self, start: TypeRef) -> int:
+        """The closure mask of one type, by worklist; memoized masks of
+        the types it reaches are used whole."""
+        mask = 0
+        seen: set[TypeRef] = set()
+        work = [start]
         while work:
             ref = work.pop()
-            if ref in out:
+            if ref in seen:
                 continue
-            out.add(ref)
+            seen.add(ref)
+            done = self._masks.get(ref)
+            if done is not None:
+                mask |= done
+                continue
+            mask |= 1 << self.bit(ref)
             if ref.kind is TypeKind.ARRAY:
-                out.add(ARRAYS)
+                mask |= 1 << self.bit(ARRAYS)
                 assert ref.element is not None
                 if not ref.element.is_primitive:
                     work.append(ref.element)
@@ -329,8 +374,17 @@ class TypeTable:
             if decl is not None:
                 work.extend(decl.supertypes)
             if ref.name != OBJECT_NAME:
-                work.append(TypeRef(OBJECT_NAME))
-        return frozenset(out)
+                work.append(_OBJECT)
+        return mask
+
+    def types_in(self, mask: int) -> frozenset[TypeRef]:
+        """The references a closure mask holds."""
+        types = self._types
+        return frozenset(types[i] for i, b in enumerate(reversed(bin(mask)[2:])) if b == "1")
+
+    def supertype_closure(self, seeds: Iterable[TypeRef]) -> frozenset[TypeRef]:
+        """``closure_mask`` of ``seeds``, decoded into references."""
+        return self.types_in(self.closure_mask(seeds))
 
     # -- member resolution -------------------------------------------------
 

@@ -8,12 +8,13 @@ outside that closure is a potential violation.
 
 Friendship is a property of types, computed per executable; adaptation rules
 (see ``adapt``) later enlarge the seed set or exempt members, which is why
-``FriendSet`` carries role-tagged seeds and a list of member exemptions.
+``FriendSet`` records the rules' grants and a list of member exemptions next
+to the closure mask that detection tests receivers against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Iterable, Mapping, Optional
 
@@ -61,22 +62,48 @@ class MemberExemption:
         raise ValueError(f"unknown member predicate '{self.predicate}'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FriendSet:
-    """Role-tagged friend seeds with their supertype closure.
+    """A friend closure with the seeds and grants it was closed from.
 
-    ``seeds`` maps each seed type to its sorted role tags: ``self``,
-    ``field-type``, ``param-type``, ``instantiated``, or ``granted:<rule>``.
-    The closure is what detection tests receivers against.
+    ``mask`` is the closure, interned by ``table``; it is what detection
+    tests receivers against.  ``base`` holds the base seeds with their
+    sorted role tags (``self``, ``field-type``, ``param-type``,
+    ``instantiated``), and ``grants`` the (rule id, types) a rule granted,
+    in the order the rules applied.
     """
 
-    seeds: tuple[tuple[TypeRef, tuple[str, ...]], ...]
-    closure: frozenset[TypeRef]
+    table: TypeTable = field(repr=False, compare=False)
+    base: tuple[tuple[TypeRef, tuple[str, ...]], ...]
+    mask: int
+    grants: tuple[tuple[str, tuple[TypeRef, ...]], ...] = ()
     member_exemptions: tuple[MemberExemption, ...] = ()
 
+    def __contains__(self, ref: TypeRef) -> bool:
+        return self.table.in_mask(self.mask, ref)
+
+    @property
+    def closure(self) -> frozenset[TypeRef]:
+        return self.table.types_in(self.mask)
+
+    @property
+    def seeds(self) -> tuple[tuple[TypeRef, tuple[str, ...]], ...]:
+        """Each seed type with its sorted roles, granted ones as
+        ``granted:<rule>``; sorted by type name."""
+        roles = {t: set(r) for t, r in self.base}
+        for rule_id, types in self.grants:
+            for t in types:
+                roles.setdefault(t, set()).add(f"granted:{rule_id}")
+        return _sorted_seeds(roles)
+
     def seed_roles(self) -> dict[TypeRef, set[str]]:
-        """Mutable copy of the seed map, for rule application."""
+        """Mutable copy of the seed map."""
         return {t: set(roles) for t, roles in self.seeds}
+
+
+def _sorted_seeds(roles: Mapping[TypeRef, Iterable[str]]):
+    kept = {t: tuple(sorted(set(r))) for t, r in roles.items() if not t.is_primitive}
+    return tuple(sorted(kept.items(), key=lambda pair: pair[0].name))
 
 
 def make_friend_set(
@@ -85,10 +112,9 @@ def make_friend_set(
     exemptions: Iterable[MemberExemption] = (),
 ) -> FriendSet:
     """Close the seeds under supertypes; primitive seeds are dropped."""
-    kept = {t: tuple(sorted(set(r))) for t, r in seed_roles.items() if not t.is_primitive}
-    closure = table.supertype_closure(kept)
-    seeds = tuple(sorted(kept.items(), key=lambda pair: pair[0].name))
-    return FriendSet(seeds=seeds, closure=closure, member_exemptions=tuple(exemptions))
+    seeds = _sorted_seeds(seed_roles)
+    mask = table.closure_mask(t for t, _ in seeds)
+    return FriendSet(table, seeds, mask, member_exemptions=tuple(exemptions))
 
 
 def base_friend_set(executable: Executable, table: TypeTable) -> FriendSet:
@@ -142,7 +168,7 @@ def check_site(
     for exemption in friends.member_exemptions:
         if exemption.matches(site):
             return None
-    if receiver_type in friends.closure:
+    if receiver_type in friends:
         return None
     note = "unresolved-receiver" if receiver_type.kind is TypeKind.UNKNOWN else None
     return PotentialViolation(

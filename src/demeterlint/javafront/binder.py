@@ -52,7 +52,7 @@ _PRIM = {name: TypeRef(name, TypeKind.PRIMITIVE) for name in (
 _NUMERIC_RANK = {"double": 4, "float": 3, "long": 2, "int": 1, "char": 0, "short": 0, "byte": 0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvStep:
     """One step of receiver provenance: how the value came to hand."""
 
@@ -61,14 +61,14 @@ class ProvStep:
     type: TypeRef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReceiverDesc:
     form: str  # this-implicit this-explicit super outer-instance type-name expression
     static_type: TypeRef
     chain: tuple[ProvStep, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessSite:
     site_id: str
     access_kind: str  # method-call field-read field-write static-member-access array-length
@@ -80,7 +80,7 @@ class AccessSite:
     arg_types: tuple[TypeRef, ...] = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class Executable:
     id: str
     owner_type: TypeRef

@@ -164,6 +164,35 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="no types"):
             cfg(doc(0, {"id": "R1", "kind": "universal-friend-types"}))
 
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            {"kind": "universal-friend-members", "member_predicate": ["public-static"]},
+            {"kind": "universal-friend-members", "member_pattern": {"type": "p.B", "name": 1}},
+            {"kind": "universal-friend-members", "member_pattern": {"type": ["p.B"], "name": "f"}},
+            {"kind": "universal-friend-types", "package_glob": 7},
+            {"kind": "universal-friend-types", "types": ["p.B", "[]"]},
+            {"kind": "call-grant", "matcher": [{"type": "p.B", "name": None}]},
+            {"kind": "call-grant", "matcher": [{"type": 2, "name": "mk"}]},
+            {"kind": "friend-implication", "pairs": [["p.B", 3]]},
+            {"kind": "friend-implication", "pairs": [["", "p.C"]]},
+            {"kind": "aggregation-elements", "field_map": 5},
+            {"kind": "aggregation-elements",
+             "field_map": [{"type": "p.A", "field": "f", "element": ["p.B"]}]},
+            {"kind": "executable-grant", "executables": ["*"], "status": ["accepted"]},
+            {"kind": "executable-grant", "executables": ["*"], "hint": {"text": "x"}},
+            {"kind": "downcast-param", "tag": 0},
+            {"kind": "downcast-param", "layer": True},
+        ],
+    )
+    def test_ill_typed_field_rejected(self, rule):
+        with pytest.raises(ConfigError):
+            cfg(doc(0, {"id": "R1", **rule}))
+
+    def test_boolean_document_layer_rejected(self):
+        with pytest.raises(ConfigError, match="layer must be"):
+            cfg(json.dumps({"schema": "demeterlint-config/1", "layer": True, "rules": []}))
+
     def test_warnings_for_unknown_types(self):
         table, _ = front(PLAIN)
         config = cfg(
@@ -408,6 +437,34 @@ class TestEffectiveFriendSet:
         shared = adapter.effective("p.A$anon1#go()", 0)
         assert TypeRef("p.A") in shared.closure and TypeRef("p.B") in shared.closure
 
+    def test_first_enabled_share_rule_carries_the_role(self):
+        src = (
+            "package p;\n"
+            "interface R { void go(); }\n"
+            "class A {\n"
+            "  void m(B b) {\n"
+            "    R r = new R() { public void go() { B x = null; x.f(); } };\n"
+            "  }\n"
+            "}\n"
+            "class B { void f() { } }"
+        )
+        share = {"kind": "anon-inner-share"}
+        config = cfg(
+            doc(0, {"id": "S0", **share, "enabled": False}, {"id": "S1", **share}),
+            doc(1, {"id": "S2", **share}),
+        )
+        adapter, verdicts = analyze([src], config)
+        for k in (0, 1):
+            assert adapter.effective("p.A$anon1#go()", k).seeds == (
+                (TypeRef("p.A"), ("granted:S1",)),
+                (TypeRef("p.A$anon1"), ("granted:S1", "self")),
+                (TypeRef("p.B"), ("granted:S1",)),
+            )
+        # Without S1, the next enabled rule of the prefix shares.
+        ablated = adapter.effective("p.A$anon1#go()", 1, frozenset({"S1"}))
+        assert dict(ablated.seeds)[TypeRef("p.B")] == ("granted:S2",)
+        assert [(v.layer, v.rule_id) for v in verdicts] == [(0, "S1")]
+
     def test_friend_implication_fixpoint(self):
         src = (
             "package p;\n"
@@ -423,6 +480,23 @@ class TestEffectiveFriendSet:
         _, verdicts = analyze([src], config)
         # B is a friend as a parameter, so C follows, so D follows.
         assert [v.outcome for v in verdicts] == ["silenced", "silenced"]
+
+    def test_primitive_conclusion_implies_nothing(self):
+        config = cfg(
+            doc(0, {"id": "R1", "kind": "friend-implication", "pairs": [["p.A", "int"]]})
+        )
+        _, verdicts = analyze([PLAIN], config)
+        assert [v.outcome for v in verdicts] == ["remaining"]
+
+    def test_primitive_grant_befriends_nothing(self):
+        config = cfg(
+            doc(0, {"id": "R1", "kind": "executable-grant", "executables": ["*"],
+                    "grants": ["int"], "status": "adjourned"})
+        )
+        _, verdicts = analyze([PLAIN], config)
+        assert [(v.outcome, v.status) for v in verdicts] == [
+            ("remaining", "candidate-true-positive")
+        ]
 
     def test_implication_premise_via_closure(self):
         src = (

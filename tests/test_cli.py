@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demeterlint.adapt import RULE_KINDS
 from demeterlint.cli import RunOptions, main, run
 from demeterlint.codemodel import ResolutionMode
 from demeterlint.presets import GENERIC, STACK
@@ -125,6 +126,24 @@ class TestLoadErrors:
             RunOptions(source_paths=(src,), resolution=ResolutionMode.LENIENT)
         )
         assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            {"kind": "universal-friend-members", "member_predicate": ["public-static"]},
+            {"kind": "universal-friend-types", "package_glob": 7},
+        ],
+    )
+    def test_ill_typed_config_field(self, tmp_path, rule):
+        src = tmp_path / "A.java"
+        src.write_text("package p;\nclass A { void m(B b) { b.f(); } }\nclass B { void f() { } }")
+        cfg = tmp_path / "rules.json"
+        cfg.write_text(json.dumps(
+            {"schema": "demeterlint-config/1", "rules": [{"id": "R1", **rule}]}
+        ))
+        code, out, err = invoke(RunOptions(source_paths=(src,), config_paths=(cfg,)))
+        assert (code, out) == (2, b"")
+        assert len(err.splitlines()) == 1 and err.startswith("E-CONFIG: ")
 
     def test_stub_error(self, tmp_path):
         src = tmp_path / "A.java"
@@ -314,6 +333,80 @@ class TestDeterminism:
         assert first == again
 
 
+#: Two executables whose derivations show an ``anon-inner-share`` grant of
+#: an implied type and a ``friend-implication`` grant; S0 is disabled, so S1
+#: is the first enabled share rule and S2 only matches as well.
+GRANTS_SOURCE = """package p;
+interface R { void go(); }
+class A {
+  B helper() { return null; }
+  void m(B b) {
+    R r = new R() { public void go() { helper().f(); C c = null; c.g(); } };
+  }
+  void n(B b) { C c = null; c.g(); }
+}
+class B { void f() { } }
+class C { void g() { } }
+"""
+GRANTS_CONFIGS = (
+    {"schema": "demeterlint-config/1", "name": "share", "rules": [
+        {"id": "S0", "kind": "anon-inner-share", "enabled": False},
+        {"id": "S1", "kind": "anon-inner-share"},
+        {"id": "S2", "kind": "anon-inner-share"},
+    ]},
+    {"schema": "demeterlint-config/1", "name": "implied", "rules": [
+        {"id": "I1", "kind": "friend-implication", "pairs": [["p.B", "p.C"]]},
+    ]},
+)
+GRANTS_EXPLAINED = {
+    "p.A$anon1#go()@0003": """site: p.A$anon1#go()@0003
+access: method-call .g
+receiver: p.C (expression)
+chain: c: C \u2192 .g()
+executable: p.A$anon1#go()
+base seeds:
+  p.A$anon1  [self]
+layer 0 (share):
+    +p.A  [granted:S1]
+    +p.A$anon1  [granted:S1]
+    +p.B  [granted:S1]
+layer 1 (implied):
+    +p.C  [granted:S1]
+verdict: silenced at layer 1 by I1
+""",
+    "p.A#n(B)@0001": """site: p.A#n(B)@0001
+access: method-call .g
+receiver: p.C (expression)
+chain: c: C \u2192 .g()
+executable: p.A#n(B)
+base seeds:
+  p.A  [self]
+  p.B  [param-type]
+layer 0 (share): no change
+layer 1 (implied):
+    +p.C  [granted:I1]
+verdict: silenced at layer 1 by I1
+""",
+}
+
+
+class TestExplainGrants:
+    @pytest.mark.parametrize("site", sorted(GRANTS_EXPLAINED))
+    def test_shared_and_implied_grants(self, tmp_path, site):
+        src = tmp_path / "A.java"
+        src.write_text(GRANTS_SOURCE)
+        configs = []
+        for k, document in enumerate(GRANTS_CONFIGS):
+            configs.append(tmp_path / f"layer-{k}.json")
+            configs[-1].write_text(json.dumps(document))
+        code, out, err = invoke(
+            RunOptions(source_paths=(src,), stub_paths=(OBJECT_STUB,),
+                       config_paths=tuple(configs), mode="explain", site=site)
+        )
+        assert (code, err) == (0, "")
+        assert out.decode("utf-8") == GRANTS_EXPLAINED[site]
+
+
 class TestConjunction:
     def test_conjunction_of_redundant_rules_classifies(self, tmp_path):
         src = tmp_path / "A.java"
@@ -354,6 +447,71 @@ class TestContractFuzz:
             code, _, err = invoke(
                 RunOptions(source_paths=(src,), stub_paths=tuple(LISTING3.stub_files),
                            config_paths=tuple(STACK), format="json")
+            )
+        assert code in (0, 1, 2)
+        for line in err.splitlines():
+            assert DIAGNOSTIC.match(line), line
+
+
+#: Any JSON value, for config fields of the wrong shape.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+#: Strings a listing3 config could mean: its types, members, globs and ids.
+config_words = st.sampled_from([
+    "", "[]", "int", "int[]", "*", "p.*", "CH.ifa.draw.figures.*", "java.lang.Object",
+    "CH.ifa.draw.figures.LineConnection", "CH.ifa.draw.framework.Connector",
+    "CH.ifa.draw.framework.ConnectionFigure", "java.awt.Point", "start*", "end",
+    "CH.ifa.draw.figures.ElbowHandle#constrainX(int)", "public-static", "array-length",
+    "accepted", "adjourned", "review-pending",
+])
+config_records = st.fixed_dictionaries(
+    {}, optional={key: config_words | json_values for key in ("type", "name", "field", "element")}
+)
+config_field = st.one_of(
+    json_values,
+    config_words,
+    st.lists(config_words, max_size=3),
+    st.lists(config_records, max_size=2),
+    st.lists(st.lists(config_words, min_size=2, max_size=2), max_size=2),
+    config_records,
+)
+RULE_FIELDS = (
+    "layer", "tag", "types", "package_glob", "implementors_of", "member_predicate",
+    "member_pattern", "matcher", "grants", "pairs", "executables", "status", "hint",
+    "enabled", "field_map", "infer_via",
+)
+config_rule = st.builds(
+    lambda rule_id, kind, fields: {"id": rule_id, "kind": kind, **fields},
+    st.sampled_from(["R1", "R2", "R3"]) | json_values,
+    st.sampled_from(sorted(RULE_KINDS)) | json_values,
+    st.dictionaries(st.sampled_from(RULE_FIELDS), config_field, max_size=5),
+)
+#: Config documents: random kinds, each field drawn from any JSON value.
+config_documents = st.builds(
+    lambda layer, name, rules: {
+        "schema": "demeterlint-config/1", "layer": layer, "name": name, "rules": rules,
+    },
+    st.integers(0, 3) | json_values,
+    st.text(max_size=6) | json_values,
+    st.lists(config_rule, max_size=4) | json_values,
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(config_documents)
+    def test_any_config_keeps_the_contract(self, document):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "rules.json"
+            cfg.write_text(json.dumps(document))
+            code, _, err = invoke(
+                RunOptions(source_paths=tuple(LISTING3.java_files),
+                           stub_paths=tuple(LISTING3.stub_files),
+                           config_paths=(cfg,), format="json")
             )
         assert code in (0, 1, 2)
         for line in err.splitlines():

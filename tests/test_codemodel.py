@@ -24,6 +24,10 @@ from demeterlint.codemodel import (
     parse_type_name,
 )
 
+from bruteforce import naive_closure
+from conftest import STUBS, build_front
+from randprog import random_program
+
 OBJECT = TypeRef("java.lang.Object")
 
 
@@ -292,6 +296,70 @@ class TestClosure:
         a = t.supertype_closure([TypeRef(n) for n in smaller])
         b = t.supertype_closure([TypeRef(n) for n in smaller | extra])
         assert a <= b
+
+
+class TestClosureMask:
+    """The interned closure against the naive oracle, decoded and bit-tested."""
+
+    def check(self, table, seeds):
+        expected = naive_closure(seeds, table)
+        mask = table.closure_mask(seeds)
+        assert table.supertype_closure(seeds) == expected
+        assert table.types_in(mask) == expected
+        assert all(table.in_mask(mask, t) for t in expected)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_randprog_tables(self, seed):
+        table, executables = build_front(random_program(seed), [STUBS / "jdk.json"])
+        refs = [d.ref for d in table]
+        for ref in refs:
+            self.check(table, [ref])
+            self.check(table, [array_of(ref)])
+        for ex in executables:
+            self.check(table, [t for t in (ex.owner_type, *ex.instantiated_types)])
+        self.check(table, refs)
+
+    def make_table(self):
+        t = TestClosure().make_table()
+        t.add(decl("q.S", supers=["q.Missing", "p.A"]))  # a stub, so q.Missing may be absent
+        return t
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            [array_of(array_of(TypeRef("p.A")))],
+            [array_of(TypeRef("int", TypeKind.PRIMITIVE))],
+            [array_of(array_of(TypeRef("int", TypeKind.PRIMITIVE)))],
+            [TypeRef("x.Y", TypeKind.UNKNOWN), array_of(TypeRef("x.Y", TypeKind.UNKNOWN))],
+            [TypeRef("q.S")],
+            [TypeRef("q.Missing")],
+            [OBJECT],
+            [ARRAYS],
+            [TypeRef("q.S"), array_of(TypeRef("q.S")), OBJECT],
+            [],
+        ],
+    )
+    def test_edge_cases(self, seeds):
+        self.check(self.make_table(), seeds)
+
+    def test_unseen_type_is_in_no_mask(self):
+        t = self.make_table()
+        mask = t.closure_mask([TypeRef("q.S")])
+        assert not t.in_mask(mask, TypeRef("never.Seen"))
+        assert not t.in_mask(mask, TypeRef("p.I", TypeKind.UNKNOWN))
+
+    def test_primitive_seed_rejected(self):
+        with pytest.raises(ValueError):
+            self.make_table().closure_mask([OBJECT, TypeRef("int", TypeKind.PRIMITIVE)])
+
+    def test_add_invalidates_memo(self):
+        t = self.make_table()
+        t.add(decl("p.D", supers=["p.C"]))
+        assert t.supertype_closure([TypeRef("p.D")]) == {TypeRef("p.D"), TypeRef("p.C"), OBJECT}
+        t.add(decl("p.C", supers=["p.I"]))
+        for seeds in ([TypeRef("p.C")], [TypeRef("p.D")]):
+            self.check(t, seeds)
+        assert TypeRef("p.I") in t.supertype_closure([TypeRef("p.D")])
 
 
 class TestResolveMember:
