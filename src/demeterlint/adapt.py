@@ -333,7 +333,9 @@ def config_warnings(config: LayeredConfig, table: TypeTable) -> list[str]:
     """Type names a rule mentions that the table does not know.
 
     These are warnings, not errors: a rule may name types that only appear
-    in some other project's stubs, and an inert rule is harmless.
+    in some other project's stubs, and an inert rule is harmless.  A
+    primitive, or an array of primitives, is never declared and never
+    warned about.
     """
     out = []
     for rule in config.rules:
@@ -341,9 +343,16 @@ def config_warnings(config: LayeredConfig, table: TypeTable) -> list[str]:
         mentioned += [u for pair in rule.pairs for u in pair]
         mentioned += [e[2] for e in rule.field_map]
         for name in mentioned:
-            if name not in table:
+            if name not in table and not _is_primitive_name(name):
                 out.append(f"rule {rule.rule_id}: unknown type '{name}'")
     return out
+
+
+def _is_primitive_name(name: str) -> bool:
+    ref = parse_type_name(name)
+    while ref.element is not None:
+        ref = ref.element
+    return ref.is_primitive
 
 
 # -- effective friend sets -------------------------------------------------------

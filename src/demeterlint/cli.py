@@ -9,6 +9,7 @@ Standard output carries nothing but the requested artifact.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -179,7 +180,24 @@ def _explain(loaded: _Loaded, adapter: Adapter, verdicts, site_id: str, out) -> 
 
 
 def run(options: RunOptions, out=None, err=None) -> int:
-    """Execute one invocation; returns the process exit code."""
+    """Execute one invocation; returns the process exit code.
+
+    A pass creates no reference cycles: every object it makes is freed by
+    reference counting, so the cyclic garbage collector is paused for the
+    pass and re-enabled on the way out if it was enabled on the way in.
+    Recursive walks are written as loops or module-level functions, never
+    as nested functions that call themselves (``tests/test_no_cycles.py``).
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(options, out, err)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(options: RunOptions, out, err) -> int:
     out = out if out is not None else sys.stdout.buffer
     err = err if err is not None else sys.stderr
     try:

@@ -294,24 +294,34 @@ class TypeTable:
                             "E-BIND",
                             f"{decl.name}: supertype {sup.name} is not declared",
                         )
+        # Depth-first over supertype edges with an explicit stack: ``trail``
+        # holds the names being visited (state 1), ``pending`` each one's
+        # supertypes not yet visited; finished names get state 2.
         state: dict[str, int] = {}
+        for root in self._decls:
+            if root in state:
+                continue
+            state[root] = 1
+            trail = [root]
+            pending = [iter(self._supertypes_of(root))]
+            while pending:
+                sup = next(pending[-1], None)
+                if sup is None:
+                    pending.pop()
+                    state[trail.pop()] = 2
+                    continue
+                mark = state.get(sup.name)
+                if mark == 1:
+                    cycle = " -> ".join(trail + [sup.name])
+                    raise LoadError("E-STUB", f"cyclic supertypes: {cycle}")
+                if mark is None:
+                    state[sup.name] = 1
+                    trail.append(sup.name)
+                    pending.append(iter(self._supertypes_of(sup.name)))
 
-        def visit(name: str, trail: tuple[str, ...]) -> None:
-            mark = state.get(name)
-            if mark == 2:
-                return
-            if mark == 1:
-                cycle = " -> ".join(trail + (name,))
-                raise LoadError("E-STUB", f"cyclic supertypes: {cycle}")
-            state[name] = 1
-            decl = self._decls.get(name)
-            if decl is not None:
-                for sup in decl.supertypes:
-                    visit(sup.name, trail + (name,))
-            state[name] = 2
-
-        for name in self._decls:
-            visit(name, ())
+    def _supertypes_of(self, name: str) -> tuple[TypeRef, ...]:
+        decl = self._decls.get(name)
+        return decl.supertypes if decl is not None else ()
 
     # -- closure ----------------------------------------------------------
 
@@ -394,27 +404,23 @@ class TypeTable:
         The parser and the stub loader both keep the extends edge ahead of
         implements edges, so the declared order realizes extends-first.
         ``java.lang.Object`` is searched last.
+
+        Preorder with an explicit stack: supertypes are pushed in reverse,
+        and ``java.lang.Object`` sits at the bottom, so it comes up only
+        after the whole walk from ``start`` unless that walk reached it.
         """
+        decls = self._decls
         visited: set[str] = set()
-        saw_object = False
-
-        def walk(name: str) -> Iterator[TypeDecl]:
-            nonlocal saw_object
+        stack = [OBJECT_NAME, start.name]
+        while stack:
+            name = stack.pop()
             if name in visited:
-                return
+                continue
             visited.add(name)
-            if name == OBJECT_NAME:
-                saw_object = True
-            decl = self._decls.get(name)
-            if decl is None:
-                return
-            yield decl
-            for sup in decl.supertypes:
-                yield from walk(sup.name)
-
-        yield from walk(start.name)
-        if not saw_object:
-            yield from walk(OBJECT_NAME)
+            decl = decls.get(name)
+            if decl is not None:
+                yield decl
+                stack.extend(sup.name for sup in reversed(decl.supertypes))
 
     def resolve_member(
         self,

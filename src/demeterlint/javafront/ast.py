@@ -1,13 +1,17 @@
 """Syntax nodes for the analyzed dialect.
 
-Nodes are plain mutable dataclasses; the binder annotates type declarations
-with their qualified names (``qualified_name``), including generated names
-for anonymous classes, before extraction.
+Nodes are mutable dataclasses with ``__slots__``; the binder annotates type
+declarations with their qualified names (``qualified_name``), including
+generated names for anonymous classes, before extraction.  ``Span`` is
+frozen.  Slots keep the per-node memory small, since an analysis holds
+every unit's tree at once; a node takes no attribute beyond its fields.
+Every node class has a docstring: for a class without one, ``dataclass``
+builds one from ``inspect.signature`` at import time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 __all__ = [
@@ -59,8 +63,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
+    """A source position: file, 1-based line and column."""
+
     file: str
     line: int
     col: int
@@ -69,7 +75,7 @@ class Span:
         return (self.file, self.line, self.col)
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeName:
     """A type as written: dotted name plus array dimensions."""
 
@@ -85,40 +91,50 @@ class TypeName:
 # -- expressions -------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Literal:
+    """A literal; ``kind`` names its type and ``text`` is as written."""
+
     kind: str  # int long float double char string boolean null
     text: str
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class NameExpr:
+    """A simple name: a local, parameter, field, type or package prefix."""
+
     name: str
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class ThisExpr:
+    """``this``."""
+
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldAccess:
+    """``target.name``: a field, or a further segment of a dotted name."""
+
     target: "Expr"
     name: str
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodCall:
+    """``target.name(args)``, or ``name(args)`` when unqualified."""
+
     target: Optional["Expr"]  # None = unqualified call
     name: str
     args: list["Expr"]
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class SuperMember:
     """``super.name`` or ``super.name(args)`` (``args`` None for a field)."""
 
@@ -127,95 +143,121 @@ class SuperMember:
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class SuperCtorCall:
+    """``super(args)`` at the start of a constructor."""
+
     args: list["Expr"]
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class ThisCtorCall:
+    """``this(args)`` at the start of a constructor."""
+
     args: list["Expr"]
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class Cast:
+    """``(type) expr``."""
+
     type: TypeName
     expr: "Expr"
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class NewObject:
+    """``new Type(args)``, with ``body`` for an anonymous class."""
+
     type: TypeName
     args: list["Expr"]
     body: Optional["TypeDeclNode"]  # anonymous class body
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class NewArray:
+    """``new T[d]...[]``, with ``init`` for an initializer; None for an empty dimension."""
+
     element: TypeName
     dim_exprs: list[Optional["Expr"]]
     init: Optional["ArrayInit"]
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class ArrayInit:
+    """``{items}``: an array initializer, possibly nested."""
+
     items: list[Union["Expr", "ArrayInit"]]
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class ArrayAccess:
+    """``target[index]``."""
+
     target: "Expr"
     index: "Expr"
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary:
+    """A prefix or postfix operator applied to ``expr``."""
+
     op: str
     expr: "Expr"
     prefix: bool
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary:
+    """``left op right``; chains nest to the left."""
+
     op: str
     left: "Expr"
     right: "Expr"
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class InstanceOf:
+    """``expr instanceof type``."""
+
     expr: "Expr"
     type: TypeName
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class Conditional:
+    """``cond ? then : other``."""
+
     cond: "Expr"
     then: "Expr"
     other: "Expr"
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign:
+    """``target op value`` for ``=`` and the compound assignments."""
+
     op: str  # "=", "+=", ...
     target: "Expr"
     value: "Expr"
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class Paren:
+    """A parenthesized expression."""
+
     expr: "Expr"
     span: Span
 
@@ -246,42 +288,54 @@ Expr = Union[
 # -- statements --------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
+    """``{ stmts }``."""
+
     stmts: list["Stmt"]
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class LocalDecl:
+    """A local variable declaration: one type, several declarators."""
+
     type: TypeName
     declarators: list["Declarator"]
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt:
+    """An expression used as a statement."""
+
     expr: Expr
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class IfStmt:
+    """``if (cond) then else other``."""
+
     cond: Expr
     then: "Stmt"
     other: Optional["Stmt"]
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class WhileStmt:
+    """``while (cond) body``."""
+
     cond: Expr
     body: "Stmt"
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class ForStmt:
+    """``for (init; cond; update) body``."""
+
     init: Union[LocalDecl, list[Expr], None]
     cond: Optional[Expr]
     update: list[Expr]
@@ -289,52 +343,68 @@ class ForStmt:
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class SwitchGroup:
+    """The case labels of one group and the statements after them."""
+
     labels: list[Optional[Expr]]  # None = default
     stmts: list["Stmt"]
 
 
-@dataclass
+@dataclass(slots=True)
 class SwitchStmt:
+    """``switch (selector) { groups }``."""
+
     selector: Expr
     groups: list[SwitchGroup]
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class ReturnStmt:
+    """``return value;``, with ``value`` None for a bare return."""
+
     value: Optional[Expr]
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class BreakStmt:
+    """``break;``."""
+
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class ContinueStmt:
+    """``continue;``."""
+
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class CatchClause:
+    """``catch (param) body``."""
+
     param: "Param"
     body: Block
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class TryStmt:
+    """``try body catches finally final``."""
+
     body: Block
     catches: list[CatchClause]
     final: Optional[Block]
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class EmptyStmt:
+    """``;``."""
+
     span: Span
 
 
@@ -357,24 +427,30 @@ Stmt = Union[
 # -- declarations ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Declarator:
+    """One declared name, its extra ``[]`` pairs and its initializer."""
+
     name: str
     extra_dims: int
     init: Union[Expr, ArrayInit, None]
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldDecl:
+    """A field declaration: modifiers, one type, several declarators."""
+
     modifiers: list[str]
     type: TypeName
     declarators: list[Declarator]
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class Param:
+    """A formal parameter of a method, constructor or catch clause."""
+
     type: TypeName
     name: str
     extra_dims: int
@@ -385,8 +461,10 @@ class Param:
         return self.type.written + "[]" * self.extra_dims
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodDecl:
+    """A method or constructor; ``body`` is None for a method without one."""
+
     modifiers: list[str]
     ret: Optional[TypeName]  # None for constructors
     name: str
@@ -396,15 +474,19 @@ class MethodDecl:
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class InitBlock:
+    """An instance or ``static`` initializer block."""
+
     static: bool
     body: Block
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeDeclNode:
+    """A class or interface declaration, named or anonymous."""
+
     name: Optional[str]  # None for anonymous classes until named
     kind: str  # "class" | "interface"
     modifiers: list[str]
@@ -419,15 +501,19 @@ class TypeDeclNode:
     qualified_name: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ImportDecl:
+    """``import name;``, or ``import name.*;`` when ``on_demand``."""
+
     name: str
     on_demand: bool
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class CompilationUnit:
+    """One source file: package, imports and top-level types."""
+
     package: Optional[str]
     imports: list[ImportDecl]
     types: list[TypeDeclNode]

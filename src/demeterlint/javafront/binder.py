@@ -121,16 +121,13 @@ class _UnitEnv:
             else:
                 self.single[imp.name.rsplit(".", 1)[-1]] = imp.name
         self.local_types: dict[str, str] = {}
-
-        def register(node: ast.TypeDeclNode) -> None:
+        # Declared member types in preorder; the first of a simple name wins.
+        stack = unit.types[::-1]
+        while stack:
+            node = stack.pop()
             if node.name and node.qualified_name:
                 self.local_types.setdefault(node.name, node.qualified_name)
-            for m in node.members:
-                if isinstance(m, ast.TypeDeclNode):
-                    register(m)
-
-        for t in unit.types:
-            register(t)
+            stack.extend(m for m in reversed(node.members) if isinstance(m, ast.TypeDeclNode))
 
     def resolve_simple(self, name: str) -> Optional[str]:
         if name in self.local_types:
@@ -203,41 +200,40 @@ def _iter_type_nodes(unit: ast.CompilationUnit):
     Qualified names are assigned on the way: nested named types get
     ``Outer$Inner``; anonymous bodies get ``Outer$anonN`` numbered per
     nearest enclosing named type.
+
+    The walk is a preorder over an explicit stack of (node, counter, named
+    base) items.  A named type is named when its parent pushes it; an
+    anonymous body is numbered when it comes off the stack, after the
+    arguments of its creation expression.
     """
-
-    def walk_type(node: ast.TypeDeclNode, qualified: str, counter: list[int] | None,
-                  named_base: str | None):
-        node.qualified_name = qualified
-        if not node.anonymous:
-            counter = [0]
-            named_base = qualified
-        assert counter is not None and named_base is not None
-        yield node
-        for member in node.members:
-            if isinstance(member, ast.TypeDeclNode):
-                yield from walk_type(member, f"{qualified}${member.name}", None, None)
-            elif isinstance(member, ast.FieldDecl):
-                for d in member.declarators:
-                    if d.init is not None:
-                        yield from walk_exprs([d.init], counter, named_base)
-            elif isinstance(member, ast.MethodDecl) and member.body is not None:
-                yield from walk_exprs([member.body], counter, named_base)
-            elif isinstance(member, ast.InitBlock):
-                yield from walk_exprs([member.body], counter, named_base)
-
-    def walk_exprs(exprs, counter, named_base):
-        for e in exprs:
-            if isinstance(e, ast.NewObject) and e.body is not None:
-                for a in e.args:
-                    yield from walk_exprs([a], counter, named_base)
-                counter[0] += 1
-                yield from walk_type(e.body, f"{named_base}$anon{counter[0]}", counter, named_base)
-            else:
-                yield from walk_exprs(_child_exprs(e), counter, named_base)
-
+    prefix = f"{unit.package}." if unit.package else ""
     for top in unit.types:
-        prefix = f"{unit.package}." if unit.package else ""
-        yield from walk_type(top, prefix + (top.name or ""), None, None)
+        top.qualified_name = prefix + (top.name or "")
+    stack: list = [(top, None, None) for top in reversed(unit.types)]
+    while stack:
+        node, counter, named_base = stack.pop()
+        if isinstance(node, ast.TypeDeclNode):
+            if node.anonymous:
+                counter[0] += 1
+                node.qualified_name = f"{named_base}$anon{counter[0]}"
+            else:
+                counter, named_base = [0], node.qualified_name
+            yield node
+            children = []
+            for member in node.members:
+                if isinstance(member, ast.TypeDeclNode):
+                    member.qualified_name = f"{node.qualified_name}${member.name}"
+                    children.append(member)
+                elif isinstance(member, ast.FieldDecl):
+                    children.extend(d.init for d in member.declarators if d.init is not None)
+                elif isinstance(member, (ast.MethodDecl, ast.InitBlock)):
+                    if member.body is not None:
+                        children.append(member.body)
+        elif isinstance(node, ast.NewObject) and node.body is not None:
+            children = node.args + [node.body]
+        else:
+            children = _child_exprs(node)
+        stack.extend((child, counter, named_base) for child in reversed(children))
 
 
 def _stmt_exprs(s) -> list:
@@ -342,10 +338,7 @@ def build_type_table(
     per_unit_nodes: list[tuple[ast.CompilationUnit, list[ast.TypeDeclNode]]] = []
     universe: set[str] = {d.name for d in stubs}
     for unit in units:
-        try:
-            nodes = list(_iter_type_nodes(unit))
-        except RecursionError:
-            raise _too_deep(unit) from None
+        nodes = list(_iter_type_nodes(unit))
         per_unit_nodes.append((unit, nodes))
         universe.update(n.qualified_name for n in nodes)
 
@@ -360,8 +353,8 @@ def build_type_table(
 
 
 def _too_deep(unit: ast.CompilationUnit) -> BindError:
-    """A unit whose expressions nest deeper than the recursive walks reach,
-    such as a call chain thousands of links long."""
+    """A unit whose expressions nest deeper than the recursive body walk
+    reaches, such as a call chain thousands of links long."""
     return BindError(unit.file, 1, 1, "nesting too deep to analyze")
 
 

@@ -234,6 +234,63 @@ class TestDeepNesting:
         assert json.loads(out)["totals"]["accesses"] == 0
 
 
+def _stub_chain(path, length: int, parent_first: bool):
+    """A stub document declaring p.T0 extends p.T1 ... extends p.T<length-1>."""
+    types = [
+        {"name": f"p.T{i}", "supertypes": [f"p.T{i + 1}"] if i + 1 < length else []}
+        for i in range(length)
+    ]
+    types[-1]["members"] = [{"name": "f", "kind": "method", "type": "p.T0"}]
+    if parent_first:
+        types.reverse()
+    path.write_text(json.dumps({"schema": "demeterlint-stubs/1", "types": types}))
+    return path
+
+
+class TestDeepStubChains:
+    """Supertype walks are loops, so a chain's depth is bounded by memory only."""
+
+    @pytest.mark.parametrize("parent_first", [False, True], ids=["child-first", "parent-first"])
+    def test_long_supertype_chain_is_analyzed(self, tmp_path, parent_first):
+        src = tmp_path / "A.java"
+        src.write_text("package q;\nimport p.*;\nclass A { void m(T0 t) { t.f().f(); } }\n")
+        stub = _stub_chain(tmp_path / "chain.json", 3000, parent_first)
+        code, out, err = invoke(RunOptions(source_paths=(src,), stub_paths=(stub,), format="json"))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["totals"]["accesses"] == 2
+
+    def test_cyclic_supertypes_message(self, tmp_path):
+        src = tmp_path / "A.java"
+        src.write_text("package q;\nclass X { }\n")
+        stub = tmp_path / "cycle.json"
+        stub.write_text(json.dumps({"schema": "demeterlint-stubs/1", "types": [
+            {"name": "p.D", "supertypes": ["p.A"]},
+            {"name": "p.A", "supertypes": ["p.E", "p.B"]},
+            {"name": "p.B", "supertypes": ["p.C"]},
+            {"name": "p.C", "supertypes": ["p.A"]},
+            {"name": "p.E"},
+        ]}))
+        code, out, err = invoke(RunOptions(source_paths=(src,), stub_paths=(stub,)))
+        assert (code, out) == (2, b"")
+        assert err == "E-STUB: cyclic supertypes: p.D -> p.A -> p.B -> p.C -> p.A\n"
+
+
+class TestConfigWarnings:
+    def test_primitive_names_are_not_unknown_types(self, tmp_path):
+        src = tmp_path / "A.java"
+        src.write_text("package p;\nclass A { void m(B b) { b.f(); } }\nclass B { void f() { } }")
+        cfg = tmp_path / "rules.json"
+        cfg.write_text(json.dumps({"schema": "demeterlint-config/1", "rules": [
+            {"id": "I1", "kind": "friend-implication", "pairs": [["java.lang.Object", "int"]]},
+            {"id": "G1", "kind": "executable-grant", "executables": ["p.A#*"],
+             "grants": ["int", "double[][]"]},
+        ]}))
+        code, _, err = invoke(RunOptions(
+            source_paths=(src,), stub_paths=(OBJECT_STUB,), config_paths=(cfg,)
+        ))
+        assert (code, err) == (0, "")
+
+
 class TestStreamPurity:
     def test_warnings_never_pollute_json(self):
         # The full stack names one type outside the desk stubs, which warns.

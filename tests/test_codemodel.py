@@ -462,6 +462,25 @@ class TestResolveMember:
         assert m.declared_type.kind is TypeKind.UNKNOWN
         assert m.arity == 3
 
+    def test_resolution_order_is_depth_first_with_object_last(self):
+        t = TypeTable()
+        t.add(decl("java.lang.Object"))
+        t.add(decl("p.A", supers=["p.B", "p.I", "p.J"]))
+        t.add(decl("p.B", supers=["p.C"]))
+        t.add(decl("p.C", supers=["p.I"]))
+        t.add(decl("p.I", kind=DeclKind.INTERFACE, supers=["p.K"]))
+        t.add(decl("p.J", kind=DeclKind.INTERFACE))
+        t.add(decl("p.K", kind=DeclKind.INTERFACE))
+        t.add(decl("p.D", supers=["java.lang.Object", "p.J"]))
+
+        def order(name):
+            return [d.name for d in t._resolution_order(TypeRef(name))]
+
+        assert order("p.A") == ["p.A", "p.B", "p.C", "p.I", "p.K", "p.J", "java.lang.Object"]
+        assert order("p.D") == ["p.D", "java.lang.Object", "p.J"]
+        assert order("java.lang.Object") == ["java.lang.Object"]
+        assert order("p.Missing") == ["java.lang.Object"]
+
     def test_never_returns_foreign_private(self):
         # Resolution over every (receiver, name, arity) triple in the table
         # must never surface a private member of another type.

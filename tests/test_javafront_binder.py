@@ -10,6 +10,7 @@ from demeterlint.codemodel import (
     TypeTable,
 )
 from demeterlint.javafront import BindError, bind_and_extract, build_type_table, parse_unit
+from demeterlint.javafront.binder import _iter_type_nodes
 
 from conftest import build_case_front, build_front
 
@@ -82,6 +83,30 @@ class TestTableConstruction:
         assert table.get("p.A$anon2") is not None
         assert table.get("p.A$anon3") is not None
         assert table.get("p.A$anon1$anon2") is None
+
+    def test_type_nodes_in_source_order_with_generated_names(self):
+        # Creation arguments are numbered before the body they pass to;
+        # a member type of an anonymous class starts its own numbering.
+        unit = parse_unit(
+            "package p;\n"
+            "class A {\n"
+            "  I f = new I() { public void f() { } };\n"
+            "  void m() {\n"
+            "    new B(new I() { public void f() { new I() { public void f() { } }; } }) {\n"
+            "      class In { I g = new I() { public void f() { } }; }\n"
+            "      public void f() { new I() { public void f() { } }; }\n"
+            "    };\n"
+            "  }\n"
+            "  class Inner { void k() { new I() { public void f() { } }; } }\n"
+            "}\n"
+            "interface I { void f(); }\n"
+            "class B { B(I i) { } void f() { } }\n",
+            "A.java",
+        )
+        assert [n.qualified_name for n in _iter_type_nodes(unit)] == [
+            "p.A", "p.A$anon1", "p.A$anon2", "p.A$anon3", "p.A$anon4", "p.A$anon4$In",
+            "p.A$anon4$In$anon1", "p.A$anon5", "p.A$Inner", "p.A$Inner$anon1", "p.I", "p.B",
+        ]
 
     def test_ambiguous_on_demand_import(self):
         with pytest.raises(BindError) as e:
