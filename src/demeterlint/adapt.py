@@ -410,8 +410,9 @@ class Adapter:
         self.by_owner: dict[str, list[Executable]] = {}
         for ex in executables:
             self.by_owner.setdefault(ex.owner_type.name, []).append(ex)
+        class_masks: dict[str, int] = {}
         self.base: dict[str, FriendSet] = {
-            ex.id: base_friend_set(ex, table) for ex in executables
+            ex.id: base_friend_set(ex, table, class_masks) for ex in executables
         }
         # Rule payloads parsed once: the types a rule lists (``types`` or
         # ``grants``), implication pairs and member exemptions.
@@ -440,6 +441,8 @@ class Adapter:
         self._package_cache: dict[str, tuple[str, ...]] = {}
         self._ctor_param_cache: dict[str, Contribution] = {}
         self._agg_cache: dict[tuple[str, str], Contribution] = {}
+        self._field_calls_cache: dict[str, tuple[tuple[str, tuple[TypeRef, ...]], ...]] = {}
+        self._base_seeds_cache: dict[str, tuple[TypeRef, ...]] = {}
         self._grant_rules_cache: dict[str, tuple[Rule, ...]] = {}
 
     def _close(self, types: Iterable[TypeRef]) -> Contribution:
@@ -508,22 +511,30 @@ class Adapter:
             return got
         elements = [parse_type_name(element) for cls, _, element in rule.field_map if cls == owner]
         if rule.infer_via:
+            for name, arg_types in self._field_calls(owner):
+                if name in rule.infer_via:
+                    elements += arg_types
+        got = self._agg_cache[(owner, rule.rule_id)] = self._close(elements)
+        return got
+
+    def _field_calls(self, owner: str) -> tuple[tuple[str, tuple[TypeRef, ...]], ...]:
+        """(method name, argument types) of every method call in ``owner``'s
+        executables whose receiver is one of ``owner``'s own fields, one
+        link away, in site order."""
+        got = self._field_calls_cache.get(owner)
+        if got is None:
             decl = self.table.get(owner)
             members = decl.members if decl is not None else ()
             own_fields = {m.name for m in members if m.member_kind is MemberKind.FIELD}
-            for other in self.by_owner[owner]:
-                for site in other.body_accesses:
-                    chain = site.receiver.chain
-                    # The receiver must be one of the aggregate's own fields.
-                    if (
-                        site.access_kind == "method-call"
-                        and site.member.name in rule.infer_via
-                        and len(chain) == 1
-                        and chain[0].kind == "field"
-                        and chain[0].label in own_fields
-                    ):
-                        elements += site.arg_types
-        got = self._agg_cache[(owner, rule.rule_id)] = self._close(elements)
+            got = self._field_calls_cache[owner] = tuple(
+                (site.member.name, site.arg_types)
+                for other in self.by_owner[owner]
+                for site in other.body_accesses
+                if site.access_kind == "method-call"
+                and len(site.receiver.chain) == 1
+                and site.receiver.chain[0].kind == "field"
+                and site.receiver.chain[0].label in own_fields
+            )
         return got
 
     def _grant_call(self, ex: Executable, rule: Rule) -> Contribution:
@@ -623,7 +634,7 @@ class Adapter:
         if share is not None and ex.enclosing_executable is not None:
             enclosing = self.effective(ex.enclosing_executable, k, disabled)
             # Every seed of the enclosing set: its base seeds and its grants.
-            grants.append((share.rule_id, tuple(t for t, _ in enclosing.base)))
+            grants.append((share.rule_id, self._base_seeds(ex.enclosing_executable)))
             grants.extend((share.rule_id, types) for _, types in enclosing.grants)
             mask |= enclosing.mask
 
@@ -636,8 +647,15 @@ class Adapter:
                     mask |= implied
                     changed = True
 
-        got = FriendSet(self.table, base.base, mask, tuple(grants), tuple(exemptions))
+        got = FriendSet(self.table, ex, mask, tuple(grants), tuple(exemptions))
         self._effective_cache[key] = got
+        return got
+
+    def _base_seeds(self, exec_id: str) -> tuple[TypeRef, ...]:
+        """The base seed types of an executable, sorted by name."""
+        got = self._base_seeds_cache.get(exec_id)
+        if got is None:
+            got = self._base_seeds_cache[exec_id] = tuple(t for t, _ in self.base[exec_id].base)
         return got
 
     # -- classification -------------------------------------------------------

@@ -470,21 +470,46 @@ class TypeTable:
 # -- stub loading -----------------------------------------------------------
 
 
-def _load_member(owner: str, raw: dict) -> MemberDecl:
+#: What a stub field of each Python type must be, as its JSON reader sees it.
+_JSON_TYPES = {str: "a string", bool: "true or false", list: "a list"}
+
+
+def _stub_field(raw: dict, key: str, expected: type, default, where: str):
+    """``raw[key]``, or ``default`` when absent; it must be of type ``expected``."""
+    value = raw.get(key, default)
+    if not isinstance(value, expected):
+        raise LoadError("E-STUB", f"{where}: '{key}' must be {_JSON_TYPES[expected]}")
+    return value
+
+
+def _stub_types(raw: dict, key: str, where: str) -> tuple[TypeRef, ...]:
+    """``raw[key]``, a list of type names, as references."""
+    names = _stub_field(raw, key, list, [], where)
+    if not all(isinstance(n, str) for n in names):
+        raise LoadError("E-STUB", f"{where}: '{key}' must be a list of strings")
+    return tuple(parse_type_name(n) for n in names)
+
+
+def _load_member(owner: str, raw) -> MemberDecl:
+    if not (
+        isinstance(raw, dict) and isinstance(raw.get("name"), str) and "kind" in raw
+    ):
+        raise LoadError("E-STUB", f"bad member in {owner}: needs a string 'name' and a 'kind'")
+    name = raw["name"]
     try:
-        name = raw["name"]
         kind = MemberKind(raw["kind"])
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise LoadError("E-STUB", f"bad member in {owner}: {exc}") from exc
-    declared = parse_type_name(raw.get("type", "void"))
-    params = tuple(parse_type_name(p) for p in raw.get("params", ()))
-    if kind is MemberKind.FIELD and raw.get("params"):
+    where = f"{owner}.{name}"
+    declared = parse_type_name(_stub_field(raw, "type", str, "void", where))
+    params = _stub_types(raw, "params", where)
+    if kind is MemberKind.FIELD and params:
         raise LoadError("E-STUB", f"field {owner}.{name} must not list params")
     return MemberDecl(
         name=name,
         member_kind=kind,
-        is_static=bool(raw.get("static", False)),
-        visibility=raw.get("visibility", "public"),
+        is_static=_stub_field(raw, "static", bool, False, where),
+        visibility=_stub_field(raw, "visibility", str, "public", where),
         declared_type=declared,
         param_types=params,
         declaring_type=owner,
@@ -512,16 +537,17 @@ def load_stubs(source: str | Path) -> TypeTable:
     if not isinstance(doc, dict) or doc.get("schema") != STUB_SCHEMA:
         raise LoadError("E-STUB", f"{origin_name}: expected schema {STUB_SCHEMA}")
     table = TypeTable()
-    for raw in doc.get("types", ()):
-        name = raw.get("name")
-        if not name:
-            raise LoadError("E-STUB", f"{origin_name}: type without a name")
+    for raw in _stub_field(doc, "types", list, [], origin_name):
+        name = raw.get("name") if isinstance(raw, dict) else None
+        if not name or not isinstance(name, str):
+            raise LoadError("E-STUB", f"{origin_name}: a type needs a non-empty string 'name'")
+        where = f"{origin_name}: {name}"
         try:
             kind = DeclKind(raw.get("kind", "class"))
         except ValueError as exc:
-            raise LoadError("E-STUB", f"{origin_name}: {name}: {exc}") from exc
-        supers = tuple(parse_type_name(s) for s in raw.get("supertypes", ()))
-        members = tuple(_load_member(name, m) for m in raw.get("members", ()))
+            raise LoadError("E-STUB", f"{where}: {exc}") from exc
+        supers = _stub_types(raw, "supertypes", where)
+        members = tuple(_load_member(name, m) for m in _stub_field(raw, "members", list, [], where))
         table.add(
             TypeDecl(
                 ref=TypeRef(name),

@@ -9,7 +9,8 @@ outside that closure is a potential violation.
 Friendship is a property of types, computed per executable; adaptation rules
 (see ``adapt``) later enlarge the seed set or exempt members, which is why
 ``FriendSet`` records the rules' grants and a list of member exemptions next
-to the closure mask that detection tests receivers against.
+to the closure mask that detection tests receivers against.  The seeds and
+their roles are derived on demand, for explanations only.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "base_friend_set",
     "check_site",
     "detect",
-    "make_friend_set",
 ]
 
 #: Receiver forms that can never violate: the object itself.
@@ -64,17 +64,16 @@ class MemberExemption:
 
 @dataclass(frozen=True, slots=True)
 class FriendSet:
-    """A friend closure with the seeds and grants it was closed from.
+    """A friend closure with the executable and grants it was closed from.
 
     ``mask`` is the closure, interned by ``table``; it is what detection
-    tests receivers against.  ``base`` holds the base seeds with their
-    sorted role tags (``self``, ``field-type``, ``param-type``,
-    ``instantiated``), and ``grants`` the (rule id, types) a rule granted,
-    in the order the rules applied.
+    tests receivers against.  ``executable`` is the one whose base seeds
+    the set starts from (see ``base``), and ``grants`` holds the (rule id,
+    types) a rule granted, in the order the rules applied.
     """
 
     table: TypeTable = field(repr=False, compare=False)
-    base: tuple[tuple[TypeRef, tuple[str, ...]], ...]
+    executable: Executable = field(repr=False, compare=False)
     mask: int
     grants: tuple[tuple[str, tuple[TypeRef, ...]], ...] = ()
     member_exemptions: tuple[MemberExemption, ...] = ()
@@ -87,6 +86,22 @@ class FriendSet:
         return self.table.types_in(self.mask)
 
     @property
+    def base(self) -> tuple[tuple[TypeRef, tuple[str, ...]], ...]:
+        """The base seeds with their sorted roles (``self``, ``field-type``,
+        ``param-type``, ``instantiated``), sorted by type name."""
+        ex = self.executable
+        roles: dict[TypeRef, set[str]] = {}
+        for role, types in (
+            ("self", (ex.owner_type,)),
+            ("field-type", _field_types(ex.owner_type, self.table)),
+            ("param-type", (t for _, t in ex.params)),
+            ("instantiated", ex.instantiated_types),
+        ):
+            for t in types:
+                roles.setdefault(t, set()).add(role)
+        return _sorted_seeds(roles)
+
+    @property
     def seeds(self) -> tuple[tuple[TypeRef, tuple[str, ...]], ...]:
         """Each seed type with its sorted roles, granted ones as
         ``granted:<rule>``; sorted by type name."""
@@ -96,51 +111,42 @@ class FriendSet:
                 roles.setdefault(t, set()).add(f"granted:{rule_id}")
         return _sorted_seeds(roles)
 
-    def seed_roles(self) -> dict[TypeRef, set[str]]:
-        """Mutable copy of the seed map."""
-        return {t: set(roles) for t, roles in self.seeds}
-
 
 def _sorted_seeds(roles: Mapping[TypeRef, Iterable[str]]):
     kept = {t: tuple(sorted(set(r))) for t, r in roles.items() if not t.is_primitive}
     return tuple(sorted(kept.items(), key=lambda pair: pair[0].name))
 
 
-def make_friend_set(
-    table: TypeTable,
-    seed_roles: Mapping[TypeRef, Iterable[str]],
-    exemptions: Iterable[MemberExemption] = (),
+def _field_types(owner: TypeRef, table: TypeTable) -> list[TypeRef]:
+    """The types of the fields ``owner`` declares itself."""
+    decl = table.get(owner.name)
+    if decl is None:
+        return []
+    return [m.declared_type for m in decl.members if m.member_kind is MemberKind.FIELD]
+
+
+def base_friend_set(
+    executable: Executable, table: TypeTable, class_masks: Optional[dict[str, int]] = None
 ) -> FriendSet:
-    """Close the seeds under supertypes; primitive seeds are dropped."""
-    seeds = _sorted_seeds(seed_roles)
-    mask = table.closure_mask(t for t, _ in seeds)
-    return FriendSet(table, seeds, mask, member_exemptions=tuple(exemptions))
-
-
-def base_friend_set(executable: Executable, table: TypeTable) -> FriendSet:
     """Friends before any adaptation: C, declared-field types, params, news.
 
     Field types come from fields declared in C itself; inherited fields
-    contribute nothing.  Primitive types never become friends.
+    contribute nothing.  Primitive types never become friends.  The closure
+    of C and its field types is the same for every executable of C, so
+    ``class_masks``, when given, memoizes it by class name across calls.
     """
-    roles: dict[TypeRef, set[str]] = {}
-
-    def add(t: TypeRef, role: str) -> None:
-        if t.is_primitive:
-            return
-        roles.setdefault(t, set()).add(role)
-
-    add(executable.owner_type, "self")
-    decl = table.get(executable.owner_type.name)
-    if decl is not None:
-        for m in decl.members:
-            if m.member_kind is MemberKind.FIELD:
-                add(m.declared_type, "field-type")
-    for _, param_type in executable.params:
-        add(param_type, "param-type")
-    for t in executable.instantiated_types:
-        add(t, "instantiated")
-    return make_friend_set(table, roles)
+    if class_masks is None:
+        class_masks = {}
+    owner = executable.owner_type
+    mask = class_masks.get(owner.name)
+    if mask is None:
+        fields = [t for t in _field_types(owner, table) if not t.is_primitive]
+        mask = class_masks[owner.name] = table.closure_mask([owner, *fields])
+    seeds = [t for _, t in executable.params if not t.is_primitive]
+    seeds += [t for t in executable.instantiated_types if not t.is_primitive]
+    if seeds:
+        mask |= table.closure_mask(seeds)
+    return FriendSet(table, executable, mask)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Syntax nodes for the analyzed dialect.
 
-Nodes are mutable dataclasses with ``__slots__``; the binder annotates type
-declarations with their qualified names (``qualified_name``), including
-generated names for anonymous classes, before extraction.  ``Span`` is
+Nodes are mutable dataclasses with ``__slots__``; the parser gives type
+declarations their qualified names (``qualified_name``), including
+generated names for anonymous classes.  ``Span`` is
 frozen.  Slots keep the per-node memory small, since an analysis holds
 every unit's tree at once; a node takes no attribute beyond its fields.
 Every node class has a docstring: for a class without one, ``dataclass``
@@ -497,7 +497,7 @@ class TypeDeclNode:
     anonymous: bool = False
     # Supplied by the anonymous-class creation site: the written supertype.
     anon_supertype: Optional[TypeName] = None
-    # Assigned during table construction.
+    # Assigned by the parser.
     qualified_name: Optional[str] = None
 
 
@@ -512,9 +512,14 @@ class ImportDecl:
 
 @dataclass(slots=True)
 class CompilationUnit:
-    """One source file: package, imports and top-level types."""
+    """One source file: package, imports and top-level types.
+
+    ``type_decls`` lists every type declaration of the file, member and
+    anonymous types included, in preorder.
+    """
 
     package: Optional[str]
     imports: list[ImportDecl]
     types: list[TypeDeclNode]
     file: str
+    type_decls: list[TypeDeclNode]

@@ -1,8 +1,9 @@
 """Name binding and per-executable fact extraction.
 
-Two passes over parsed units.  ``build_type_table`` assigns qualified names
-(generated ``Outer$anonN`` names included), turns every source declaration
-into a TypeDecl, and merges with the stub table.  ``bind_and_extract`` then
+Two passes over parsed units.  ``build_type_table`` turns every type
+declaration the parser listed, under the qualified name the parser gave it
+(generated ``Outer$anonN`` names included), into a TypeDecl, and merges
+with the stub table.  ``bind_and_extract`` then
 walks executable bodies emitting one AccessSite per syntactic member access,
 with receiver static type and provenance, in token order.
 
@@ -14,7 +15,7 @@ recorded but marked by form so detection can skip them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 from ..codemodel import (
     DeclKind,
@@ -191,135 +192,7 @@ class _Ambiguity(Exception):
         self.matches = matches
 
 
-# -- qualified-name assignment and table construction --------------------------
-
-
-def _iter_type_nodes(unit: ast.CompilationUnit):
-    """Yield every type node of the unit in source order, anonymous included.
-
-    Qualified names are assigned on the way: nested named types get
-    ``Outer$Inner``; anonymous bodies get ``Outer$anonN`` numbered per
-    nearest enclosing named type.
-
-    The walk is a preorder over an explicit stack of (node, counter, named
-    base) items.  A named type is named when its parent pushes it; an
-    anonymous body is numbered when it comes off the stack, after the
-    arguments of its creation expression.
-    """
-    prefix = f"{unit.package}." if unit.package else ""
-    for top in unit.types:
-        top.qualified_name = prefix + (top.name or "")
-    stack: list = [(top, None, None) for top in reversed(unit.types)]
-    while stack:
-        node, counter, named_base = stack.pop()
-        if isinstance(node, ast.TypeDeclNode):
-            if node.anonymous:
-                counter[0] += 1
-                node.qualified_name = f"{named_base}$anon{counter[0]}"
-            else:
-                counter, named_base = [0], node.qualified_name
-            yield node
-            children = []
-            for member in node.members:
-                if isinstance(member, ast.TypeDeclNode):
-                    member.qualified_name = f"{node.qualified_name}${member.name}"
-                    children.append(member)
-                elif isinstance(member, ast.FieldDecl):
-                    children.extend(d.init for d in member.declarators if d.init is not None)
-                elif isinstance(member, (ast.MethodDecl, ast.InitBlock)):
-                    if member.body is not None:
-                        children.append(member.body)
-        elif isinstance(node, ast.NewObject) and node.body is not None:
-            children = node.args + [node.body]
-        else:
-            children = _child_exprs(node)
-        stack.extend((child, counter, named_base) for child in reversed(children))
-
-
-def _stmt_exprs(s) -> list:
-    """Children of a statement in token order (statements and expressions)."""
-    if isinstance(s, ast.Block):
-        return list(s.stmts)
-    if isinstance(s, ast.LocalDecl):
-        return [d.init for d in s.declarators if d.init is not None]
-    if isinstance(s, ast.ExprStmt):
-        return [s.expr]
-    if isinstance(s, ast.IfStmt):
-        out = [s.cond, s.then]
-        if s.other is not None:
-            out.append(s.other)
-        return out
-    if isinstance(s, ast.WhileStmt):
-        return [s.cond, s.body]
-    if isinstance(s, ast.ForStmt):
-        out: list = []
-        if isinstance(s.init, ast.LocalDecl):
-            out.append(s.init)
-        elif isinstance(s.init, list):
-            out.extend(s.init)
-        if s.cond is not None:
-            out.append(s.cond)
-        out.extend(s.update)
-        out.append(s.body)
-        return out
-    if isinstance(s, ast.SwitchStmt):
-        out = [s.selector]
-        for g in s.groups:
-            out.extend(l for l in g.labels if l is not None)
-            out.extend(g.stmts)
-        return out
-    if isinstance(s, ast.ReturnStmt):
-        return [s.value] if s.value is not None else []
-    if isinstance(s, ast.TryStmt):
-        out = [s.body]
-        for c in s.catches:
-            out.append(c.body)
-        if s.final is not None:
-            out.append(s.final)
-        return out
-    return []
-
-
-def _child_exprs(e) -> list:
-    """Sub-expressions (and nested statements) of an expression, token order."""
-    if isinstance(e, (ast.Block, ast.LocalDecl, ast.ExprStmt, ast.IfStmt, ast.WhileStmt,
-                      ast.ForStmt, ast.SwitchStmt, ast.ReturnStmt, ast.TryStmt,
-                      ast.BreakStmt, ast.ContinueStmt, ast.EmptyStmt)):
-        return _stmt_exprs(e)
-    if isinstance(e, ast.FieldAccess):
-        return [e.target]
-    if isinstance(e, ast.MethodCall):
-        return ([e.target] if e.target is not None else []) + list(e.args)
-    if isinstance(e, ast.SuperMember):
-        return list(e.args or [])
-    if isinstance(e, (ast.SuperCtorCall, ast.ThisCtorCall)):
-        return list(e.args)
-    if isinstance(e, ast.Cast):
-        return [e.expr]
-    if isinstance(e, ast.NewObject):
-        return list(e.args)  # the body is handled by the caller
-    if isinstance(e, ast.NewArray):
-        out = [d for d in e.dim_exprs if d is not None]
-        if e.init is not None:
-            out.append(e.init)
-        return out
-    if isinstance(e, ast.ArrayInit):
-        return list(e.items)
-    if isinstance(e, ast.ArrayAccess):
-        return [e.target, e.index]
-    if isinstance(e, ast.Unary):
-        return [e.expr]
-    if isinstance(e, ast.Binary):
-        return [e.left, e.right]
-    if isinstance(e, ast.InstanceOf):
-        return [e.expr]
-    if isinstance(e, ast.Conditional):
-        return [e.cond, e.then, e.other]
-    if isinstance(e, ast.Assign):
-        return [e.target, e.value]
-    if isinstance(e, ast.Paren):
-        return [e.expr]
-    return []
+# -- table construction -------------------------------------------------------
 
 
 def _visibility(modifiers: list[str]) -> str:
@@ -334,18 +207,15 @@ def build_type_table(
     stubs: TypeTable,
     mode: ResolutionMode = ResolutionMode.STRICT,
 ) -> TypeTable:
-    """Assign qualified names, declare source types, merge with stubs."""
-    per_unit_nodes: list[tuple[ast.CompilationUnit, list[ast.TypeDeclNode]]] = []
+    """Declare every source type the parser listed, merge with stubs."""
     universe: set[str] = {d.name for d in stubs}
     for unit in units:
-        nodes = list(_iter_type_nodes(unit))
-        per_unit_nodes.append((unit, nodes))
-        universe.update(n.qualified_name for n in nodes)
+        universe.update(n.qualified_name for n in unit.type_decls)
 
     source = TypeTable()
-    for unit, nodes in per_unit_nodes:
+    for unit in units:
         env = _UnitEnv(unit, universe)
-        for node in nodes:
+        for node in unit.type_decls:
             source.add(_declare(node, env, mode))
     merged = stubs.merge(source)
     merged.validate()
@@ -431,11 +301,7 @@ def bind_and_extract(
     table: TypeTable,
     mode: ResolutionMode = ResolutionMode.STRICT,
 ) -> list[Executable]:
-    """Extract every executable with its access sites, sorted by (file, span).
-
-    ``build_type_table`` must have run on these unit objects first: it
-    annotates type nodes with qualified names.
-    """
+    """Extract every executable with its access sites, sorted by (file, span)."""
     universe = {d.name for d in table}
     out: list[Executable] = []
     for unit in units:

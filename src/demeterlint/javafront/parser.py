@@ -10,6 +10,11 @@ Binary operators are parsed by precedence climbing (Pratt, "Top Down
 Operator Precedence", 1973) over the level table ``_LEVELS``: one loop and
 one frame per operand, however many levels there are.  Input nested deeper
 than the interpreter's stack allows fails with a ``ParseError``.
+
+The parser names every type declaration as it meets it and lists it in
+``CompilationUnit.type_decls``, in preorder: a nested type is
+``Outer$Inner``, and an anonymous body is ``Outer$anonN``, numbered per
+nearest named type when its body opens, after its creation arguments.
 """
 
 from __future__ import annotations
@@ -86,6 +91,13 @@ class _Parser:
         self.toks = tokens
         self.pos = 0
         self.file = file_name
+        # Type declarations in preorder, the package prefix of their names,
+        # the innermost enclosing type's qualified name, and the nearest
+        # named type's [qualified name, anonymous bodies numbered so far].
+        self.types: list[ast.TypeDeclNode] = []
+        self.prefix = ""
+        self.outer: str | None = None
+        self.named: list | None = None
 
     # -- token plumbing ----------------------------------------------------
     # ``pos`` never moves past the EOF token, so ``toks[pos]`` is always the
@@ -139,6 +151,7 @@ class _Parser:
             self.next()
             package = self.qualified_name("in package declaration")
             self.expect(";", "after package declaration")
+            self.prefix = package + "."
         imports: list[ast.ImportDecl] = []
         while self.at("import"):
             start = self.next()
@@ -156,7 +169,7 @@ class _Parser:
             if self.accept(";"):
                 continue
             types.append(self.type_decl())
-        return ast.CompilationUnit(package, imports, types, self.file)
+        return ast.CompilationUnit(package, imports, types, self.file, self.types)
 
     def qualified_name(self, context: str) -> str:
         name = self.ident(context).text
@@ -222,16 +235,28 @@ class _Parser:
             implements.append(self.type_name("in implements clause"))
             while self.accept(","):
                 implements.append(self.type_name("in implements clause"))
-        members = self.class_body(name)
-        return ast.TypeDeclNode(
+        node = ast.TypeDeclNode(
             name=name,
             kind=kind,
             modifiers=mods,
             extends=extends,
             implements=implements,
-            members=members,
+            members=[],
             span=self.span(start),
         )
+        qualified_name = self.prefix + name if self.outer is None else f"{self.outer}${name}"
+        self.type_body(node, qualified_name, [qualified_name, 0])
+        return node
+
+    def type_body(self, node: ast.TypeDeclNode, qualified_name: str, named: list) -> None:
+        """Name and list ``node``, then parse its body into its members;
+        ``named`` is the nearest named type's entry (see ``__init__``)."""
+        node.qualified_name = qualified_name
+        self.types.append(node)
+        outer, outer_named = self.outer, self.named
+        self.outer, self.named = qualified_name, named
+        node.members = self.class_body(node.name)
+        self.outer, self.named = outer, outer_named
 
     def class_body(self, type_name: str | None) -> list:
         self.expect("{", "to open the type body")
@@ -777,18 +802,20 @@ class _Parser:
         args = self.arg_list()
         body = None
         if self.at("{"):
-            members = self.class_body(None)
             body = ast.TypeDeclNode(
                 name=None,
                 kind="class",
                 modifiers=[],
                 extends=[],
                 implements=[],
-                members=members,
+                members=[],
                 span=self.span(start),
                 anonymous=True,
                 anon_supertype=ty,
             )
+            named = self.named
+            named[1] += 1
+            self.type_body(body, f"{named[0]}$anon{named[1]}", named)
         return ast.NewObject(ty, args, body, self.span(start))
 
     def array_creator(self, elem: ast.TypeName, start: Token) -> ast.NewArray:

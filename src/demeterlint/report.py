@@ -9,9 +9,11 @@ fixed-width per-executable grid with one column per configured layer.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from json.encoder import encode_basestring_ascii as _q
 from typing import Iterable, Optional, Sequence
 
 from . import __version__
@@ -25,7 +27,6 @@ __all__ = [
     "build_report",
     "input_digest",
     "parse_report",
-    "to_json_doc",
     "pct",
     "render",
     "render_chain",
@@ -86,9 +87,6 @@ class AnalysisReport:
     verdicts: tuple[Verdict, ...]
     layer_indices: tuple[int, ...]
     layer_names: tuple[str, ...]
-
-    def verdict_fingerprints(self) -> list[tuple]:
-        return [_fingerprint(v) for v in _verdict_dicts(self.verdicts)]
 
 
 def build_report(
@@ -182,75 +180,101 @@ def render_chain(site: AccessSite, limit: Optional[int] = CHAIN_LIMIT) -> str:
 # -- serialization ------------------------------------------------------------
 
 
-def _verdict_dicts(verdicts: Sequence[Verdict]) -> list[dict]:
-    out = []
-    for v in verdicts:
-        site = v.violation.site
-        entry: dict = {
-            "site": site.site_id,
-            "outcome": v.outcome,
-            "access": site.access_kind,
-            "receiver": v.violation.receiver_type.name,
-            "member": site.member.name,
-            "chain": [
-                {"kind": s.kind, "label": s.label, "type": s.type.name}
-                for s in site.receiver.chain
-            ],
-        }
-        if v.violation.note:
-            entry["note"] = v.violation.note
-        if v.outcome == "silenced":
-            entry["layer"] = v.layer
-            entry["rule"] = v.rule_id
-            entry["also_matched"] = list(v.also_matched)
-        else:
-            entry["status"] = v.status
-            entry["hint"] = v.hint
-        out.append(entry)
-    return out
+def _block(brackets: str, items: Sequence[str], pad: str) -> str:
+    """A json array (``brackets`` "[]") or object ("{}") closing at
+    indentation ``pad``, with its rendered items one level deeper."""
+    if not items:
+        return brackets
+    inner = ",\n" + pad + "  "
+    return brackets[0] + "\n" + pad + "  " + inner.join(items) + "\n" + pad + brackets[1]
 
 
-def _fingerprint(entry: dict) -> tuple:
-    chain = tuple((s["kind"], s["label"], s["type"]) for s in entry["chain"])
-    return tuple(
-        (k, tuple(v) if isinstance(v, list) else v)
-        for k, v in sorted(entry.items())
-        if k != "chain"
-    ) + (("chain", chain),)
+def _verdict_json(v: Verdict) -> str:
+    site = v.violation.site
+    steps = [
+        f'{{\n          "kind": {_q(s.kind)},\n          "label": {_q(s.label)},'
+        f'\n          "type": {_q(s.type.name)}\n        }}'
+        for s in site.receiver.chain
+    ]
+    chain = _block("[]", steps, "      ")
+    note = f'\n      "note": {_q(v.violation.note)},' if v.violation.note else ""
+    if v.outcome == "silenced":
+        also = _block("[]", [_q(rule_id) for rule_id in v.also_matched], "      ")
+        head = f'"also_matched": {also},\n      "chain": {chain},\n      "layer": {v.layer}'
+        tail = f'"rule": {_q(v.rule_id)},\n      "site": {_q(site.site_id)}'
+    else:
+        head = f'"chain": {chain},\n      "hint": {_q(v.hint)}'
+        tail = f'"site": {_q(site.site_id)},\n      "status": {_q(v.status)}'
+    return (
+        f'{{\n      "access": {_q(site.access_kind)},\n      {head},'
+        f'\n      "member": {_q(site.member.name)},{note}\n      "outcome": {_q(v.outcome)},'
+        f'\n      "receiver": {_q(v.violation.receiver_type.name)},\n      {tail}\n    }}'
+    )
 
 
-def to_json_doc(report: AnalysisReport) -> dict:
-    return {
-        "schema": REPORT_SCHEMA,
-        "tool_version": report.tool_version,
-        "digest": report.digest,
-        "totals": {
-            "accesses": report.accesses,
-            "potential_violations": report.potential_violations,
-            "silenced_per_layer": [
-                {"layer": k, "count": n} for k, n in report.silenced_per_layer
-            ],
-            "remaining": report.remaining,
-        },
-        "rows": [
-            {
-                "executable": r.executable,
-                "pv": r.pv,
-                "after_layer": list(r.after_layer),
-                "tp_candidates": r.tp_candidates,
-            }
-            for r in report.rows
-        ],
-        "waterfall": [
-            {"rule": e.rule_id, "layer": e.layer, "count": e.count}
+def _row_json(r: ExecutableRow) -> str:
+    after = _block("[]", [str(n) for n in r.after_layer], "      ")
+    return (
+        f'{{\n      "after_layer": {after},\n      "executable": {_q(r.executable)},'
+        f'\n      "pv": {r.pv},\n      "tp_candidates": {r.tp_candidates}\n    }}'
+    )
+
+
+def _write_array(out: io.BytesIO, items: Iterable[str], pad: str) -> None:
+    """Write a json array of rendered ``items`` closing at indentation
+    ``pad``, one item at a time, so the long arrays are never held twice."""
+    sep = "[\n" + pad + "  "
+    for item in items:
+        out.write((sep + item).encode())
+        sep = ",\n" + pad + "  "
+    out.write(b"[]" if sep[0] == "[" else ("\n" + pad + "]").encode())
+
+
+def _render_json(report: AnalysisReport, stats: bool = False) -> bytes:
+    """The json report, or with ``stats`` its totals and waterfall only.
+
+    The bytes are those ``json.dumps(doc, sort_keys=True, indent=2)``
+    gives, plus a newline, for the report as a document (see
+    ``parse_report``): keys in sorted order, two spaces per level, strings
+    escaped to ASCII by the stdlib's C escaper.  ``json.dumps`` itself
+    falls back to its pure-Python encoder when asked to indent.
+    """
+    per_layer = [
+        f'{{\n        "count": {n},\n        "layer": {k}\n      }}'
+        for k, n in report.silenced_per_layer
+    ]
+    totals = [
+        f'"accesses": {report.accesses}',
+        f'"potential_violations": {report.potential_violations}',
+        f'"remaining": {report.remaining}',
+        f'"silenced_per_layer": {_block("[]", per_layer, "    ")}',
+    ]
+    out = io.BytesIO()
+    out.write(f'{{\n  "digest": {_q(report.digest)},\n  '.encode())
+    if not stats:
+        out.write(b'"rows": ')
+        _write_array(out, map(_row_json, report.rows), "  ")
+        out.write(b",\n  ")
+    out.write(
+        f'"schema": {_q(REPORT_SCHEMA)},\n  "tool_version": {_q(report.tool_version)},'
+        f'\n  "totals": {_block("{}", totals, "  ")},\n  '.encode()
+    )
+    if not stats:
+        out.write(b'"verdicts": ')
+        _write_array(out, map(_verdict_json, report.verdicts), "  ")
+        out.write(b",\n  ")
+    out.write(b'"waterfall": ')
+    _write_array(
+        out,
+        (
+            f'{{\n      "count": {e.count},\n      "layer": {e.layer},'
+            f'\n      "rule": {_q(e.rule_id)}\n    }}'
             for e in report.waterfall
-        ],
-        "verdicts": _verdict_dicts(report.verdicts),
-    }
-
-
-def _render_json(report: AnalysisReport) -> str:
-    return json.dumps(to_json_doc(report), sort_keys=True, indent=2) + "\n"
+        ),
+        "  ",
+    )
+    out.write(b"\n}\n")
+    return out.getvalue()
 
 
 def _render_text(report: AnalysisReport) -> str:
@@ -329,8 +353,8 @@ def _render_table(report: AnalysisReport) -> str:
 
 def render(report: AnalysisReport, fmt: str) -> bytes:
     if fmt == "json":
-        text = _render_json(report)
-    elif fmt == "text":
+        return _render_json(report)
+    if fmt == "text":
         text = _render_text(report)
     elif fmt == "table":
         text = _render_table(report)
@@ -342,9 +366,7 @@ def render(report: AnalysisReport, fmt: str) -> bytes:
 def render_stats(report: AnalysisReport, fmt: str) -> bytes:
     """Totals and the waterfall, without rows or verdicts."""
     if fmt == "json":
-        doc = to_json_doc(report)
-        del doc["rows"], doc["verdicts"]
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return _render_json(report, stats=True)
     lines = [
         f"accesses: {report.accesses}",
         "potential violations: {} ({} % of accesses)".format(
@@ -372,7 +394,3 @@ def parse_report(data: bytes | str) -> dict:
     if silenced + totals["remaining"] != totals["potential_violations"]:
         raise ValueError("report violates conservation")
     return doc
-
-
-def parsed_fingerprints(doc: dict) -> list[tuple]:
-    return [_fingerprint(v) for v in doc["verdicts"]]

@@ -156,6 +156,25 @@ class TestLoadErrors:
         assert (code, out) == (2, b"")
         assert err.startswith("E-STUB: ")
 
+    @pytest.mark.parametrize(
+        "types",
+        [
+            [1],
+            {"a": 1},
+            [{"name": "p.B", "supertypes": 7}],
+            [{"name": "p.B", "members": [{"name": "g", "kind": "method", "type": 3}]}],
+            [{"name": 5}],
+        ],
+    )
+    def test_ill_typed_stub_field(self, tmp_path, types):
+        src = tmp_path / "A.java"
+        src.write_text(STUB_SOURCE)
+        stub = tmp_path / "stubs.json"
+        stub.write_text(json.dumps({"schema": "demeterlint-stubs/1", "types": types}))
+        code, out, err = invoke(RunOptions(source_paths=(src,), stub_paths=(stub,)))
+        assert (code, out) == (2, b"")
+        assert len(err.splitlines()) == 1 and err.startswith("E-STUB: ")
+
     def test_config_error(self, tmp_path):
         src = tmp_path / "A.java"
         src.write_text("class A { }")
@@ -569,6 +588,64 @@ class TestConfigFuzz:
                 RunOptions(source_paths=tuple(LISTING3.java_files),
                            stub_paths=tuple(LISTING3.stub_files),
                            config_paths=(cfg,), format="json")
+            )
+        assert code in (0, 1, 2)
+        for line in err.splitlines():
+            assert DIAGNOSTIC.match(line), line
+
+
+#: Words a stub for ``STUB_SOURCE`` could hold: type names, member names,
+#: kinds and visibilities.
+stub_words = st.sampled_from([
+    "", "[]", "int", "int[]", "void", "p.B", "p.B[]", "p.C", "p.A", "java.lang.Object",
+    "g", "<init>", "class", "interface", "field", "method", "constructor",
+    "public", "private", "package",
+])
+stub_values = json_values | stub_words | st.lists(stub_words, max_size=2)
+TYPE_FIELDS = ("name", "kind", "supertypes", "members")
+MEMBER_FIELDS = ("name", "kind", "type", "params", "static", "visibility")
+
+
+def _stub_document(type_edits: dict, member_edits: dict, extra: list) -> dict:
+    """The stub ``STUB_SOURCE`` needs, ``p.B`` with a method ``g()``, with
+    some fields replaced and more type records after it."""
+    member = {"name": "g", "kind": "method", "type": "p.B", "params": [], "static": False,
+              "visibility": "public", **member_edits}
+    record = {"name": "p.B", "kind": "class", "supertypes": [], "members": [member],
+              **type_edits}
+    return {"schema": "demeterlint-stubs/1", "types": [record, *extra]}
+
+
+#: Stub documents: the one ``STUB_SOURCE`` needs with up to two fields of
+#: its type and of its member drawn from any JSON value or stub word, plus
+#: named records of such fields; or a document whose type list is any JSON
+#: value.
+stub_documents = st.builds(
+    _stub_document,
+    st.dictionaries(st.sampled_from(TYPE_FIELDS), stub_values, max_size=2),
+    st.dictionaries(st.sampled_from(MEMBER_FIELDS), stub_values, max_size=2),
+    st.lists(
+        st.fixed_dictionaries(
+            {"name": stub_words}, optional={key: stub_values for key in TYPE_FIELDS[1:]}
+        )
+        | json_values,
+        max_size=2,
+    ),
+) | st.builds(lambda types: {"schema": "demeterlint-stubs/1", "types": types}, json_values)
+STUB_SOURCE = "package p;\nclass A { void f(B b) { b.g(); } }"
+
+
+class TestStubFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(stub_documents)
+    def test_any_stub_keeps_the_contract(self, document):
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "A.java"
+            src.write_text(STUB_SOURCE)
+            stub = Path(tmp) / "stubs.json"
+            stub.write_text(json.dumps(document))
+            code, _, err = invoke(
+                RunOptions(source_paths=(src,), stub_paths=(OBJECT_STUB, stub), format="json")
             )
         assert code in (0, 1, 2)
         for line in err.splitlines():

@@ -1,5 +1,7 @@
 """Friend-set computation and the base violation predicate."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +10,6 @@ from demeterlint.demeter import (
     MemberExemption,
     base_friend_set,
     detect,
-    make_friend_set,
 )
 
 from conftest import build_case_front, build_front
@@ -25,6 +26,18 @@ def by_id(executables) -> dict:
 
 def seeds_of(fs) -> dict[str, tuple[str, ...]]:
     return {t.name: roles for t, roles in fs.seeds}
+
+
+def enlarged(base, table, types=(), exemptions=()):
+    """``base`` with ``types`` granted and ``exemptions`` added, the way an
+    adaptation rule enlarges a friend set."""
+    types = tuple(types)
+    return replace(
+        base,
+        mask=base.mask | table.closure_mask(types),
+        grants=(("test", types),) if types else (),
+        member_exemptions=tuple(exemptions),
+    )
 
 
 class TestBaseFriendSet:
@@ -241,10 +254,9 @@ class TestDetect:
         table, exes = front(src)
         ex = by_id(exes)["p.A#m(B)"]
         base = base_friend_set(ex, table)
-        enlarged_roles = base.seed_roles()
-        enlarged_roles[TypeRef("p.C")] = {"granted:test"}
-        enlarged = make_friend_set(table, enlarged_roles)
-        assert set(v.site.site_id for v in detect(ex, enlarged)) <= set(
+        more = enlarged(base, table, [TypeRef("p.C")])
+        assert seeds_of(more)["p.C"] == ("granted:test",)
+        assert set(v.site.site_id for v in detect(ex, more)) <= set(
             v.site.site_id for v in detect(ex, base)
         )
 
@@ -253,9 +265,7 @@ class TestExemptions:
     def run(self, src, exec_id, exemptions):
         table, exes = front(src)
         ex = by_id(exes)[exec_id]
-        base = base_friend_set(ex, table)
-        fs = make_friend_set(table, dict(base.seed_roles()), exemptions)
-        return detect(ex, fs)
+        return detect(ex, enlarged(base_friend_set(ex, table), table, exemptions=exemptions))
 
     def test_public_static(self):
         src = (
@@ -311,6 +321,16 @@ class TestCorpusBase:
         assert total == oracle["base_violations"]
         assert per_exec == oracle["violations_by_executable"]
 
+    def test_mask_is_the_closure_of_the_seeds(self, corpus_case):
+        # The mask is built from one memoized closure per class; the seeds
+        # are derived on demand.  Both must describe the same set.
+        table, exes = build_case_front(corpus_case)
+        class_masks = {}
+        for ex in exes:
+            fs = base_friend_set(ex, table, class_masks)
+            assert fs.mask == table.closure_mask(t for t, _ in fs.base)
+            assert fs.mask == base_friend_set(ex, table).mask
+
     def test_soundness_on_corpus(self, corpus_case):
         table, exes = build_case_front(corpus_case)
         from demeterlint.demeter import SELF_FORMS
@@ -345,10 +365,7 @@ def test_monotonicity_property(extra):
     table, exes = front(src)
     ex = by_id(exes)["p.A#m(B)"]
     base = base_friend_set(ex, table)
-    roles = base.seed_roles()
-    for name in extra:
-        roles.setdefault(TypeRef(name), set()).add("granted:x")
-    enlarged = make_friend_set(table, roles)
+    more = enlarged(base, table, map(TypeRef, sorted(extra)))
     base_ids = {v.site.site_id for v in detect(ex, base)}
-    enlarged_ids = {v.site.site_id for v in detect(ex, enlarged)}
+    enlarged_ids = {v.site.site_id for v in detect(ex, more)}
     assert enlarged_ids <= base_ids

@@ -10,7 +10,6 @@ from demeterlint.codemodel import (
     TypeTable,
 )
 from demeterlint.javafront import BindError, bind_and_extract, build_type_table, parse_unit
-from demeterlint.javafront.binder import _iter_type_nodes
 
 from conftest import build_case_front, build_front
 
@@ -103,7 +102,7 @@ class TestTableConstruction:
             "class B { B(I i) { } void f() { } }\n",
             "A.java",
         )
-        assert [n.qualified_name for n in _iter_type_nodes(unit)] == [
+        assert [n.qualified_name for n in unit.type_decls] == [
             "p.A", "p.A$anon1", "p.A$anon2", "p.A$anon3", "p.A$anon4", "p.A$anon4$In",
             "p.A$anon4$In$anon1", "p.A$anon5", "p.A$Inner", "p.A$Inner$anon1", "p.I", "p.B",
         ]

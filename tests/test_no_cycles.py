@@ -3,7 +3,7 @@
 Every object a pass makes is freed by reference counting, so ``cli.run``
 disables the cyclic garbage collector for the pass.  These tests pin the
 three parts of that design: the collector's state is restored on every way
-out of ``run``; a pass leaves no unreachable object of ours behind; and no
+out of ``run``; a pass leaves no unreachable object behind; and no
 module of the package defines a nested function that refers to itself,
 the pattern that tied every syntax tree into a cycle.
 """
@@ -136,10 +136,12 @@ class TestNoCyclicGarbage:
             assert [type(o).__qualname__ for o in _garbage_of(options) if _ours(o)] == []
 
     def test_garbage_does_not_grow_with_the_input(self, tmp_path):
-        one = _garbage_of(_random_units(tmp_path, 1))
-        twenty = _garbage_of(_random_units(tmp_path, 20))
-        assert [type(o).__qualname__ for o in twenty if _ours(o)] == []
-        assert len(twenty) <= len(one)
+        # No cyclic garbage at all, ours or the standard library's:
+        # ``json.dumps`` with ``indent``, for one, leaves its encoder's
+        # closures in a cycle.
+        for count in (1, 20):
+            garbage = _garbage_of(_random_units(tmp_path, count))
+            assert [type(o).__qualname__ for o in garbage] == []
 
 
 # -- tooling guard ------------------------------------------------------------

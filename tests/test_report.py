@@ -1,24 +1,28 @@
 """Report assembly, rendering, and the json round-trip."""
 
-from collections import Counter
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from demeterlint.adapt import Adapter, EMPTY_CONFIG, load_config
-from demeterlint.codemodel import ResolutionMode
-from demeterlint.demeter import detect
+from demeterlint.adapt import Adapter, EMPTY_CONFIG, Verdict, WaterfallEntry, load_config
+from demeterlint.codemodel import MemberDecl, MemberKind, ResolutionMode, TypeRef
+from demeterlint.demeter import PotentialViolation, detect
+from demeterlint.javafront import AccessSite, ProvStep, ReceiverDesc
 from demeterlint.presets import GENERIC, STACK
 from demeterlint.report import (
+    AnalysisReport,
+    ExecutableRow,
     build_report,
     input_digest,
     parse_report,
-    parsed_fingerprints,
     pct,
     render,
     render_chain,
+    render_stats,
 )
 
 from conftest import build_case_front, build_front, load_case
+from json_reference import reference_json, to_json_doc
 
 
 def run_case(name, presets=STACK):
@@ -129,8 +133,7 @@ class TestRenderJson:
     def test_round_trip_verdict_multiset(self):
         exes, config, verdicts = run_case("listing9")
         report = build_report(exes, verdicts, config)
-        doc = parse_report(render(report, "json"))
-        assert Counter(parsed_fingerprints(doc)) == Counter(report.verdict_fingerprints())
+        assert parse_report(render(report, "json")) == to_json_doc(report)
 
     def test_byte_identical_across_runs(self):
         blobs = []
@@ -167,6 +170,65 @@ class TestRenderJson:
         tampered = blob.replace('"remaining": 0', '"remaining": 5')
         with pytest.raises(ValueError, match="conservation"):
             parse_report(tampered)
+
+
+#: Labels with non-ASCII, control and lone surrogate characters.
+labels = st.text(st.characters(blacklist_categories=()), max_size=8)
+types = labels.map(TypeRef)
+
+
+def _site(site_id, access_kind, member, chain) -> AccessSite:
+    member_decl = MemberDecl(member, MemberKind.METHOD, False, "public", TypeRef("T"), (), "T")
+    receiver = ReceiverDesc("expression", TypeRef("T"), tuple(chain))
+    return AccessSite(site_id, access_kind, receiver, member_decl, "A.java", 1, 1)
+
+
+sites = st.builds(
+    _site, labels, labels, labels, st.lists(st.builds(ProvStep, labels, labels, types), max_size=3)
+)
+violations = st.builds(
+    PotentialViolation, sites, labels, types, st.none() | st.just("unresolved-receiver") | labels
+)
+verdicts = st.builds(
+    lambda v, layer, rule, also: Verdict(v, "silenced", layer=layer, rule_id=rule, also_matched=also),
+    violations, st.integers(), labels, st.lists(labels, max_size=3).map(tuple),
+) | st.builds(
+    lambda v, status, hint: Verdict(v, "remaining", status=status, hint=hint),
+    violations, labels, labels,
+)
+ints = st.integers()
+reports = st.builds(
+    AnalysisReport,
+    tool_version=labels,
+    digest=labels,
+    accesses=ints,
+    potential_violations=ints,
+    silenced_per_layer=st.lists(st.tuples(ints, ints), max_size=3).map(tuple),
+    remaining=ints,
+    rows=st.lists(
+        st.builds(ExecutableRow, labels, ints, st.lists(ints, max_size=3).map(tuple), ints),
+        max_size=3,
+    ).map(tuple),
+    waterfall=st.lists(st.builds(WaterfallEntry, labels, ints, ints), max_size=3).map(tuple),
+    verdicts=st.lists(verdicts, max_size=4).map(tuple),
+    layer_indices=st.just(()),
+    layer_names=st.just(()),
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(reports)
+    def test_same_bytes_as_json_dumps(self, report):
+        assert render(report, "json") == reference_json(report)
+        assert render_stats(report, "json") == reference_json(report, stats=True)
+
+    def test_corpus_reports(self, corpus_case):
+        for presets in ((), STACK):
+            exes, config, verdicts = run_case(corpus_case.name, presets)
+            report = build_report(exes, verdicts, config, inputs=[("x", "y", "z")])
+            assert render(report, "json") == reference_json(report)
+            assert render_stats(report, "json") == reference_json(report, stats=True)
 
 
 class TestChains:
