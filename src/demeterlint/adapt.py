@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .codemodel import LoadError, MemberKind, TypeRef, TypeTable, parse_type_name
 from .demeter import (
@@ -33,6 +32,7 @@ from .demeter import (
     check_site,
 )
 from .javafront import Executable
+from .records import Struct, Value
 
 __all__ = [
     "Adapter",
@@ -60,51 +60,95 @@ class ConfigError(LoadError):
         super().__init__("E-CONFIG", message)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Value):
     """One adaptation rule; the payload fields used depend on ``kind``."""
 
-    rule_id: str
-    kind: str
-    layer: int
-    tag: str = ""
-    order: int = 0  # global document order, the attribution tie-breaker
-    types: tuple[str, ...] = ()
-    package_glob: str = ""
-    implementors_of: tuple[str, ...] = ()
-    member_predicate: str = ""
-    member_pattern: Optional[tuple[str, str]] = None  # (declaring type, name glob)
-    matcher: tuple[tuple[str, str], ...] = ()  # (declaring type, name glob)
-    grants: tuple[str, ...] = ()
-    pairs: tuple[tuple[str, str], ...] = ()
-    executables: tuple[str, ...] = ()
-    status: str = "accepted"
-    hint: str = ""
-    enabled: bool = True
-    field_map: tuple[tuple[str, str, str], ...] = ()  # (class, field, element)
-    infer_via: tuple[str, ...] = ()
+    __slots__ = (
+        "rule_id",
+        "kind",
+        "layer",
+        "tag",
+        "order",
+        "types",
+        "package_glob",
+        "implementors_of",
+        "member_predicate",
+        "member_pattern",
+        "matcher",
+        "grants",
+        "pairs",
+        "executables",
+        "status",
+        "hint",
+        "enabled",
+        "field_map",
+        "infer_via",
+    )
+
+    def __init__(
+        self,
+        rule_id: str,
+        kind: str,
+        layer: int,
+        tag: str = "",
+        order: int = 0,
+        types: tuple[str, ...] = (),
+        package_glob: str = "",
+        implementors_of: tuple[str, ...] = (),
+        member_predicate: str = "",
+        member_pattern: Optional[tuple[str, str]] = None,
+        matcher: tuple[tuple[str, str], ...] = (),
+        grants: tuple[str, ...] = (),
+        pairs: tuple[tuple[str, str], ...] = (),
+        executables: tuple[str, ...] = (),
+        status: str = "accepted",
+        hint: str = "",
+        enabled: bool = True,
+        field_map: tuple[tuple[str, str, str], ...] = (),
+        infer_via: tuple[str, ...] = (),
+    ) -> None:
+        self.rule_id = rule_id
+        self.kind = kind
+        self.layer = layer
+        self.tag = tag
+        self.order = order  # global document order, the attribution tie-breaker
+        self.types = types
+        self.package_glob = package_glob
+        self.implementors_of = implementors_of
+        self.member_predicate = member_predicate
+        self.member_pattern = member_pattern  # (declaring type, name glob)
+        self.matcher = matcher  # (declaring type, name glob)
+        self.grants = grants
+        self.pairs = pairs
+        self.executables = executables
+        self.status = status
+        self.hint = hint
+        self.enabled = enabled
+        self.field_map = field_map  # (class, field, element)
+        self.infer_via = infer_via
 
 
-@dataclass(frozen=True)
-class LayeredConfig:
-    """Rules grouped by layer index, ascending; empty config = base Law."""
+class LayeredConfig(Value):
+    """Rules grouped by layer index, ascending; empty config = base Law.
 
-    rules: tuple[Rule, ...]  # sorted by (layer, order)
-    layer_names: tuple[tuple[int, str], ...]
-    layer_indices: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _at: dict[int, tuple[Rule, ...]] = field(init=False, compare=False, repr=False)
-    _through: tuple[tuple[Rule, ...], ...] = field(init=False, compare=False, repr=False)
+    Equality and repr go by ``rules`` and ``layer_names``; the rest is
+    derived from them.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("rules", "layer_names", "layer_indices", "_at", "_through")
+    _fields = ("rules", "layer_names")
+
+    def __init__(
+        self, rules: tuple[Rule, ...], layer_names: tuple[tuple[int, str], ...]
+    ) -> None:
+        self.rules = rules  # sorted by (layer, order)
+        self.layer_names = layer_names
         # Computed once: effective() and attribution ask on every probe.
-        layers = tuple(sorted({r.layer for r in self.rules}))
-        object.__setattr__(self, "layer_indices", layers)
-        object.__setattr__(
-            self, "_at", {k: tuple(r for r in self.rules if r.layer == k) for k in layers}
-        )
-        object.__setattr__(  # parallel to layer_indices
-            self, "_through", tuple(tuple(r for r in self.rules if r.layer <= k) for k in layers)
-        )
+        layers = tuple(sorted({r.layer for r in rules}))
+        self.layer_indices = layers
+        self._at = {k: tuple(r for r in rules if r.layer == k) for k in layers}
+        # parallel to layer_indices
+        self._through = tuple(tuple(r for r in rules if r.layer <= k) for k in layers)
 
     def rules_through(self, k: int) -> tuple[Rule, ...]:
         i = bisect_right(self.layer_indices, k)
@@ -382,14 +426,9 @@ _NOTHING: Contribution = ((), 0)
 _Active = tuple[tuple[Rule, Optional[tuple[str, tuple[TypeRef, ...]]], int], ...]
 
 
-class _Implication(NamedTuple):
-    """One friend-implication pair, ready for bit tests."""
-
-    rule_id: str
-    premise: int  # bit position
-    conclusion: TypeRef
-    bit: int  # the conclusion's bit position
-    mask: int  # the conclusion's closure
+#: One friend-implication pair, ready for bit tests: rule id, the premise's
+#: bit position, the conclusion, its bit position and its closure mask.
+_Implication = tuple[str, int, TypeRef, int, int]
 
 
 class Adapter:
@@ -424,7 +463,7 @@ class Adapter:
             if r.kind == "friend-implication":
                 pairs = [(parse_type_name(a), parse_type_name(b)) for a, b in r.pairs]
                 self._implications[r.rule_id] = tuple(
-                    _Implication(r.rule_id, table.bit(a), b, table.bit(b), table.closure_mask([b]))
+                    (r.rule_id, table.bit(a), b, table.bit(b), table.closure_mask([b]))
                     for a, b in pairs
                     if not b.is_primitive  # a primitive is never a friend, so never implied
                 )
@@ -738,11 +777,18 @@ class Adapter:
 # -- the rule kind table ---------------------------------------------------------
 
 
-class _Kind(NamedTuple):
-    load: Callable[[dict, str, str], dict]
-    # None for the kinds that read other rules or the sites; Adapter.effective
-    # applies those itself, after the independent grants.
-    grant: Optional[Callable[[Adapter, Executable, Rule], Contribution]] = None
+class _Kind(Struct):
+    __slots__ = ("load", "grant")
+
+    def __init__(
+        self,
+        load: Callable[[dict, str, str], dict],
+        grant: Optional[Callable[[Adapter, Executable, Rule], Contribution]] = None,
+    ) -> None:
+        self.load = load
+        # None for the kinds that read other rules or the sites; Adapter.effective
+        # applies those itself, after the independent grants.
+        self.grant = grant
 
 
 _KINDS: dict[str, _Kind] = {
@@ -760,30 +806,52 @@ _KINDS: dict[str, _Kind] = {
 RULE_KINDS = frozenset(_KINDS)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    violation: PotentialViolation
-    outcome: str  # "silenced" | "remaining"
-    layer: Optional[int] = None
-    rule_id: Optional[str] = None
-    also_matched: tuple[str, ...] = ()
-    status: str = ""  # remaining only: adjourned | review-pending | candidate-true-positive
-    hint: str = ""
+class Verdict(Value):
+    __slots__ = ("violation", "outcome", "layer", "rule_id", "also_matched", "status", "hint")
+
+    def __init__(
+        self,
+        violation: PotentialViolation,
+        outcome: str,
+        layer: Optional[int] = None,
+        rule_id: Optional[str] = None,
+        also_matched: tuple[str, ...] = (),
+        status: str = "",
+        hint: str = "",
+    ) -> None:
+        self.violation = violation
+        self.outcome = outcome  # "silenced" | "remaining"
+        self.layer = layer
+        self.rule_id = rule_id
+        self.also_matched = also_matched
+        # remaining only: adjourned | review-pending | candidate-true-positive
+        self.status = status
+        self.hint = hint
 
 
-@dataclass(frozen=True)
-class WaterfallEntry:
-    rule_id: str
-    layer: int
-    count: int
+class WaterfallEntry(Value):
+    __slots__ = ("rule_id", "layer", "count")
+
+    def __init__(self, rule_id: str, layer: int, count: int) -> None:
+        self.rule_id = rule_id
+        self.layer = layer
+        self.count = count
 
 
-@dataclass(frozen=True)
-class Waterfall:
-    total: int
-    per_layer: tuple[tuple[int, int], ...]  # (layer index, silenced count)
-    per_rule: tuple[WaterfallEntry, ...]  # every configured rule, zeros included
-    remaining: int
+class Waterfall(Value):
+    __slots__ = ("total", "per_layer", "per_rule", "remaining")
+
+    def __init__(
+        self,
+        total: int,
+        per_layer: tuple[tuple[int, int], ...],
+        per_rule: tuple[WaterfallEntry, ...],
+        remaining: int,
+    ) -> None:
+        self.total = total
+        self.per_layer = per_layer  # (layer index, silenced count)
+        self.per_rule = per_rule  # every configured rule, zeros included
+        self.remaining = remaining
 
 
 def attribute_waterfall(verdicts: Sequence[Verdict], config: LayeredConfig) -> Waterfall:

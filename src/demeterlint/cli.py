@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -20,21 +19,43 @@ from .adapt import Adapter, Verdict, load_config, config_warnings
 from .codemodel import LoadError, ResolutionMode, TypeTable, load_stubs
 from .demeter import FriendSet, detect
 from .javafront import SourceError, bind_and_extract, build_type_table, parse_unit
+from .records import Struct
 from .report import build_report, render, render_chain, render_stats
 
 __all__ = ["RunOptions", "main", "read_source", "run"]
 
 
-@dataclass
-class RunOptions:
-    source_paths: tuple[Path, ...]
-    stub_paths: tuple[Path, ...] = ()
-    config_paths: tuple[Path, ...] = ()
-    mode: str = "analyze"  # analyze | explain | stats
-    site: str = ""  # explain target
-    format: str = "text"  # json | text | table
-    resolution: ResolutionMode = ResolutionMode.STRICT
-    fail_threshold: int = 0
+class RunOptions(Struct):
+    __slots__ = (
+        "source_paths",
+        "stub_paths",
+        "config_paths",
+        "mode",
+        "site",
+        "format",
+        "resolution",
+        "fail_threshold",
+    )
+
+    def __init__(
+        self,
+        source_paths: tuple[Path, ...],
+        stub_paths: tuple[Path, ...] = (),
+        config_paths: tuple[Path, ...] = (),
+        mode: str = "analyze",
+        site: str = "",
+        format: str = "text",
+        resolution: ResolutionMode = ResolutionMode.STRICT,
+        fail_threshold: int = 0,
+    ) -> None:
+        self.source_paths = source_paths
+        self.stub_paths = stub_paths
+        self.config_paths = config_paths
+        self.mode = mode  # analyze | explain | stats
+        self.site = site  # explain target
+        self.format = format  # json | text | table
+        self.resolution = resolution
+        self.fail_threshold = fail_threshold
 
 
 def _collect_sources(paths: Sequence[Path]) -> list[Path]:

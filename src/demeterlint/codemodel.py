@@ -21,10 +21,11 @@ set is an OR of memoized masks and a membership test is one bit test.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
+
+from .records import Struct, Value
 
 __all__ = [
     "ARRAYS",
@@ -60,24 +61,39 @@ class TypeKind(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True, slots=True)
-class TypeRef:
+class TypeRef(Value):
     """A reference to a type by qualified name.
 
     Array references carry exactly one element reference; their name is the
     element name with a trailing ``[]``.  ``null`` is modelled as a primitive
     so the literal can be typed without ever becoming a friend or receiver.
+
+    References are equal when name, kind and element are; the hash is the
+    name's, which ``str`` caches, so a dict lookup hashes no enum member.
     """
 
-    name: str
-    kind: TypeKind = TypeKind.DECLARED
-    element: TypeRef | None = None
+    __slots__ = ("name", "kind", "element")
 
-    def __post_init__(self) -> None:
-        if self.kind is TypeKind.ARRAY and self.element is None:
+    def __init__(
+        self, name: str, kind: TypeKind = TypeKind.DECLARED, element: TypeRef | None = None
+    ) -> None:
+        if kind is TypeKind.ARRAY and element is None:
             raise ValueError("array reference needs an element type")
-        if self.kind is not TypeKind.ARRAY and self.element is not None:
+        if kind is not TypeKind.ARRAY and element is not None:
             raise ValueError("only array references carry an element type")
+        self.name = name
+        self.kind = kind
+        self.element = element
+
+    # Written out, not the shared ``Value`` ones: a TypeRef is the key of
+    # every closure and interning lookup.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TypeRef:
+            return NotImplemented
+        return self.name == other.name and self.kind is other.kind and self.element == other.element
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     @property
     def is_primitive(self) -> bool:
@@ -145,8 +161,7 @@ class Origin(Enum):
     STUB = "stub"
 
 
-@dataclass(frozen=True, slots=True)
-class MemberDecl:
+class MemberDecl(Value):
     """One declared field, method, or constructor.
 
     ``declared_type`` is the field type or method return type.  The
@@ -154,13 +169,33 @@ class MemberDecl:
     arity ``None``.
     """
 
-    name: str
-    member_kind: MemberKind
-    is_static: bool
-    visibility: str
-    declared_type: TypeRef
-    param_types: tuple[TypeRef, ...]
-    declaring_type: str
+    __slots__ = (
+        "name",
+        "member_kind",
+        "is_static",
+        "visibility",
+        "declared_type",
+        "param_types",
+        "declaring_type",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        member_kind: MemberKind,
+        is_static: bool,
+        visibility: str,
+        declared_type: TypeRef,
+        param_types: tuple[TypeRef, ...],
+        declaring_type: str,
+    ) -> None:
+        self.name = name
+        self.member_kind = member_kind
+        self.is_static = is_static
+        self.visibility = visibility
+        self.declared_type = declared_type
+        self.param_types = param_types
+        self.declaring_type = declaring_type
 
     @property
     def arity(self) -> int | None:
@@ -173,13 +208,22 @@ class MemberDecl:
         return self.visibility == "public"
 
 
-@dataclass(frozen=True)
-class TypeDecl:
-    ref: TypeRef
-    decl_kind: DeclKind
-    supertypes: tuple[TypeRef, ...]
-    members: tuple[MemberDecl, ...]
-    origin: Origin
+class TypeDecl(Value):
+    __slots__ = ("ref", "decl_kind", "supertypes", "members", "origin")
+
+    def __init__(
+        self,
+        ref: TypeRef,
+        decl_kind: DeclKind,
+        supertypes: tuple[TypeRef, ...],
+        members: tuple[MemberDecl, ...],
+        origin: Origin,
+    ) -> None:
+        self.ref = ref
+        self.decl_kind = decl_kind
+        self.supertypes = supertypes
+        self.members = members
+        self.origin = origin
 
     @property
     def name(self) -> str:
@@ -231,8 +275,7 @@ def _check_members(decl_name: str, members: Iterable[MemberDecl]) -> None:
         seen.add(key)
 
 
-@dataclass
-class TypeTable:
+class TypeTable(Struct):
     """All known type declarations, keyed by qualified name.
 
     Also the interning of closures: ``_bits`` gives each type met a bit
@@ -240,10 +283,14 @@ class TypeTable:
     closure mask until the next ``add``.
     """
 
-    _decls: dict[str, TypeDecl] = field(default_factory=dict)
-    _bits: dict[TypeRef, int] = field(default_factory=dict, init=False, repr=False)
-    _types: list[TypeRef] = field(default_factory=list, init=False, repr=False)
-    _masks: dict[TypeRef, int] = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("_decls", "_bits", "_types", "_masks")
+    _fields = ("_decls",)
+
+    def __init__(self, _decls: dict[str, TypeDecl] | None = None) -> None:
+        self._decls: dict[str, TypeDecl] = {} if _decls is None else _decls
+        self._bits: dict[TypeRef, int] = {}
+        self._types: list[TypeRef] = []
+        self._masks: dict[TypeRef, int] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._decls

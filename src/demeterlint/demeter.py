@@ -15,12 +15,12 @@ their roles are derived on demand, for explanations only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Iterable, Mapping, Optional
 
 from .codemodel import MemberKind, TypeKind, TypeRef, TypeTable
 from .javafront import AccessSite, Executable
+from .records import Value
 
 __all__ = [
     "FriendSet",
@@ -36,8 +36,7 @@ __all__ = [
 SELF_FORMS = frozenset({"this-implicit", "this-explicit", "super"})
 
 
-@dataclass(frozen=True)
-class MemberExemption:
+class MemberExemption(Value):
     """Exempts accesses by the member they touch, not by receiver friendship.
 
     ``public-static`` exempts any public static member; ``array-length``
@@ -45,10 +44,15 @@ class MemberExemption:
     declaring type equals ``type_name`` and whose name matches ``name_glob``.
     """
 
-    rule_id: str
-    predicate: str  # public-static | array-length | pattern
-    type_name: str = ""
-    name_glob: str = ""
+    __slots__ = ("rule_id", "predicate", "type_name", "name_glob")
+
+    def __init__(
+        self, rule_id: str, predicate: str, type_name: str = "", name_glob: str = ""
+    ) -> None:
+        self.rule_id = rule_id
+        self.predicate = predicate  # public-static | array-length | pattern
+        self.type_name = type_name
+        self.name_glob = name_glob
 
     def matches(self, site: AccessSite) -> bool:
         if self.predicate == "public-static":
@@ -62,21 +66,32 @@ class MemberExemption:
         raise ValueError(f"unknown member predicate '{self.predicate}'")
 
 
-@dataclass(frozen=True, slots=True)
-class FriendSet:
+class FriendSet(Value):
     """A friend closure with the executable and grants it was closed from.
 
     ``mask`` is the closure, interned by ``table``; it is what detection
     tests receivers against.  ``executable`` is the one whose base seeds
     the set starts from (see ``base``), and ``grants`` holds the (rule id,
-    types) a rule granted, in the order the rules applied.
+    types) a rule granted, in the order the rules applied.  Equality and
+    repr leave out ``table`` and ``executable``.
     """
 
-    table: TypeTable = field(repr=False, compare=False)
-    executable: Executable = field(repr=False, compare=False)
-    mask: int
-    grants: tuple[tuple[str, tuple[TypeRef, ...]], ...] = ()
-    member_exemptions: tuple[MemberExemption, ...] = ()
+    __slots__ = ("table", "executable", "mask", "grants", "member_exemptions")
+    _fields = ("mask", "grants", "member_exemptions")
+
+    def __init__(
+        self,
+        table: TypeTable,
+        executable: Executable,
+        mask: int,
+        grants: tuple[tuple[str, tuple[TypeRef, ...]], ...] = (),
+        member_exemptions: tuple[MemberExemption, ...] = (),
+    ) -> None:
+        self.table = table
+        self.executable = executable
+        self.mask = mask
+        self.grants = grants
+        self.member_exemptions = member_exemptions
 
     def __contains__(self, ref: TypeRef) -> bool:
         return self.table.in_mask(self.mask, ref)
@@ -149,12 +164,20 @@ def base_friend_set(
     return FriendSet(table, executable, mask)
 
 
-@dataclass(frozen=True)
-class PotentialViolation:
-    site: AccessSite
-    executable_id: str
-    receiver_type: TypeRef
-    note: Optional[str] = None
+class PotentialViolation(Value):
+    __slots__ = ("site", "executable_id", "receiver_type", "note")
+
+    def __init__(
+        self,
+        site: AccessSite,
+        executable_id: str,
+        receiver_type: TypeRef,
+        note: Optional[str] = None,
+    ) -> None:
+        self.site = site
+        self.executable_id = executable_id
+        self.receiver_type = receiver_type
+        self.note = note
 
 
 def check_site(

@@ -14,7 +14,6 @@ recorded but marked by form so detection can skip them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from ..codemodel import (
@@ -31,6 +30,7 @@ from ..codemodel import (
     array_of,
     unknown_type,
 )
+from ..records import Struct, Value
 from . import ast
 from .errors import BindError
 
@@ -53,47 +53,96 @@ _PRIM = {name: TypeRef(name, TypeKind.PRIMITIVE) for name in (
 _NUMERIC_RANK = {"double": 4, "float": 3, "long": 2, "int": 1, "char": 0, "short": 0, "byte": 0}
 
 
-@dataclass(frozen=True, slots=True)
-class ProvStep:
+class ProvStep(Value):
     """One step of receiver provenance: how the value came to hand."""
 
-    kind: str  # parameter field local call cast new static-member literal
-    label: str
-    type: TypeRef
+    __slots__ = ("kind", "label", "type")
+
+    def __init__(self, kind: str, label: str, type: TypeRef) -> None:
+        self.kind = kind  # parameter field local call cast new static-member literal
+        self.label = label
+        self.type = type
 
 
-@dataclass(frozen=True, slots=True)
-class ReceiverDesc:
-    form: str  # this-implicit this-explicit super outer-instance type-name expression
-    static_type: TypeRef
-    chain: tuple[ProvStep, ...]
+class ReceiverDesc(Value):
+    __slots__ = ("form", "static_type", "chain")
+
+    def __init__(self, form: str, static_type: TypeRef, chain: tuple[ProvStep, ...]) -> None:
+        self.form = form  # this-implicit this-explicit super outer-instance type-name expression
+        self.static_type = static_type
+        self.chain = chain
 
 
-@dataclass(slots=True)
-class AccessSite:
-    site_id: str
-    access_kind: str  # method-call field-read field-write static-member-access array-length
-    receiver: ReceiverDesc
-    member: MemberDecl
-    file: str
-    line: int
-    col: int
-    arg_types: tuple[TypeRef, ...] = ()
+class AccessSite(Struct):
+    __slots__ = (
+        "site_id", "access_kind", "receiver", "member", "file", "line", "col", "arg_types"
+    )
+
+    def __init__(
+        self,
+        site_id: str,
+        access_kind: str,
+        receiver: ReceiverDesc,
+        member: MemberDecl,
+        file: str,
+        line: int,
+        col: int,
+        arg_types: tuple[TypeRef, ...] = (),
+    ) -> None:
+        self.site_id = site_id
+        # method-call field-read field-write static-member-access array-length
+        self.access_kind = access_kind
+        self.receiver = receiver
+        self.member = member
+        self.file = file
+        self.line = line
+        self.col = col
+        self.arg_types = arg_types
 
 
-@dataclass(slots=True)
-class Executable:
-    id: str
-    owner_type: TypeRef
-    exec_kind: str  # method constructor instance-initializer static-initializer field-initializer
-    params: list[tuple[str, TypeRef]]
-    instantiated_types: set[TypeRef] = dc_field(default_factory=set)
-    downcast_param_types: set[TypeRef] = dc_field(default_factory=set)
-    enclosing_executable: Optional[str] = None
-    body_accesses: list[AccessSite] = dc_field(default_factory=list)
-    file: str = ""
-    line: int = 0
-    col: int = 0
+class Executable(Struct):
+    __slots__ = (
+        "id",
+        "owner_type",
+        "exec_kind",
+        "params",
+        "instantiated_types",
+        "downcast_param_types",
+        "enclosing_executable",
+        "body_accesses",
+        "file",
+        "line",
+        "col",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        owner_type: TypeRef,
+        exec_kind: str,
+        params: list[tuple[str, TypeRef]],
+        instantiated_types: Optional[set[TypeRef]] = None,
+        downcast_param_types: Optional[set[TypeRef]] = None,
+        enclosing_executable: Optional[str] = None,
+        body_accesses: Optional[list[AccessSite]] = None,
+        file: str = "",
+        line: int = 0,
+        col: int = 0,
+    ) -> None:
+        self.id = id
+        self.owner_type = owner_type
+        # method constructor instance-initializer static-initializer field-initializer
+        self.exec_kind = exec_kind
+        self.params = params
+        self.instantiated_types = set() if instantiated_types is None else instantiated_types
+        self.downcast_param_types = (
+            set() if downcast_param_types is None else downcast_param_types
+        )
+        self.enclosing_executable = enclosing_executable
+        self.body_accesses = [] if body_accesses is None else body_accesses
+        self.file = file
+        self.line = line
+        self.col = col
 
     def sort_key(self) -> tuple[str, int, int]:
         return (self.file, self.line, self.col)
@@ -129,6 +178,11 @@ class _UnitEnv:
             if node.name and node.qualified_name:
                 self.local_types.setdefault(node.name, node.qualified_name)
             stack.extend(m for m in reversed(node.members) if isinstance(m, ast.TypeDeclNode))
+        # Then the named types inside anonymous class bodies, which the walk
+        # above does not reach; a name it registered keeps its meaning.
+        for node in unit.type_decls:
+            if node.name and not node.anonymous:
+                self.local_types.setdefault(node.name, node.qualified_name)
 
     def resolve_simple(self, name: str) -> Optional[str]:
         if name in self.local_types:
@@ -317,14 +371,18 @@ def bind_and_extract(
     return out
 
 
-@dataclass(frozen=True)
-class _Value:
+class _Value(Value):
     """What visiting an expression yields for receiver purposes."""
 
-    type: TypeRef
-    chain: tuple[ProvStep, ...]
-    form: str  # expression | this-explicit | type-name | name-prefix
-    label: str = ""  # dotted prefix text for name-prefix values
+    __slots__ = ("type", "chain", "form", "label")
+
+    def __init__(
+        self, type: TypeRef, chain: tuple[ProvStep, ...], form: str, label: str = ""
+    ) -> None:
+        self.type = type
+        self.chain = chain
+        self.form = form  # expression | this-explicit | type-name | name-prefix
+        self.label = label  # dotted prefix text for name-prefix values
 
 
 class _Extractor:

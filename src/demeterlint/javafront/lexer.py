@@ -11,9 +11,8 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
-from typing import NamedTuple
 
+from ..records import Value
 from .errors import ParseError
 
 __all__ = ["Kind", "Token", "tokenize", "KEYWORDS"]
@@ -52,11 +51,14 @@ class Kind(Enum):
     EOF = "eof"
 
 
-class Token(NamedTuple):
-    kind: Kind
-    text: str
-    line: int
-    col: int
+class Token(Value):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: Kind, text: str, line: int, col: int) -> None:
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 # Alternatives in priority order; the first that matches at a position wins.
@@ -107,7 +109,7 @@ def _scanner(extra: str) -> re.Pattern:
 def tokenize(text: str, file_name: str) -> list[Token]:
     """The tokens of ``text``, ending with one EOF token; raises ParseError."""
     extra = "" if text.isascii() else "".join(sorted(c for c in set(text) if not c.isascii()))
-    tokens: list[tuple] = []
+    tokens: list[Token] = []
     append = tokens.append
     line = 1
     line_start = 0  # offset of the first character of the current line
@@ -116,9 +118,10 @@ def tokenize(text: str, file_name: str) -> list[Token]:
         group = m.lastgroup
         if group == "word":
             word = m.group()
-            append((keyword if word in KEYWORDS else ident, word, line, m.start() - line_start + 1))
+            kind = keyword if word in KEYWORDS else ident
+            append(Token(kind, word, line, m.start() - line_start + 1))
         elif group == "punct":
-            append((punct, m.group(), line, m.start() - line_start + 1))
+            append(Token(punct, m.group(), line, m.start() - line_start + 1))
         elif group == "space" or group == "comment":
             newlines = m.group().count("\n")
             if newlines:
@@ -126,10 +129,8 @@ def tokenize(text: str, file_name: str) -> list[Token]:
                 line_start = m.start() + m.group().rindex("\n") + 1
         else:
             append(_literal(m, file_name, line, m.start() - line_start + 1))
-    append((Kind.EOF, "", line, len(text) - line_start + 1))
-    # Plain tuples in the loop, one C-level conversion here: a Token call per
-    # token would cost a Python frame each.
-    return list(map(tuple.__new__, repeat(Token), tokens))
+    append(Token(Kind.EOF, "", line, len(text) - line_start + 1))
+    return tokens
 
 
 def _literal(m: re.Match, file_name: str, line: int, col: int) -> Token:

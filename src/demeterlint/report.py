@@ -11,14 +11,13 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from json.encoder import encode_basestring_ascii as _q
 from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .adapt import LayeredConfig, Verdict, WaterfallEntry, attribute_waterfall
 from .javafront import AccessSite, Executable
+from .records import Value
 
 __all__ = [
     "AnalysisReport",
@@ -57,36 +56,74 @@ def input_digest(inputs: Iterable[tuple[str, str, str]]) -> str:
 
 
 def pct(numerator: int, denominator: int) -> str:
-    """Percentage with one decimal, half-up; 0.0 for an empty denominator."""
+    """Percentage with one decimal, half-up; 0.0 for an empty denominator.
+
+    Exact integer arithmetic: ``q`` is the percentage in tenths, rounded
+    down, and goes up one when the remainder is at least half of
+    ``denominator``.
+    """
     if denominator == 0:
         return "0.0"
-    scaled = Decimal(numerator * 100) / Decimal(denominator)
-    return str(scaled.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    q, r = divmod(numerator * 1000, denominator)
+    if 2 * r >= denominator:
+        q += 1
+    return f"{q // 10}.{q % 10}"
 
 
-@dataclass(frozen=True)
-class ExecutableRow:
+class ExecutableRow(Value):
     """One table row: survivor counts per cumulative layer prefix."""
 
-    executable: str
-    pv: int
-    after_layer: tuple[int, ...]
-    tp_candidates: int
+    __slots__ = ("executable", "pv", "after_layer", "tp_candidates")
+
+    def __init__(
+        self, executable: str, pv: int, after_layer: tuple[int, ...], tp_candidates: int
+    ) -> None:
+        self.executable = executable
+        self.pv = pv
+        self.after_layer = after_layer
+        self.tp_candidates = tp_candidates
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    tool_version: str
-    digest: str
-    accesses: int
-    potential_violations: int
-    silenced_per_layer: tuple[tuple[int, int], ...]
-    remaining: int
-    rows: tuple[ExecutableRow, ...]
-    waterfall: tuple[WaterfallEntry, ...]
-    verdicts: tuple[Verdict, ...]
-    layer_indices: tuple[int, ...]
-    layer_names: tuple[str, ...]
+class AnalysisReport(Value):
+    __slots__ = (
+        "tool_version",
+        "digest",
+        "accesses",
+        "potential_violations",
+        "silenced_per_layer",
+        "remaining",
+        "rows",
+        "waterfall",
+        "verdicts",
+        "layer_indices",
+        "layer_names",
+    )
+
+    def __init__(
+        self,
+        tool_version: str,
+        digest: str,
+        accesses: int,
+        potential_violations: int,
+        silenced_per_layer: tuple[tuple[int, int], ...],
+        remaining: int,
+        rows: tuple[ExecutableRow, ...],
+        waterfall: tuple[WaterfallEntry, ...],
+        verdicts: tuple[Verdict, ...],
+        layer_indices: tuple[int, ...],
+        layer_names: tuple[str, ...],
+    ) -> None:
+        self.tool_version = tool_version
+        self.digest = digest
+        self.accesses = accesses
+        self.potential_violations = potential_violations
+        self.silenced_per_layer = silenced_per_layer
+        self.remaining = remaining
+        self.rows = rows
+        self.waterfall = waterfall
+        self.verdicts = verdicts
+        self.layer_indices = layer_indices
+        self.layer_names = layer_names
 
 
 def build_report(

@@ -4,6 +4,8 @@ import importlib.util
 import io
 import json
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -664,6 +666,59 @@ class TestReproduceScript:
         src.write_bytes(b"class A { /* caf\xe9 */ }")
         assert repro.main([str(tmp_path), "--stubs", str(STUBS / "jdk.json")]) == 2
         assert capsys.readouterr().err == f"E-PARSE: cannot decode {src} as UTF-8\n"
+
+
+class TestAnonymousMemberType:
+    SOURCE = (
+        "package p;\ninterface I { void f(); }\n"
+        "class A { void m() { I i = new I() { class In { void g() { } } "
+        "public void f() { In x = new In(); x.g(); } }; } }"
+    )
+
+    def test_member_class_of_anonymous_body(self, tmp_path):
+        src = tmp_path / "A.java"
+        src.write_text(self.SOURCE)
+        code, _, err = invoke(RunOptions(source_paths=(src,), stub_paths=(OBJECT_STUB,)))
+        assert (code, err) == (0, "")
+        code, out, err = invoke(
+            RunOptions(
+                source_paths=(src,),
+                stub_paths=(OBJECT_STUB,),
+                mode="explain",
+                site="p.A$anon1#f()@0001",
+            )
+        )
+        assert (code, err) == (0, "")
+        lines = out.decode().splitlines()
+        assert "access: method-call .g" in lines
+        assert "receiver: p.A$anon1$In (expression)" in lines
+
+
+class TestImportGraph:
+    def test_hook_process_imports_no_code_generating_module(self):
+        """A per-file run imports neither ``dataclasses`` nor ``decimal``, nor
+        ``inspect``, which ``dataclasses`` pulls in."""
+        case = load_case("listing3")
+        argv = (
+            case.source_args
+            + [a for p in case.stub_args for a in ("--stubs", p)]
+            + [a for p in STACK for a in ("--config", str(p))]
+            + ["--format", "json"]
+        )
+        src = str(Path(importlib.util.find_spec("demeterlint").origin).parents[1])
+        child = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import demeterlint.cli\n"
+            f"code = demeterlint.cli.main({argv!r})\n"
+            "loaded = [m for m in ('dataclasses', 'inspect', 'decimal') if m in sys.modules]\n"
+            "print(code, loaded, file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=60
+        )
+        assert proc.stderr.splitlines()[-1] == "1 []"
+        assert json.loads(proc.stdout)["totals"]["remaining"] == 2
 
 
 class TestMain:

@@ -65,6 +65,46 @@ def field_member(owner, name, type_name, *, static=False):
     )
 
 
+#: Type references over few names, so that equal names with another kind
+#: or element come up often.
+type_refs = st.recursive(
+    st.builds(
+        TypeRef,
+        st.sampled_from(["p.A", "p.A[]", "int"]),
+        st.sampled_from([TypeKind.DECLARED, TypeKind.PRIMITIVE, TypeKind.UNKNOWN]),
+    ),
+    lambda inner: st.builds(
+        lambda name, element: TypeRef(name, TypeKind.ARRAY, element),
+        st.sampled_from(["p.A", "p.A[]", "int"]),
+        inner,
+    ),
+    max_leaves=4,
+)
+
+
+class TestTypeRefEquality:
+    @given(type_refs, type_refs)
+    def test_equal_exactly_when_fields_are(self, a, b):
+        # b as drawn, and b under a's name, which shares a's hash.
+        for other in (b, TypeRef(a.name, b.kind, b.element)):
+            same = (a.name, a.kind, a.element) == (other.name, other.kind, other.element)
+            assert (a == other) is same
+            assert (a != other) is not same
+            if same:
+                assert hash(a) == hash(other)
+
+    @given(type_refs)
+    def test_rebuilt_reference_is_equal(self, a):
+        b = TypeRef(a.name, a.kind, a.element)
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+
+    @given(type_refs)
+    def test_never_equal_to_a_tuple_or_string(self, a):
+        assert a != (a.name, a.kind, a.element)
+        assert a != a.name
+        assert (a.name, a.kind, a.element) != a and a.name != a
+
+
 class TestParseTypeName:
     def test_plain(self):
         assert parse_type_name("java.awt.Point") == TypeRef("java.awt.Point")

@@ -1,12 +1,11 @@
 """Friend-set computation and the base violation predicate."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, strategies as st
 
 from demeterlint.codemodel import ResolutionMode, TypeRef, TypeTable
 from demeterlint.demeter import (
+    FriendSet,
     MemberExemption,
     base_friend_set,
     detect,
@@ -32,11 +31,12 @@ def enlarged(base, table, types=(), exemptions=()):
     """``base`` with ``types`` granted and ``exemptions`` added, the way an
     adaptation rule enlarges a friend set."""
     types = tuple(types)
-    return replace(
-        base,
-        mask=base.mask | table.closure_mask(types),
-        grants=(("test", types),) if types else (),
-        member_exemptions=tuple(exemptions),
+    return FriendSet(
+        base.table,
+        base.executable,
+        base.mask | table.closure_mask(types),
+        (("test", types),) if types else (),
+        tuple(exemptions),
     )
 
 

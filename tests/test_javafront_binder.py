@@ -240,6 +240,16 @@ class TestSites:
         ex = by_id(exes)["p.A#m()"]
         assert site_kinds(ex) == ["field-write", "field-write", "field-write"]
 
+    def test_member_type_of_anonymous_body_resolves(self):
+        _, exes = front(
+            "package p;\ninterface I { void f(); }\n"
+            "class A { void m() { I i = new I() { class In { void g() { } } "
+            "public void f() { In x = new In(); x.g(); } }; } }"
+        )
+        (site,) = by_id(exes)["p.A$anon1#f()"].body_accesses
+        assert site.member.name == "g"
+        assert site.receiver.static_type == TypeRef("p.A$anon1$In")
+
     def test_call_chain_provenance(self):
         src = (
             "package p;\n"

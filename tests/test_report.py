@@ -1,5 +1,7 @@
 """Report assembly, rendering, and the json round-trip."""
 
+from decimal import ROUND_HALF_UP, Decimal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,24 @@ class TestPct:
     )
     def test_rounding(self, n, d, out):
         assert pct(n, d) == out
+
+    @staticmethod
+    def decimal_pct(numerator: int, denominator: int) -> str:
+        """``pct`` in ``decimal`` arithmetic, the reference for the integer one."""
+        if denominator == 0:
+            return "0.0"
+        scaled = Decimal(numerator * 100) / Decimal(denominator)
+        return str(scaled.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+
+    @pytest.mark.parametrize("n,d", [(1, 16), (3, 16), (1, 400), (0, 0), (10**12, 10**12)])
+    def test_ties_match_decimal(self, n, d):
+        assert pct(n, d) == self.decimal_pct(n, d)
+
+    @settings(max_examples=500)
+    @given(st.integers(0, 10**12).flatmap(lambda d: st.tuples(st.integers(0, d), st.just(d))))
+    def test_matches_decimal(self, pair):
+        n, d = pair
+        assert pct(n, d) == self.decimal_pct(n, d)
 
 
 class TestDigest:
