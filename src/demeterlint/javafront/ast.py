@@ -642,6 +642,7 @@ class TypeDeclNode(Struct):
         "anonymous",
         "anon_supertype",
         "qualified_name",
+        "outer",
     )
 
     def __init__(
@@ -656,6 +657,7 @@ class TypeDeclNode(Struct):
         anonymous: bool = False,
         anon_supertype: Optional[TypeName] = None,
         qualified_name: Optional[str] = None,
+        outer: Optional[str] = None,
     ) -> None:
         self.name = name  # None for anonymous classes until named
         self.kind = kind  # "class" | "interface"
@@ -667,8 +669,10 @@ class TypeDeclNode(Struct):
         self.anonymous = anonymous
         # Supplied by the anonymous-class creation site: the written supertype.
         self.anon_supertype = anon_supertype
-        # Assigned by the parser.
+        # Assigned by the parser; ``outer`` is the qualified name of the type
+        # whose body holds this declaration, None for a top-level type.
         self.qualified_name = qualified_name
+        self.outer = outer
 
 
 class ImportDecl(Struct):

@@ -157,6 +157,10 @@ class _UnitEnv:
     Simple names resolve in the usual order: types declared in this unit,
     then the unit's package, then single-type imports, then on-demand
     imports in declared order (ambiguity is an error), then java.lang.
+    Last come the member types that the unit-wide table leaves out, those
+    declared inside an anonymous class body: a name resolves to one only
+    within the type that declares it, so it is looked up from ``scope``, the
+    type whose text holds the name, outwards.
     """
 
     def __init__(self, unit: ast.CompilationUnit, universe: set[str]):
@@ -178,13 +182,11 @@ class _UnitEnv:
             if node.name and node.qualified_name:
                 self.local_types.setdefault(node.name, node.qualified_name)
             stack.extend(m for m in reversed(node.members) if isinstance(m, ast.TypeDeclNode))
-        # Then the named types inside anonymous class bodies, which the walk
-        # above does not reach; a name it registered keeps its meaning.
-        for node in unit.type_decls:
-            if node.name and not node.anonymous:
-                self.local_types.setdefault(node.name, node.qualified_name)
+        # Each type's enclosing type, and the named types, by qualified name.
+        self.outer = {n.qualified_name: n.outer for n in unit.type_decls}
+        self.named = {n.qualified_name for n in unit.type_decls if not n.anonymous}
 
-    def resolve_simple(self, name: str) -> Optional[str]:
+    def resolve_simple(self, name: str, scope: Optional[str]) -> Optional[str]:
         if name in self.local_types:
             return self.local_types[name]
         candidate = f"{self.package}.{name}" if self.package else name
@@ -204,17 +206,24 @@ class _UnitEnv:
         q = f"java.lang.{name}"
         if q in self.universe:
             return q
+        while scope is not None:
+            q = f"{scope}${name}"
+            if q in self.named:
+                return q
+            scope = self.outer[scope]
         return None
 
     def resolve_type_name(
-        self, tn: ast.TypeName, mode: ResolutionMode, extra_dims: int = 0
+        self, tn: ast.TypeName, scope: Optional[str], mode: ResolutionMode, extra_dims: int = 0
     ) -> TypeRef:
-        ref = self.resolve_base(tn.name, tn.span, mode)
+        ref = self.resolve_base(tn.name, tn.span, scope, mode)
         for _ in range(tn.dims + extra_dims):
             ref = array_of(ref)
         return ref
 
-    def resolve_base(self, name: str, span: ast.Span, mode: ResolutionMode) -> TypeRef:
+    def resolve_base(
+        self, name: str, span: ast.Span, scope: Optional[str], mode: ResolutionMode
+    ) -> TypeRef:
         if name in _PRIM:
             return _PRIM[name]
         try:
@@ -222,7 +231,7 @@ class _UnitEnv:
                 if name in self.universe:
                     return TypeRef(name)
             else:
-                resolved = self.resolve_simple(name)
+                resolved = self.resolve_simple(name, scope)
                 if resolved is not None:
                     return TypeRef(resolved)
         except _Ambiguity as amb:
@@ -288,10 +297,10 @@ def _declare(node: ast.TypeDeclNode, env: _UnitEnv, mode: ResolutionMode) -> Typ
     supers: list[TypeRef] = []
     if node.anonymous:
         assert node.anon_supertype is not None
-        supers.append(env.resolve_type_name(node.anon_supertype, mode))
+        supers.append(env.resolve_type_name(node.anon_supertype, node.outer, mode))
     else:
         for tn in node.extends + node.implements:
-            supers.append(env.resolve_type_name(tn, mode))
+            supers.append(env.resolve_type_name(tn, node.outer, mode))
     members: list[MemberDecl] = []
     is_interface = node.kind == "interface"
     for m in node.members:
@@ -304,14 +313,17 @@ def _declare(node: ast.TypeDeclNode, env: _UnitEnv, mode: ResolutionMode) -> Typ
                         member_kind=MemberKind.FIELD,
                         is_static="static" in m.modifiers or is_interface,
                         visibility="public" if is_interface else _visibility(m.modifiers),
-                        declared_type=env.resolve_type_name(base, mode, extra_dims=d.extra_dims),
+                        declared_type=env.resolve_type_name(
+                            base, owner, mode, extra_dims=d.extra_dims
+                        ),
                         param_types=(),
                         declaring_type=owner,
                     )
                 )
         elif isinstance(m, ast.MethodDecl):
             params = tuple(
-                env.resolve_type_name(p.type, mode, extra_dims=p.extra_dims) for p in m.params
+                env.resolve_type_name(p.type, owner, mode, extra_dims=p.extra_dims)
+                for p in m.params
             )
             if m.is_ctor:
                 members.append(
@@ -333,7 +345,7 @@ def _declare(node: ast.TypeDeclNode, env: _UnitEnv, mode: ResolutionMode) -> Typ
                         member_kind=MemberKind.METHOD,
                         is_static="static" in m.modifiers,
                         visibility="public" if is_interface else _visibility(m.modifiers),
-                        declared_type=env.resolve_type_name(m.ret, mode),
+                        declared_type=env.resolve_type_name(m.ret, owner, mode),
                         param_types=params,
                         declaring_type=owner,
                     )
@@ -435,8 +447,9 @@ class _Extractor:
                     continue
                 sig = ",".join(p.written_type for p in m.params)
                 name = "<init>" if m.is_ctor else m.name
+                resolve = self.env.resolve_type_name
                 params = [
-                    (p.name, self.env.resolve_type_name(p.type, self.mode, extra_dims=p.extra_dims))
+                    (p.name, resolve(p.type, owner.name, self.mode, extra_dims=p.extra_dims))
                     for p in m.params
                 ]
                 ex = self._new_executable(
@@ -622,7 +635,7 @@ class _BodyWalker:
             self.visit_stmt(s.body)
             for c in s.catches:
                 # Caught variables count as parameters of this executable.
-                ptype = self.x.env.resolve_type_name(c.param.type, self.mode)
+                ptype = self.x.env.resolve_type_name(c.param.type, self.owner.name, self.mode)
                 self.ex.params.append((c.param.name, ptype))
                 self.visit_stmt(c.body)
             if s.final is not None:
@@ -636,7 +649,9 @@ class _BodyWalker:
         for d in s.declarators:
             if d.init is not None:
                 self.visit_expr_or_init(d.init)
-            t = self.x.env.resolve_type_name(s.type, self.mode, extra_dims=d.extra_dims)
+            t = self.x.env.resolve_type_name(
+                s.type, self.owner.name, self.mode, extra_dims=d.extra_dims
+            )
             if not self.scopes:
                 self.scopes.append({})
             self.scopes[-1][d.name] = t
@@ -705,7 +720,7 @@ class _BodyWalker:
                     "expression",
                 )
         try:
-            resolved = self.x.env.resolve_simple(name)
+            resolved = self.x.env.resolve_simple(name, self.owner.name)
         except _Ambiguity as amb:
             raise self.err(
                 e.span, f"ambiguous type name '{amb.name}': {' vs '.join(amb.matches)}"
@@ -843,7 +858,7 @@ class _BodyWalker:
 
     def _visit_Cast(self, e: ast.Cast) -> _Value:
         v = self.visit_expr(e.expr)
-        t = self.x.env.resolve_type_name(e.type, self.mode)
+        t = self.x.env.resolve_type_name(e.type, self.owner.name, self.mode)
         if isinstance(e.expr, ast.NameExpr) and self.lookup_param(e.expr.name) is not None:
             if not t.is_primitive:
                 self.ex.downcast_param_types.add(t)
@@ -855,7 +870,7 @@ class _BodyWalker:
             t = TypeRef(e.body.qualified_name)
             self.pending_anons.append((e.body, [self.owner] + self.enclosing_types))
         else:
-            t = self.x.env.resolve_type_name(e.type, self.mode)
+            t = self.x.env.resolve_type_name(e.type, self.owner.name, self.mode)
         if not t.is_primitive:
             self.ex.instantiated_types.add(t)
         for a in e.args:
@@ -863,7 +878,7 @@ class _BodyWalker:
         return _Value(t, (ProvStep("new", t.name, t),), "expression")
 
     def _visit_NewArray(self, e: ast.NewArray) -> _Value:
-        elem = self.x.env.resolve_type_name(e.element, self.mode)
+        elem = self.x.env.resolve_type_name(e.element, self.owner.name, self.mode)
         t = elem
         for _ in e.dim_exprs:
             t = array_of(t)
@@ -921,7 +936,7 @@ class _BodyWalker:
 
     def _visit_InstanceOf(self, e: ast.InstanceOf) -> _Value:
         self.visit_expr(e.expr)
-        self.x.env.resolve_type_name(e.type, self.mode)
+        self.x.env.resolve_type_name(e.type, self.owner.name, self.mode)
         t = _PRIM["boolean"]
         return _Value(t, (ProvStep("literal", "instanceof", t),), "expression")
 

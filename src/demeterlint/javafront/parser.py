@@ -252,6 +252,7 @@ class _Parser:
         """Name and list ``node``, then parse its body into its members;
         ``named`` is the nearest named type's entry (see ``__init__``)."""
         node.qualified_name = qualified_name
+        node.outer = self.outer
         self.types.append(node)
         outer, outer_named = self.outer, self.named
         self.outer, self.named = qualified_name, named

@@ -250,6 +250,57 @@ class TestSites:
         assert site.member.name == "g"
         assert site.receiver.static_type == TypeRef("p.A$anon1$In")
 
+    def test_anonymous_body_member_does_not_hide_a_name_that_resolves(self):
+        # q.Point is imported and p.Box is in the package; the anonymous body
+        # declares a Point and a Box of its own, which the rest of the unit
+        # never means.
+        table, exes = front(
+            "package p;\nimport q.Point;\ninterface I { void f(); }\n"
+            "class A { Point pt; Box bx; void m() { I i = new I() { class Point { } "
+            "class Box { } public void f() { } }; pt.x(); bx.y(); } }",
+            "package q;\npublic class Point { public void x() { } }",
+            "package p;\nclass Box { void y() { } }",
+        )
+        pt, bx, _ = table.get("p.A").members
+        assert (pt.declared_type, bx.declared_type) == (TypeRef("q.Point"), TypeRef("p.Box"))
+        x, y = (s for s in by_id(exes)["p.A#m()"].body_accesses if s.access_kind == "method-call")
+        assert (x.receiver.static_type, y.receiver.static_type) == (
+            TypeRef("q.Point"),
+            TypeRef("p.Box"),
+        )
+
+    def test_each_anonymous_body_names_its_own_member(self):
+        table, exes = front(
+            "package p;\ninterface I { void f(); }\n"
+            "class A { void m() {"
+            " I i = new I() { class In { void g() { } } In k; public void f() { new In().g(); } };"
+            " I j = new I() { class In { void h() { } } public void f() { new In().h(); } };"
+            " } }"
+        )
+        assert table.get("p.A$anon1").members[0].declared_type == TypeRef("p.A$anon1$In")
+        (g,) = by_id(exes)["p.A$anon1#f()"].body_accesses
+        (h,) = by_id(exes)["p.A$anon2#f()"].body_accesses
+        assert (g.member.name, g.receiver.static_type) == ("g", TypeRef("p.A$anon1$In"))
+        assert (h.member.name, h.receiver.static_type) == ("h", TypeRef("p.A$anon2$In"))
+
+    def test_anonymous_body_member_is_not_named_outside_the_body(self):
+        with pytest.raises(BindError) as e:
+            front(
+                "package p;\ninterface I { void f(); }\n"
+                "class A { void m() { I i = new I() { class In { } public void f() { } };"
+                " In x = null; } }"
+            )
+        assert "unknown type 'In'" in str(e.value)
+
+    def test_anonymous_body_member_seen_from_a_nested_anonymous_body(self):
+        _, exes = front(
+            "package p;\ninterface I { void f(); }\n"
+            "class A { void m() { I i = new I() { class In { void g() { } }"
+            " public void f() { I j = new I() { public void f() { new In().g(); } }; } }; } }"
+        )
+        (g,) = by_id(exes)["p.A$anon2#f()"].body_accesses
+        assert g.receiver.static_type == TypeRef("p.A$anon1$In")
+
     def test_call_chain_provenance(self):
         src = (
             "package p;\n"
