@@ -33,6 +33,7 @@ from ..codemodel import (
 from ..records import Struct, Value
 from . import ast
 from .errors import BindError
+from .lexer import line_col
 
 __all__ = [
     "AccessSite",
@@ -154,13 +155,14 @@ class Executable(Struct):
 class _UnitEnv:
     """Type-name resolution for one compilation unit.
 
-    Simple names resolve in the usual order: types declared in this unit,
-    then the unit's package, then single-type imports, then on-demand
-    imports in declared order (ambiguity is an error), then java.lang.
-    Last come the member types that the unit-wide table leaves out, those
-    declared inside an anonymous class body: a name resolves to one only
-    within the type that declares it, so it is looked up from ``scope``, the
-    type whose text holds the name, outwards.
+    Inside an anonymous class body, a simple name first resolves to a
+    member type declared there: the unit-wide table leaves these out, since
+    each is named only within the body that declares it.  So the lookup
+    walks out from ``scope``, the type whose text holds the name, through
+    the anonymous bodies and the types nested in them.  Then simple names
+    resolve in the usual order: types declared in this unit, then the
+    unit's package, then single-type imports, then on-demand imports in
+    declared order (ambiguity is an error), then java.lang.
     """
 
     def __init__(self, unit: ast.CompilationUnit, universe: set[str]):
@@ -174,19 +176,26 @@ class _UnitEnv:
                 self.on_demand.append(imp.name)
             else:
                 self.single[imp.name.rsplit(".", 1)[-1]] = imp.name
-        self.local_types: dict[str, str] = {}
-        # Declared member types in preorder; the first of a simple name wins.
-        stack = unit.types[::-1]
-        while stack:
-            node = stack.pop()
-            if node.name and node.qualified_name:
-                self.local_types.setdefault(node.name, node.qualified_name)
-            stack.extend(m for m in reversed(node.members) if isinstance(m, ast.TypeDeclNode))
-        # Each type's enclosing type, and the named types, by qualified name.
+        # Each type's enclosing type and the named types, by qualified name.
         self.outer = {n.qualified_name: n.outer for n in unit.type_decls}
         self.named = {n.qualified_name for n in unit.type_decls if not n.anonymous}
+        # The types inside an anonymous body, and the others by simple name,
+        # the first in preorder winning; preorder lists a type after the
+        # type that holds it.
+        self.in_anonymous: set[str] = set()
+        self.local_types: dict[str, str] = {}
+        for n in unit.type_decls:
+            if n.anonymous or n.outer in self.in_anonymous:
+                self.in_anonymous.add(n.qualified_name)
+            else:
+                self.local_types.setdefault(n.name, n.qualified_name)
 
     def resolve_simple(self, name: str, scope: Optional[str]) -> Optional[str]:
+        while scope in self.in_anonymous:
+            q = f"{scope}${name}"
+            if q in self.named:
+                return q
+            scope = self.outer[scope]
         if name in self.local_types:
             return self.local_types[name]
         candidate = f"{self.package}.{name}" if self.package else name
@@ -206,23 +215,18 @@ class _UnitEnv:
         q = f"java.lang.{name}"
         if q in self.universe:
             return q
-        while scope is not None:
-            q = f"{scope}${name}"
-            if q in self.named:
-                return q
-            scope = self.outer[scope]
         return None
 
     def resolve_type_name(
         self, tn: ast.TypeName, scope: Optional[str], mode: ResolutionMode, extra_dims: int = 0
     ) -> TypeRef:
-        ref = self.resolve_base(tn.name, tn.span, scope, mode)
+        ref = self.resolve_base(tn.name, tn.pos, scope, mode)
         for _ in range(tn.dims + extra_dims):
             ref = array_of(ref)
         return ref
 
     def resolve_base(
-        self, name: str, span: ast.Span, scope: Optional[str], mode: ResolutionMode
+        self, name: str, pos: int, scope: Optional[str], mode: ResolutionMode
     ) -> TypeRef:
         if name in _PRIM:
             return _PRIM[name]
@@ -235,13 +239,14 @@ class _UnitEnv:
                 if resolved is not None:
                     return TypeRef(resolved)
         except _Ambiguity as amb:
-            raise BindError(
-                span.file, span.line, span.col,
-                f"ambiguous type name '{amb.name}': {' vs '.join(amb.matches)}",
-            ) from None
+            raise self.error(pos, amb.message()) from None
         if mode is ResolutionMode.LENIENT:
             return unknown_type(name)
-        raise BindError(span.file, span.line, span.col, f"unknown type '{name}'")
+        raise self.error(pos, f"unknown type '{name}'")
+
+    def error(self, pos: int, message: str) -> BindError:
+        """An error at offset ``pos`` of this unit."""
+        return BindError(self.unit.file, *line_col(self.unit.line_starts, pos), message)
 
     def is_name_prefix(self, prefix: str) -> bool:
         dotted = prefix + "."
@@ -253,6 +258,9 @@ class _Ambiguity(Exception):
         super().__init__(name)
         self.name = name
         self.matches = matches
+
+    def message(self) -> str:
+        return f"ambiguous type name '{self.name}': {' vs '.join(self.matches)}"
 
 
 # -- table construction -------------------------------------------------------
@@ -367,7 +375,7 @@ def bind_and_extract(
     table: TypeTable,
     mode: ResolutionMode = ResolutionMode.STRICT,
 ) -> list[Executable]:
-    """Extract every executable with its access sites, sorted by (file, span)."""
+    """Extract every executable with its access sites, sorted by position."""
     universe = {d.name for d in table}
     out: list[Executable] = []
     for unit in units:
@@ -404,6 +412,7 @@ class _Extractor:
         self.mode = mode
         self.executables: list[Executable] = []
         self.file = env.unit.file
+        self.line_starts = env.unit.line_starts
 
     # -- executables ------------------------------------------------------
 
@@ -424,7 +433,7 @@ class _Extractor:
                         continue
                     ex = self._new_executable(
                         f"{owner.name}#<field:{d.name}>",
-                        owner, "field-initializer", [], d.span, enclosing_exec,
+                        owner, "field-initializer", [], d.pos, enclosing_exec,
                     )
                     walker = _BodyWalker(self, ex, owner, enclosing_types)
                     walker.visit_expr_or_init(d.init)
@@ -438,7 +447,7 @@ class _Extractor:
                     init_blocks += 1
                     ident = f"{owner.name}#<init-block>[{init_blocks}]"
                     kind = "instance-initializer"
-                ex = self._new_executable(ident, owner, kind, [], m.span, enclosing_exec)
+                ex = self._new_executable(ident, owner, kind, [], m.pos, enclosing_exec)
                 walker = _BodyWalker(self, ex, owner, enclosing_types)
                 walker.visit_stmt(m.body)
                 walker.finish()
@@ -457,7 +466,7 @@ class _Extractor:
                     owner,
                     "constructor" if m.is_ctor else "method",
                     params,
-                    m.span,
+                    m.pos,
                     enclosing_exec,
                 )
                 walker = _BodyWalker(self, ex, owner, enclosing_types)
@@ -472,18 +481,19 @@ class _Extractor:
         owner: TypeRef,
         kind: str,
         params: list[tuple[str, TypeRef]],
-        span: ast.Span,
+        pos: int,
         enclosing_exec: Optional[str],
     ) -> Executable:
+        line, col = line_col(self.line_starts, pos)
         ex = Executable(
             id=ident,
             owner_type=owner,
             exec_kind=kind,
             params=params,
             enclosing_executable=enclosing_exec,
-            file=span.file,
-            line=span.line,
-            col=span.col,
+            file=self.file,
+            line=line,
+            col=col,
         )
         self.executables.append(ex)
         return ex
@@ -522,8 +532,8 @@ class _BodyWalker:
     def mode(self) -> ResolutionMode:
         return self.x.mode
 
-    def err(self, span: ast.Span, message: str) -> BindError:
-        return BindError(span.file, span.line, span.col, message)
+    def err(self, pos: int, message: str) -> BindError:
+        return self.x.env.error(pos, message)
 
     def try_member(self, receiver: TypeRef, name: str, arity: int | None) -> MemberDecl | None:
         try:
@@ -532,34 +542,35 @@ class _BodyWalker:
             return None
 
     def member_or_err(
-        self, receiver: TypeRef, name: str, arity: int | None, span: ast.Span
+        self, receiver: TypeRef, name: str, arity: int | None, pos: int
     ) -> MemberDecl:
         if receiver.kind is TypeKind.PRIMITIVE:
-            raise self.err(span, f"member access on primitive type '{receiver.name}'")
+            raise self.err(pos, f"member access on primitive type '{receiver.name}'")
         if receiver.kind is TypeKind.ARRAY:
             receiver = OBJECT  # arrays expose only Object members beyond length
         try:
             return self.table.resolve_member(receiver, name, arity, self.mode)
         except MemberResolutionError:
             shown = name if arity is None else f"{name}({arity} args)"
-            raise self.err(span, f"no member {shown} on type {receiver.name}") from None
+            raise self.err(pos, f"no member {shown} on type {receiver.name}") from None
 
     def emit(
         self,
         access_kind: str,
         receiver: ReceiverDesc,
         member: MemberDecl,
-        span: ast.Span,
+        pos: int,
     ) -> AccessSite:
         self.ordinal += 1
+        line, col = line_col(self.x.line_starts, pos)
         site = AccessSite(
             site_id=f"{self.ex.id}@{self.ordinal:04d}",
             access_kind=access_kind,
             receiver=receiver,
             member=member,
-            file=span.file,
-            line=span.line,
-            col=span.col,
+            file=self.x.file,
+            line=line,
+            col=col,
         )
         self.ex.body_accesses.append(site)
         return site
@@ -700,10 +711,10 @@ class _BodyWalker:
         t = self.lookup_param(name)
         if t is not None:
             return _Value(t, (ProvStep("parameter", name, t),), "expression")
-        member = self.try_member_visible(self.owner, name, None)
+        member = self.try_member(self.owner, name, None)
         if member is not None:
             recv = ReceiverDesc("this-implicit", self.owner, ())
-            self.emit("field-read", recv, member, e.span)
+            self.emit("field-read", recv, member, e.pos)
             return _Value(
                 member.declared_type,
                 (ProvStep("field", name, member.declared_type),),
@@ -713,7 +724,7 @@ class _BodyWalker:
             member = self.try_member(outer, name, None)
             if member is not None:
                 recv = ReceiverDesc("outer-instance", outer, ())
-                self.emit("field-read", recv, member, e.span)
+                self.emit("field-read", recv, member, e.pos)
                 return _Value(
                     member.declared_type,
                     (ProvStep("field", name, member.declared_type),),
@@ -722,19 +733,14 @@ class _BodyWalker:
         try:
             resolved = self.x.env.resolve_simple(name, self.owner.name)
         except _Ambiguity as amb:
-            raise self.err(
-                e.span, f"ambiguous type name '{amb.name}': {' vs '.join(amb.matches)}"
-            ) from None
+            raise self.err(e.pos, amb.message()) from None
         if resolved is not None:
             return _Value(TypeRef(resolved), (), "type-name")
         if self.x.env.is_name_prefix(name):
             return _Value(OBJECT, (), "name-prefix", label=name)
         if self.mode is ResolutionMode.LENIENT:
             return self._unknown_value(name)
-        raise self.err(e.span, f"cannot resolve name '{name}'")
-
-    def try_member_visible(self, receiver: TypeRef, name: str, arity: int | None):
-        return self.try_member(receiver, name, arity)
+        raise self.err(e.pos, f"cannot resolve name '{name}'")
 
     def _visit_FieldAccess(self, e: ast.FieldAccess) -> _Value:
         v = self.visit_expr(e.target)
@@ -746,7 +752,7 @@ class _BodyWalker:
                 return _Value(OBJECT, (), "name-prefix", label=extended)
             if self.mode is ResolutionMode.LENIENT:
                 return self._unknown_value(extended)
-            raise self.err(e.span, f"cannot resolve name '{extended}'")
+            raise self.err(e.pos, f"cannot resolve name '{extended}'")
         if v.type.kind is TypeKind.ARRAY and e.name == "length":
             member = MemberDecl(
                 name="length",
@@ -758,18 +764,18 @@ class _BodyWalker:
                 declaring_type=v.type.name,
             )
             form = v.form if v.form in ("this-explicit",) else "expression"
-            self.emit("array-length", ReceiverDesc(form, v.type, v.chain), member, e.span)
+            self.emit("array-length", ReceiverDesc(form, v.type, v.chain), member, e.pos)
             return _Value(_PRIM["int"], (ProvStep("field", "length", _PRIM["int"]),), "expression")
-        member = self.member_or_err(v.type, e.name, None, e.span)
+        member = self.member_or_err(v.type, e.name, None, e.pos)
         if v.form == "type-name":
-            self.emit("static-member-access", ReceiverDesc("type-name", v.type, ()), member, e.span)
+            self.emit("static-member-access", ReceiverDesc("type-name", v.type, ()), member, e.pos)
             return _Value(
                 member.declared_type,
                 (ProvStep("static-member", e.name, member.declared_type),),
                 "expression",
             )
         form = "this-explicit" if v.form == "this-explicit" else "expression"
-        self.emit("field-read", ReceiverDesc(form, v.type, v.chain), member, e.span)
+        self.emit("field-read", ReceiverDesc(form, v.type, v.chain), member, e.pos)
         return _Value(
             member.declared_type,
             v.chain + (ProvStep("field", e.name, member.declared_type),),
@@ -779,16 +785,16 @@ class _BodyWalker:
     def _visit_MethodCall(self, e: ast.MethodCall) -> _Value:
         arity = len(e.args)
         if e.target is None:
-            member = self.try_member_visible(self.owner, e.name, arity)
+            member = self.try_member(self.owner, e.name, arity)
             if member is not None:
                 recv = ReceiverDesc("this-implicit", self.owner, ())
-                site = self.emit("method-call", recv, member, e.span)
+                site = self.emit("method-call", recv, member, e.pos)
             else:
                 for outer in self.enclosing_types:
                     member = self.try_member(outer, e.name, arity)
                     if member is not None:
                         recv = ReceiverDesc("outer-instance", outer, ())
-                        site = self.emit("method-call", recv, member, e.span)
+                        site = self.emit("method-call", recv, member, e.pos)
                         break
                 else:
                     if self.mode is ResolutionMode.LENIENT:
@@ -796,10 +802,10 @@ class _BodyWalker:
                             self.owner, e.name, arity, ResolutionMode.LENIENT
                         )
                         recv = ReceiverDesc("this-implicit", self.owner, ())
-                        site = self.emit("method-call", recv, member, e.span)
+                        site = self.emit("method-call", recv, member, e.pos)
                     else:
                         raise self.err(
-                            e.span, f"cannot resolve method '{e.name}' ({arity} args)"
+                            e.pos, f"cannot resolve method '{e.name}' ({arity} args)"
                         )
             site.arg_types = tuple(self.visit_expr(a).type for a in e.args)
             ret = member.declared_type
@@ -809,11 +815,11 @@ class _BodyWalker:
             if self.mode is ResolutionMode.LENIENT:
                 v = self._unknown_value(v.label)
             else:
-                raise self.err(e.span, f"cannot resolve name '{v.label}'")
-        member = self.member_or_err(v.type, e.name, arity, e.span)
+                raise self.err(e.pos, f"cannot resolve name '{v.label}'")
+        member = self.member_or_err(v.type, e.name, arity, e.pos)
         if v.form == "type-name":
             site = self.emit(
-                "static-member-access", ReceiverDesc("type-name", v.type, ()), member, e.span
+                "static-member-access", ReceiverDesc("type-name", v.type, ()), member, e.pos
             )
             result_chain: tuple[ProvStep, ...] = (
                 ProvStep("static-member", e.name, member.declared_type),
@@ -821,7 +827,7 @@ class _BodyWalker:
         else:
             form = "this-explicit" if v.form == "this-explicit" else "expression"
             site = self.emit(
-                "method-call", ReceiverDesc(form, v.type, v.chain), member, e.span
+                "method-call", ReceiverDesc(form, v.type, v.chain), member, e.pos
             )
             result_chain = v.chain + (ProvStep("call", e.name, member.declared_type),)
         site.arg_types = tuple(self.visit_expr(a).type for a in e.args)
@@ -830,9 +836,9 @@ class _BodyWalker:
     def _visit_SuperMember(self, e: ast.SuperMember) -> _Value:
         sup = self.direct_superclass()
         arity = None if e.args is None else len(e.args)
-        member = self.member_or_err(sup, e.name, arity, e.span)
+        member = self.member_or_err(sup, e.name, arity, e.pos)
         kind = "field-read" if e.args is None else "method-call"
-        site = self.emit(kind, ReceiverDesc("super", sup, ()), member, e.span)
+        site = self.emit(kind, ReceiverDesc("super", sup, ()), member, e.pos)
         if e.args is not None:
             site.arg_types = tuple(self.visit_expr(a).type for a in e.args)
             return _Value(
@@ -901,7 +907,7 @@ class _BodyWalker:
             return _Value(v.type.element, v.chain, "expression")
         if v.type.kind is TypeKind.UNKNOWN or self.mode is ResolutionMode.LENIENT:
             return _Value(unknown_type(f"{v.type.name}[?]"), v.chain, "expression")
-        raise self.err(e.span, f"array access on non-array type {v.type.name}")
+        raise self.err(e.pos, f"array access on non-array type {v.type.name}")
 
     def _visit_Unary(self, e: ast.Unary) -> _Value:
         if e.op in ("++", "--"):
@@ -968,7 +974,7 @@ class _BodyWalker:
             member = self.try_member(self.owner, name, None)
             if member is not None:
                 recv = ReceiverDesc("this-implicit", self.owner, ())
-                self.emit("field-write", recv, member, target.span)
+                self.emit("field-write", recv, member, target.pos)
                 return _Value(
                     member.declared_type,
                     (ProvStep("field", name, member.declared_type),),
@@ -978,7 +984,7 @@ class _BodyWalker:
                 member = self.try_member(outer, name, None)
                 if member is not None:
                     recv = ReceiverDesc("outer-instance", outer, ())
-                    self.emit("field-write", recv, member, target.span)
+                    self.emit("field-write", recv, member, target.pos)
                     return _Value(
                         member.declared_type,
                         (ProvStep("field", name, member.declared_type),),
@@ -986,22 +992,22 @@ class _BodyWalker:
                     )
             if self.mode is ResolutionMode.LENIENT:
                 return self._unknown_value(name)
-            raise self.err(target.span, f"cannot resolve name '{name}'")
+            raise self.err(target.pos, f"cannot resolve name '{name}'")
         if isinstance(target, ast.FieldAccess):
             v = self.visit_expr(target.target)
             if v.form == "name-prefix":
                 if self.mode is ResolutionMode.LENIENT:
                     v = self._unknown_value(v.label)
                 else:
-                    raise self.err(target.span, f"cannot resolve name '{v.label}'")
-            member = self.member_or_err(v.type, target.name, None, target.span)
+                    raise self.err(target.pos, f"cannot resolve name '{v.label}'")
+            member = self.member_or_err(v.type, target.name, None, target.pos)
             if v.form == "type-name":
                 self.emit(
-                    "static-member-access", ReceiverDesc("type-name", v.type, ()), member, target.span
+                    "static-member-access", ReceiverDesc("type-name", v.type, ()), member, target.pos
                 )
             else:
                 form = "this-explicit" if v.form == "this-explicit" else "expression"
-                self.emit("field-write", ReceiverDesc(form, v.type, v.chain), member, target.span)
+                self.emit("field-write", ReceiverDesc(form, v.type, v.chain), member, target.pos)
             return _Value(
                 member.declared_type,
                 v.chain + (ProvStep("field", target.name, member.declared_type),),

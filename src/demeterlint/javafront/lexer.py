@@ -1,21 +1,28 @@
 """Tokenizer for the analyzed Java subset (pre-generics, pre-assert).
 
-One master regular expression scans the text; each match is one token, one
-run of whitespace or one comment.  Lines are counted from the newlines in
-whitespace and block comments, the only matches that can hold one, and a
-column is the offset from the start of its line.
+Tokens come out as parallel columns of kinds, texts and character offsets,
+built in C with no Python frame per token.  One ``findall`` splits the text
+into (skip, token) pairs, whitespace and comments then a token; the empty
+match at the end of the text is the EOF token.  A token's offset is the
+running sum of the pair lengths up to its own skip.  Its kind is looked up
+by its text (keywords, operators) or else by its first character.  Only
+number literals, tokens that start with a non-ASCII character and error
+tokens are left without one; a loop over them, in text order, classifies
+them or raises.  ``line_col`` decodes an offset where a position is shown.
 """
 
 from __future__ import annotations
 
 import re
-from enum import Enum
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate, chain, islice
+from operator import itemgetter
 
-from ..records import Value
+from ..records import Struct
 from .errors import ParseError
 
-__all__ = ["Kind", "Token", "tokenize", "KEYWORDS"]
+__all__ = ["Kind", "KEYWORDS", "Lexed", "line_col", "line_starts", "tokenize"]
 
 KEYWORDS = frozenset(
     """
@@ -38,7 +45,9 @@ _OPERATORS = [
 ]
 
 
-class Kind(Enum):
+class Kind:
+    """Token kinds; a literal's kind is the name of its type."""
+
     IDENT = "ident"
     KEYWORD = "keyword"
     INT = "int"
@@ -51,43 +60,60 @@ class Kind(Enum):
     EOF = "eof"
 
 
-class Token(Value):
-    __slots__ = ("kind", "text", "line", "col")
+class Lexed(Struct):
+    """The tokens of one text as parallel columns, ending with EOF."""
 
-    def __init__(self, kind: Kind, text: str, line: int, col: int) -> None:
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+    __slots__ = ("kinds", "texts", "offsets")
+
+    def __init__(self, kinds: list[str], texts: list[str], offsets: list[int]) -> None:
+        self.kinds = kinds
+        self.texts = texts
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self.texts)
 
 
-# Alternatives in priority order; the first that matches at a position wins.
-# {A}, {W} and {D} are the identifier-start, identifier-part and digit
-# classes.  A regex class such as \w or \d differs from the str predicates
-# that define them (\d misses '²', which str.isdigit admits), so the classes
-# list their characters: ASCII, plus the non-ASCII ones of the text at hand.
+# Two groups: what is skipped, then the token.  Token alternatives are in
+# priority order; the first that matches wins.  {A}, {W} and {D} are the
+# identifier-start, identifier-part and digit classes.  A regex class such
+# as \w or \d differs from the str predicates that define them (\d misses
+# '²', which str.isdigit admits), so the classes list their characters:
+# ASCII, plus the non-ASCII ones of the text at hand.  A lone "/*", "'" or
+# '"' and the catch-all last character are error tokens.
 _PATTERN = r"""
- (?P<space>[ \t\r\n\f]+)
-|(?P<comment>//[^\n]*|/\*(?s:.)*?\*/)
-|(?P<open_comment>/\*)
-|(?P<word>[{A}][{W}]*)
-|(?P<hex>0[xX][{D}a-fA-F]*)(?P<hex_suffix>[lL])?
-|(?P<number>(?:[{D}]+(?P<point>\.(?!\.)[{D}]*)?|(?P<lead>\.)[{D}]+)(?P<exponent>[eE][+-]?[{D}]+)?)
-   (?P<suffix>[lLfFdD])?
-|(?P<char>'(?:[^'\\\n]|\\[^\n])*')
-|(?P<open_char>')
-|(?P<string>"(?:[^"\\\n]|\\[^\n])*")
-|(?P<open_string>")
-|(?P<punct>{OPS})
-|(?P<bad>(?s:.))
+ ((?:[ \t\r\n\f]+|//[^\n]*|/\*(?s:.)*?\*/)*)
+ (/\*
+ |[{A}][{W}]*
+ |0[xX][{D}a-fA-F]*[lL]?
+ |(?:[{D}]+(?:\.(?!\.)[{D}]*)?|\.[{D}]+)(?:[eE][+-]?[{D}]+)?[lLfFdD]?
+ |'(?:[^'\\\n]|\\[^\n])*'
+ |"(?:[^"\\\n]|\\[^\n])*"
+ |{OPS}
+ |(?s:.)
+ |\Z)
 """
 
-_SUFFIX_KINDS = {"l": Kind.LONG, "f": Kind.FLOAT, "d": Kind.DOUBLE}
-_UNTERMINATED = {
-    "open_comment": "unterminated comment",
-    "open_char": "unterminated character literal",
-    "open_string": "unterminated string literal",
+#: Kind by token text: keywords and operators.  An error token that starts
+#: like a literal maps to None, to be classified with the numbers.
+_KIND_BY_TEXT: dict[str, str | None] = {
+    **dict.fromkeys(KEYWORDS, Kind.KEYWORD),
+    **dict.fromkeys(_OPERATORS, Kind.PUNCT),
+    "'": None,
+    '"': None,
 }
+#: Kind by first character, for the texts the table above does not list.
+_KIND_BY_START: dict[str, str] = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$", Kind.IDENT),
+    "'": Kind.CHAR,
+    '"': Kind.STRING,
+}
+_ERRORS = {
+    "/*": "unterminated comment",
+    "'": "unterminated character literal",
+    '"': "unterminated string literal",
+}
+_SUFFIX_KINDS = {"l": Kind.LONG, "f": Kind.FLOAT, "d": Kind.DOUBLE}
 
 
 @lru_cache(maxsize=64)
@@ -106,54 +132,55 @@ def _scanner(extra: str) -> re.Pattern:
     )
 
 
-def tokenize(text: str, file_name: str) -> list[Token]:
+def tokenize(text: str, file_name: str) -> Lexed:
     """The tokens of ``text``, ending with one EOF token; raises ParseError."""
     extra = "" if text.isascii() else "".join(sorted(c for c in set(text) if not c.isascii()))
-    tokens: list[Token] = []
-    append = tokens.append
-    line = 1
-    line_start = 0  # offset of the first character of the current line
-    ident, keyword, punct = Kind.IDENT, Kind.KEYWORD, Kind.PUNCT
-    for m in _scanner(extra).finditer(text):
-        group = m.lastgroup
-        if group == "word":
-            word = m.group()
-            kind = keyword if word in KEYWORDS else ident
-            append(Token(kind, word, line, m.start() - line_start + 1))
-        elif group == "punct":
-            append(Token(punct, m.group(), line, m.start() - line_start + 1))
-        elif group == "space" or group == "comment":
-            newlines = m.group().count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + m.group().rindex("\n") + 1
-        else:
-            append(_literal(m, file_name, line, m.start() - line_start + 1))
-    append(Token(Kind.EOF, "", line, len(text) - line_start + 1))
-    return tokens
+    pairs = _scanner(extra).findall(text)
+    # The end of the text always yields an empty last pair; after a
+    # trailing skip, the pair that holds the skip is the EOF token instead.
+    if len(pairs) > 1 and not pairs[-2][1]:
+        pairs.pop()
+    texts = list(map(itemgetter(1), pairs))
+    offsets = list(islice(accumulate(map(len, chain.from_iterable(pairs))), 0, None, 2))
+    # map stops at the shorter input, before the EOF token, which has no
+    # first character.
+    firsts = map(itemgetter(0), islice(texts, len(texts) - 1))
+    kinds = list(map(_KIND_BY_TEXT.get, texts, map(_KIND_BY_START.get, firsts)))
+    kinds.append(Kind.EOF)
+    i = -1
+    for _ in range(kinds.count(None)):
+        i = kinds.index(None, i + 1)
+        kinds[i] = _classify(texts[i], text, offsets[i], file_name)
+    return Lexed(kinds, texts, offsets)
 
 
-def _literal(m: re.Match, file_name: str, line: int, col: int) -> Token:
-    """A number, char or string token, or the error the match stands for."""
-    group = m.lastgroup
-    text = m.group()
-    if group == "number" or group == "hex_suffix" or group == "suffix":
-        suffix = m.group("hex_suffix") or m.group("suffix")
-        is_float = group != "hex_suffix" and (
-            m.group("point") or m.group("lead") or m.group("exponent")
-        )
-        if suffix is None:
-            return Token(Kind.DOUBLE if is_float else Kind.INT, text, line, col)
-        kind = _SUFFIX_KINDS[suffix.lower()]
-        if kind is Kind.LONG and is_float:
-            raise ParseError(file_name, line, col, "long suffix on a fractional literal")
-        return Token(kind, text, line, col)
-    if group == "hex":
-        return Token(Kind.INT, text, line, col)
-    if group == "char":
-        return Token(Kind.CHAR, text, line, col)
-    if group == "string":
-        return Token(Kind.STRING, text, line, col)
-    if group in _UNTERMINATED:
-        raise ParseError(file_name, line, col, _UNTERMINATED[group])
-    raise ParseError(file_name, line, col, f"unexpected character {text!r}")
+def _classify(token: str, text: str, offset: int, file_name: str) -> str:
+    """The kind of a number literal or of a non-ASCII identifier; raises
+    the ParseError that an error token stands for."""
+    first = token[0]
+    if first.isdigit() or first == ".":
+        if token[:2] in ("0x", "0X"):
+            return Kind.LONG if token[-1] in "lL" else Kind.INT
+        is_float = "." in token or "e" in token or "E" in token
+        kind = _SUFFIX_KINDS.get(token[-1].lower(), Kind.DOUBLE if is_float else Kind.INT)
+        if kind is not Kind.LONG or not is_float:
+            return kind
+        message = "long suffix on a fractional literal"
+    elif first.isalpha():
+        return Kind.IDENT
+    else:
+        message = _ERRORS.get(token) or f"unexpected character {token!r}"
+    raise ParseError(file_name, *line_col(line_starts(text), offset), message)
+
+
+def line_starts(text: str) -> list[int]:
+    """The offset of the first character of each line of ``text``."""
+    starts = list(accumulate(map((1).__add__, map(len, text.split("\n"))), initial=0))
+    starts.pop()  # one past the end of the text
+    return starts
+
+
+def line_col(starts: list[int], offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset``, given its text's line starts."""
+    line = bisect_right(starts, offset)
+    return line, offset - starts[line - 1] + 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from . import ast
 from .errors import ParseError
-from .lexer import Kind, Token, tokenize
+from .lexer import Kind, Lexed, line_col, line_starts, tokenize
 
 __all__ = ["parse_unit"]
 
@@ -63,33 +63,33 @@ _LEVELS: list[tuple[str, ...]] = [
 ]
 _PRECEDENCE = {op: level for level, ops in enumerate(_LEVELS) for op in ops}
 
-#: Punctuators and keywords: the tokens the grammar names by their text.
-_FIXED_KINDS = (Kind.PUNCT, Kind.KEYWORD)
 
-_LITERAL_KINDS = {
-    Kind.INT: "int",
-    Kind.LONG: "long",
-    Kind.FLOAT: "float",
-    Kind.DOUBLE: "double",
-    Kind.CHAR: "char",
-    Kind.STRING: "string",
-}
+#: Literal token kinds; each is also the name of the literal's type.
+_LITERAL_KINDS = frozenset(
+    {Kind.INT, Kind.LONG, Kind.FLOAT, Kind.DOUBLE, Kind.CHAR, Kind.STRING}
+)
+
+IDENT, KEYWORD, PUNCT, EOF = Kind.IDENT, Kind.KEYWORD, Kind.PUNCT, Kind.EOF
 
 
 def parse_unit(source_text: str, file_name: str) -> ast.CompilationUnit:
     """Parse one compilation unit; raises ParseError outside the dialect."""
-    parser = _Parser(tokenize(source_text, file_name), file_name)
+    tokens = tokenize(source_text, file_name)
+    parser = _Parser(tokens, line_starts(source_text), file_name)
     try:
         return parser.unit()
     except RecursionError:
-        t = parser.toks[parser.pos]
-        raise ParseError(file_name, t.line, t.col, "nesting too deep to parse") from None
+        raise parser.error("nesting too deep to parse") from None
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file_name: str):
-        self.toks = tokens
-        self.pos = 0
+    def __init__(self, tokens: Lexed, starts: list[int], file_name: str):
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.offsets = tokens.offsets
+        self.last = len(tokens) - 1  # the EOF token
+        self.i = 0
+        self.starts = starts
         self.file = file_name
         # Type declarations in preorder, the package prefix of their names,
         # the innermost enclosing type's qualified name, and the nearest
@@ -100,48 +100,53 @@ class _Parser:
         self.named: list | None = None
 
     # -- token plumbing ----------------------------------------------------
-    # ``pos`` never moves past the EOF token, so ``toks[pos]`` is always the
-    # current token; only lookahead (``k`` > 0) needs clamping.
+    # ``i`` never moves past the EOF token, so ``texts[i]`` is always the
+    # current token; only lookahead (``k`` > 0) needs clamping.  The grammar
+    # names keywords and operators by their text alone: no identifier or
+    # literal has the text of one, and EOF's text is empty.
 
-    def peek(self, k: int) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+    def peek(self, k: int) -> int:
+        return min(self.i + k, self.last)
+
+    def here(self) -> int:
+        return self.offsets[self.i]
 
     def at(self, text: str, k: int = 0) -> bool:
-        t = self.peek(k) if k else self.toks[self.pos]
-        return t.text == text and t.kind in _FIXED_KINDS
+        return self.texts[self.peek(k) if k else self.i] == text
 
     def at_ident(self, k: int = 0) -> bool:
-        t = self.peek(k) if k else self.toks[self.pos]
-        return t.kind is Kind.IDENT
+        return self.kinds[self.peek(k) if k else self.i] is IDENT
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind is not Kind.EOF:
-            self.pos += 1
-        return t
+    def next(self) -> int:
+        """Consume the current token, unless it is EOF; return its offset."""
+        i = self.i
+        if self.texts[i]:  # not EOF
+            self.i = i + 1
+        return self.offsets[i]
 
-    def accept(self, text: str) -> Token | None:
-        t = self.toks[self.pos]
-        if t.text == text and t.kind in _FIXED_KINDS:
-            self.pos += 1  # never EOF: its text is empty
-            return t
-        return None
+    def accept(self, text: str) -> bool:
+        if self.texts[self.i] == text:
+            self.i += 1
+            return True
+        return False
 
-    def expect(self, text: str, context: str) -> Token:
-        t = self.toks[self.pos]
-        if t.text == text and t.kind in _FIXED_KINDS:
-            self.pos += 1
-            return t
-        got = t.text or "end of file"
-        raise ParseError(self.file, t.line, t.col, f"expected '{text}' {context}, got '{got}'")
+    def expect(self, text: str, context: str) -> int:
+        """Consume ``text`` and return its offset."""
+        i = self.i
+        if self.texts[i] == text:
+            self.i = i + 1
+            return self.offsets[i]
+        got = self.texts[i] or "end of file"
+        raise self.error(f"expected '{text}' {context}, got '{got}'")
 
-    def span(self, tok: Token | None = None) -> ast.Span:
-        t = tok or self.toks[self.pos]
-        return ast.Span(self.file, t.line, t.col)
+    def error(self, message: str, offset: int | None = None) -> ParseError:
+        """An error at ``offset``, by default the current token's."""
+        if offset is None:
+            offset = self.offsets[self.i]
+        return ParseError(self.file, *line_col(self.starts, offset), message)
 
-    def fail(self, construct: str, tok: Token | None = None) -> ParseError:
-        t = tok or self.toks[self.pos]
-        return ParseError(self.file, t.line, t.col, f"{construct} is outside the analyzed dialect")
+    def fail(self, construct: str, offset: int | None = None) -> ParseError:
+        return self.error(f"{construct} is outside the analyzed dialect", offset)
 
     # -- unit and declarations ---------------------------------------------
 
@@ -155,70 +160,62 @@ class _Parser:
         imports: list[ast.ImportDecl] = []
         while self.at("import"):
             start = self.next()
-            name = self.ident("after import").text
+            name = self.ident("after import")
             on_demand = False
             while self.accept("."):
                 if self.accept("*"):
                     on_demand = True
                     break
-                name += "." + self.ident("in import name").text
+                name += "." + self.ident("in import name")
             self.expect(";", "after import declaration")
-            imports.append(ast.ImportDecl(name, on_demand, self.span(start)))
+            imports.append(ast.ImportDecl(name, on_demand, start))
         types: list[ast.TypeDeclNode] = []
-        while self.toks[self.pos].kind is not Kind.EOF:
+        while self.kinds[self.i] is not EOF:
             if self.accept(";"):
                 continue
             types.append(self.type_decl())
-        return ast.CompilationUnit(package, imports, types, self.file, self.types)
+        return ast.CompilationUnit(package, imports, types, self.file, self.types, self.starts)
 
     def qualified_name(self, context: str) -> str:
-        name = self.ident(context).text
+        name = self.ident(context)
         while self.at(".") and self.at_ident(1):
             self.next()
-            name += "." + self.next().text
+            name += "." + self.ident(context)
         return name
 
-    def ident(self, context: str) -> Token:
-        t = self.toks[self.pos]
-        if t.kind is not Kind.IDENT:
-            if t.text == "@":
+    def ident(self, context: str) -> str:
+        i = self.i
+        text = self.texts[i]
+        if self.kinds[i] is not IDENT:
+            if text == "@":
                 raise self.fail("annotation")
-            raise ParseError(
-                self.file, t.line, t.col, f"expected identifier {context}, got '{t.text or 'eof'}'"
-            )
-        self.pos += 1
-        return t
+            raise self.error(f"expected identifier {context}, got '{text or 'eof'}'")
+        self.i = i + 1
+        return text
 
     def modifiers(self) -> list[str]:
         mods: list[str] = []
         while True:
-            t = self.toks[self.pos]
-            if t.kind is Kind.KEYWORD and t.text in MODIFIER_WORDS:
+            text = self.texts[self.i]
+            if text in MODIFIER_WORDS:
                 # 'static {' and 'synchronized (' open blocks, not modifiers
-                if t.text == "static" and self.at("{", 1):
+                if text == "static" and self.at("{", 1):
                     return mods
-                mods.append(self.next().text)
-            elif t.text == "@":
+                mods.append(text)
+                self.next()
+            elif text == "@":
                 raise self.fail("annotation")
             else:
                 return mods
 
     def type_decl(self) -> ast.TypeDeclNode:
         mods = self.modifiers()
-        start = self.toks[self.pos]
-        if self.at("class"):
-            kind = "class"
-        elif self.at("interface"):
-            kind = "interface"
-        else:
-            raise ParseError(
-                self.file,
-                start.line,
-                start.col,
-                f"expected a type declaration, got '{start.text or 'eof'}'",
-            )
+        start = self.here()
+        kind = self.texts[self.i]
+        if kind != "class" and kind != "interface":
+            raise self.error(f"expected a type declaration, got '{kind or 'eof'}'")
         self.next()
-        name = self.ident("after 'class'" if kind == "class" else "after 'interface'").text
+        name = self.ident("after 'class'" if kind == "class" else "after 'interface'")
         if self.at("<"):
             raise self.fail("generic type declaration")
         extends: list[ast.TypeName] = []
@@ -242,7 +239,7 @@ class _Parser:
             extends=extends,
             implements=implements,
             members=[],
-            span=self.span(start),
+            pos=start,
         )
         qualified_name = self.prefix + name if self.outer is None else f"{self.outer}${name}"
         self.type_body(node, qualified_name, [qualified_name, 0])
@@ -263,9 +260,8 @@ class _Parser:
         self.expect("{", "to open the type body")
         members: list = []
         while not self.at("}"):
-            t = self.toks[self.pos]
-            if t.kind is Kind.EOF:
-                raise ParseError(self.file, t.line, t.col, "unclosed type body")
+            if self.kinds[self.i] is EOF:
+                raise self.error("unclosed type body")
             if self.accept(";"):
                 continue
             members.append(self.member(type_name))
@@ -273,29 +269,29 @@ class _Parser:
         return members
 
     def member(self, type_name: str | None):
-        start = self.toks[self.pos]
-        start_pos = self.pos
+        start_i = self.i
+        start = self.here()
         # initializer blocks: '{' or 'static {'
         if self.at("{"):
-            return ast.InitBlock(False, self.block(), self.span(start))
+            return ast.InitBlock(False, self.block(), start)
         if self.at("static") and self.at("{", 1):
             self.next()
-            return ast.InitBlock(True, self.block(), self.span(start))
+            return ast.InitBlock(True, self.block(), start)
         mods = self.modifiers()
-        t = self.toks[self.pos]
-        if t.kind is Kind.KEYWORD and (t.text == "class" or t.text == "interface"):
-            self.pos = start_pos
+        text = self.texts[self.i]
+        if text == "class" or text == "interface":
+            self.i = start_i
             return self.type_decl()
         # constructor: Name '(' where Name is the declared type's simple name
-        if t.kind is Kind.IDENT and t.text == type_name and self.at("(", 1):
-            name_tok = self.next()
+        if text == type_name and self.at("(", 1):
+            self.next()
             params = self.param_list()
             self.skip_throws()
             body = self.block() if self.at("{") else self.no_body("constructor")
-            return ast.MethodDecl(mods, None, name_tok.text, params, body, True, self.span(start))
+            return ast.MethodDecl(mods, None, text, params, body, True, start)
         ret = self.type_name("as a member type", allow_void=True)
-        name_tok = self.ident("as the member name")
-        if self.at("("):
+        if self.at("(", 1):
+            name = self.ident("as the member name")
             params = self.param_list()
             self.skip_throws()
             if self.at("{"):
@@ -303,14 +299,12 @@ class _Parser:
             else:
                 self.expect(";", "after abstract method declaration")
                 body = None
-            return ast.MethodDecl(
-                mods, ret, name_tok.text, params, body, False, self.span(start)
-            )
-        declarators = [self.declarator(name_tok)]
+            return ast.MethodDecl(mods, ret, name, params, body, False, start)
+        declarators = [self.declarator("as the member name")]
         while self.accept(","):
-            declarators.append(self.declarator(self.ident("in field declaration")))
+            declarators.append(self.declarator("in field declaration"))
         self.expect(";", "after field declaration")
-        return ast.FieldDecl(mods, ret, declarators, self.span(start))
+        return ast.FieldDecl(mods, ret, declarators, start)
 
     def no_body(self, what: str):
         self.expect(";", f"after {what} declaration")
@@ -327,21 +321,23 @@ class _Parser:
         params: list[ast.Param] = []
         if not self.at(")"):
             while True:
-                start = self.toks[self.pos]
+                start = self.here()
                 self.accept("final")
                 ptype = self.type_name("as a parameter type")
-                name = self.ident("as the parameter name").text
+                name = self.ident("as the parameter name")
                 extra = 0
                 while self.accept("["):
                     self.expect("]", "in parameter array declarator")
                     extra += 1
-                params.append(ast.Param(ptype, name, extra, self.span(start)))
+                params.append(ast.Param(ptype, name, extra, start))
                 if not self.accept(","):
                     break
         self.expect(")", "to close the parameter list")
         return params
 
-    def declarator(self, name_tok: Token) -> ast.Declarator:
+    def declarator(self, context: str) -> ast.Declarator:
+        start = self.here()
+        name = self.ident(context)
         extra = 0
         while self.accept("["):
             self.expect("]", "in array declarator")
@@ -349,25 +345,24 @@ class _Parser:
         init = None
         if self.accept("="):
             init = self.array_init() if self.at("{") else self.expr()
-        return ast.Declarator(name_tok.text, extra, init, ast.Span(self.file, name_tok.line, name_tok.col))
+        return ast.Declarator(name, extra, init, start)
 
     def type_name(self, context: str, allow_void: bool = False) -> ast.TypeName:
-        t = self.toks[self.pos]
-        if t.kind is Kind.KEYWORD and t.text in PRIMITIVE_TYPES:
-            if t.text == "void" and not allow_void:
-                raise ParseError(self.file, t.line, t.col, f"'void' is not allowed {context}")
+        start = self.here()
+        name = self.texts[self.i]
+        if name in PRIMITIVE_TYPES:
+            if name == "void" and not allow_void:
+                raise self.error(f"'void' is not allowed {context}")
             self.next()
-            name = t.text
         else:
             name = self.qualified_name(context)
         if self.at("<"):
             raise self.fail("generic type arguments")
         dims = 0
         while self.at("[") and self.at("]", 1):
-            self.next()
-            self.next()
+            self.i += 2
             dims += 1
-        return ast.TypeName(name, dims, ast.Span(self.file, t.line, t.col))
+        return ast.TypeName(name, dims, start)
 
     # -- statements ----------------------------------------------------------
 
@@ -375,22 +370,24 @@ class _Parser:
         start = self.expect("{", "to open a block")
         stmts: list[ast.Stmt] = []
         while not self.at("}"):
-            if self.toks[self.pos].kind is Kind.EOF:
-                raise ParseError(self.file, start.line, start.col, "unclosed block")
+            if self.kinds[self.i] is EOF:
+                raise self.error("unclosed block", start)
             stmts.append(self.stmt())
         self.next()
-        return ast.Block(stmts, self.span(start))
+        return ast.Block(stmts, start)
 
     def stmt(self) -> ast.Stmt:
-        t = self.toks[self.pos]
+        i = self.i
+        kind = self.kinds[i]
+        start = self.offsets[i]
         # Only a keyword or punctuator can open the statements tested here.
-        if t.kind is Kind.KEYWORD or t.kind is Kind.PUNCT:
-            text = t.text
+        if kind is KEYWORD or kind is PUNCT:
+            text = self.texts[i]
             if text == "{":
                 return self.block()
             if text == ";":
-                self.pos += 1
-                return ast.EmptyStmt(self.span(t))
+                self.i = i + 1
+                return ast.EmptyStmt(start)
             if text == "if":
                 self.next()
                 self.expect("(", "after 'if'")
@@ -398,13 +395,13 @@ class _Parser:
                 self.expect(")", "after if condition")
                 then = self.stmt()
                 other = self.stmt() if self.accept("else") else None
-                return ast.IfStmt(cond, then, other, self.span(t))
+                return ast.IfStmt(cond, then, other, start)
             if text == "while":
                 self.next()
                 self.expect("(", "after 'while'")
                 cond = self.expr()
                 self.expect(")", "after while condition")
-                return ast.WhileStmt(cond, self.stmt(), self.span(t))
+                return ast.WhileStmt(cond, self.stmt(), start)
             if text == "do":
                 raise self.fail("do-while statement")
             if text == "throw":
@@ -421,29 +418,29 @@ class _Parser:
                 self.next()
                 value = None if self.at(";") else self.expr()
                 self.expect(";", "after return statement")
-                return ast.ReturnStmt(value, self.span(t))
+                return ast.ReturnStmt(value, start)
             if text == "break":
                 self.next()
                 if self.at_ident():
                     raise self.fail("labeled break")
                 self.expect(";", "after 'break'")
-                return ast.BreakStmt(self.span(t))
+                return ast.BreakStmt(start)
             if text == "continue":
                 self.next()
                 if self.at_ident():
                     raise self.fail("labeled continue")
                 self.expect(";", "after 'continue'")
-                return ast.ContinueStmt(self.span(t))
+                return ast.ContinueStmt(start)
             if text == "try":
                 return self.try_stmt()
-        elif t.kind is Kind.IDENT and self.at(":", 1):
+        elif kind is IDENT and self.at(":", 1):
             raise self.fail("labeled statement")
         decl = self.try_local_decl()
         if decl is not None:
             return decl
         expr = self.expr()
         self.expect(";", "after expression statement")
-        return ast.ExprStmt(expr, self.span(t))
+        return ast.ExprStmt(expr, start)
 
     def try_local_decl(self) -> ast.LocalDecl | None:
         """Parse a local declaration if the lookahead shape matches.
@@ -453,38 +450,34 @@ class _Parser:
         statement; a '<' after the would-be type name backtracks too, so
         comparisons like ``a < b`` parse as expressions.
         """
-        start_pos = self.pos
-        t = self.toks[self.pos]
-        had_final = bool(self.accept("final"))
-        is_primitive = t.kind is Kind.KEYWORD and self.toks[self.pos].text in PRIMITIVE_TYPES
-        if not (is_primitive or self.at_ident()):
+        start_i = self.i
+        start = self.here()
+        had_final = self.accept("final")
+        if not (self.texts[self.i] in PRIMITIVE_TYPES or self.at_ident()):
             if had_final:
-                raise ParseError(self.file, t.line, t.col, "expected a type after 'final'")
-            self.pos = start_pos
+                raise self.error("expected a type after 'final'", start)
+            self.i = start_i
             return None
         try:
             ty = self.type_name("in local declaration")
         except ParseError:
-            self.pos = start_pos
+            self.i = start_i
             if had_final:
                 raise
             return None
         if not self.at_ident():
-            self.pos = start_pos
+            self.i = start_i
             if had_final:
-                raise ParseError(self.file, t.line, t.col, "expected a name after the type")
+                raise self.error("expected a name after the type", start)
             return None
-        name_tok = self.toks[self.pos]
-        follower = self.peek(1).text
-        if follower not in ("=", ",", ";", "["):
-            self.pos = start_pos
+        if self.texts[self.peek(1)] not in ("=", ",", ";", "["):
+            self.i = start_i
             return None
-        self.next()
-        declarators = [self.declarator(name_tok)]
+        declarators = [self.declarator("in local declaration")]
         while self.accept(","):
-            declarators.append(self.declarator(self.ident("in local declaration")))
+            declarators.append(self.declarator("in local declaration"))
         self.expect(";", "after local declaration")
-        return ast.LocalDecl(ty, declarators, ast.Span(self.file, t.line, t.col))
+        return ast.LocalDecl(ty, declarators, start)
 
     def for_stmt(self) -> ast.ForStmt:
         start = self.next()
@@ -494,7 +487,7 @@ class _Parser:
             self.next()
             init = None
         else:
-            decl = self.try_local_decl_in_for()
+            decl = self.try_local_decl()
             if decl is not None:
                 init = decl  # the ';' was consumed by the declaration parse
             else:
@@ -510,14 +503,7 @@ class _Parser:
             while self.accept(","):
                 update.append(self.expr())
         self.expect(")", "after for header")
-        return ast.ForStmt(init, cond, update, self.stmt(), self.span(start))
-
-    def try_local_decl_in_for(self) -> ast.LocalDecl | None:
-        saved = self.pos
-        decl = self.try_local_decl()
-        if decl is None:
-            self.pos = saved
-        return decl
+        return ast.ForStmt(init, cond, update, self.stmt(), start)
 
     def switch_stmt(self) -> ast.SwitchStmt:
         start = self.next()
@@ -529,22 +515,18 @@ class _Parser:
         while not self.at("}"):
             labels: list[ast.Expr | None] = []
             while self.at("case") or self.at("default"):
-                if self.next().text == "case":
-                    labels.append(self.expr())
-                else:
-                    labels.append(None)
+                default = self.at("default")
+                self.next()
+                labels.append(None if default else self.expr())
                 self.expect(":", "after switch label")
             if not labels:
-                t = self.toks[self.pos]
-                raise ParseError(
-                    self.file, t.line, t.col, "expected 'case' or 'default' in switch body"
-                )
+                raise self.error("expected 'case' or 'default' in switch body")
             stmts: list[ast.Stmt] = []
             while not (self.at("case") or self.at("default") or self.at("}")):
                 stmts.append(self.stmt())
             groups.append(ast.SwitchGroup(labels, stmts))
         self.next()
-        return ast.SwitchStmt(selector, groups, self.span(start))
+        return ast.SwitchStmt(selector, groups, start)
 
     def try_stmt(self) -> ast.TryStmt:
         start = self.next()
@@ -555,17 +537,13 @@ class _Parser:
             self.expect("(", "after 'catch'")
             self.accept("final")
             ptype = self.type_name("as the catch parameter type")
-            pname = self.ident("as the catch parameter name").text
+            pname = self.ident("as the catch parameter name")
             self.expect(")", "after catch parameter")
-            catches.append(
-                ast.CatchClause(ast.Param(ptype, pname, 0, self.span(c)), self.block(), self.span(c))
-            )
+            catches.append(ast.CatchClause(ast.Param(ptype, pname, 0, c), self.block(), c))
         final = self.block() if self.accept("finally") else None
         if not catches and final is None:
-            raise ParseError(
-                self.file, start.line, start.col, "try statement needs a catch or finally"
-            )
-        return ast.TryStmt(body, catches, final, self.span(start))
+            raise self.error("try statement needs a catch or finally", start)
+        return ast.TryStmt(body, catches, final, start)
 
     # -- expressions ---------------------------------------------------------
 
@@ -573,25 +551,25 @@ class _Parser:
         return self.assignment()
 
     def assignment(self) -> ast.Expr:
-        start = self.toks[self.pos]
+        start = self.here()
         left = self.conditional()
-        t = self.toks[self.pos]
-        if t.text == "->":
-            raise self.fail("lambda expression", t)
-        if t.kind is Kind.PUNCT and t.text in ASSIGN_OPS:
-            self.next()
+        op = self.texts[self.i]
+        if op == "->":
+            raise self.fail("lambda expression")
+        if op in ASSIGN_OPS:
+            self.i += 1
             value = self.assignment()
-            return ast.Assign(t.text, left, value, self.span(start))
+            return ast.Assign(op, left, value, start)
         return left
 
     def conditional(self) -> ast.Expr:
-        start = self.toks[self.pos]
+        start = self.here()
         cond = self.binary(0)
         if self.accept("?"):
             then = self.expr()
             self.expect(":", "in conditional expression")
             other = self.conditional()
-            return ast.Conditional(cond, then, other, self.span(start))
+            return ast.Conditional(cond, then, other, start)
         return cond
 
     def binary(self, min_level: int) -> ast.Expr:
@@ -602,97 +580,96 @@ class _Parser:
         follow; a right operand takes the tighter ones, and ``instanceof``,
         whose right side is a type, takes none.
         """
-        start = self.toks[self.pos]
+        start = self.here()
         left = self.unary()
         ceiling = len(_LEVELS)
         while True:
-            t = self.toks[self.pos]
-            level = _PRECEDENCE.get(t.text)
-            if (
-                level is None
-                or not min_level <= level <= ceiling
-                or t.kind not in _FIXED_KINDS
-            ):
+            op = self.texts[self.i]
+            level = _PRECEDENCE.get(op)
+            if level is None or not min_level <= level <= ceiling:
                 return left
-            self.pos += 1
+            self.i += 1
             ceiling = level
-            if t.text == "instanceof":
+            if op == "instanceof":
                 ty = self.type_name("after 'instanceof'")
-                left = ast.InstanceOf(left, ty, self.span(start))
+                left = ast.InstanceOf(left, ty, start)
             else:
                 right = self.binary(level + 1)
-                left = ast.Binary(t.text, left, right, self.span(start))
+                left = ast.Binary(op, left, right, start)
 
     def unary(self) -> ast.Expr:
-        t = self.toks[self.pos]
-        if t.text in ("+", "-", "!", "~", "++", "--") and t.kind is Kind.PUNCT:
-            self.next()
-            return ast.Unary(t.text, self.unary(), True, self.span(t))
-        if self.at("(") and self.cast_ahead():
+        start = self.here()
+        op = self.texts[self.i]
+        if op in ("+", "-", "!", "~", "++", "--"):
+            self.i += 1
+            return ast.Unary(op, self.unary(), True, start)
+        if op == "(" and self.cast_ahead():
             self.next()
             ty = self.type_name("in cast")
             self.expect(")", "after cast type")
-            return ast.Cast(ty, self.unary(), self.span(t))
+            return ast.Cast(ty, self.unary(), start)
         return self.postfix()
 
     def cast_ahead(self) -> bool:
         """Decide '(' opens a cast: '(' type ')' then a unary-start token."""
+        texts, kinds, peek = self.texts, self.kinds, self.peek
         k = 1
-        t = self.peek(k)
-        if t.kind is Kind.KEYWORD and t.text in PRIMITIVE_TYPES and t.text != "void":
+        text = texts[peek(k)]
+        if text in PRIMITIVE_TYPES and text != "void":
             primitive = True
-        elif t.kind is Kind.IDENT:
+        elif kinds[peek(k)] is IDENT:
             primitive = False
         else:
             return False
         k += 1
         if not primitive:
-            while self.peek(k).text == "." and self.peek(k + 1).kind is Kind.IDENT:
+            while texts[peek(k)] == "." and kinds[peek(k + 1)] is IDENT:
                 k += 2
         dims = 0
-        while self.peek(k).text == "[" and self.peek(k + 1).text == "]":
+        while texts[peek(k)] == "[" and texts[peek(k + 1)] == "]":
             k += 2
             dims += 1
-        if self.peek(k).text != ")":
+        if texts[peek(k)] != ")":
             return False
-        after = self.peek(k + 1)
+        after, after_kind = texts[peek(k + 1)], kinds[peek(k + 1)]
         if primitive or dims:
-            return after.text != ")"  # '(int)' must still be followed by something
-        if after.kind in (Kind.IDENT, Kind.INT, Kind.LONG, Kind.FLOAT, Kind.DOUBLE, Kind.CHAR, Kind.STRING):
+            return after != ")"  # '(int)' must still be followed by something
+        if after_kind is IDENT or after_kind in _LITERAL_KINDS:
             return True
-        if after.kind is Kind.KEYWORD and after.text in ("this", "super", "new", "true", "false", "null"):
+        if after in ("this", "super", "new", "true", "false", "null"):
             return True
-        return after.text in ("(", "!", "~")
+        return after in ("(", "!", "~")
 
     def postfix(self) -> ast.Expr:
         expr = self.primary()
+        texts = self.texts
         while True:
-            t = self.toks[self.pos]
-            if t.kind is not Kind.PUNCT:
-                return expr
-            if t.text == ".":
-                nxt = self.peek(1)
-                if nxt.kind is Kind.KEYWORD and nxt.text == "this":
-                    raise self.fail("qualified 'this'", nxt)
-                if nxt.kind is Kind.KEYWORD and nxt.text == "new":
-                    raise self.fail("qualified class instance creation", nxt)
-                if nxt.kind is Kind.KEYWORD and nxt.text == "class":
-                    raise self.fail("class literal", nxt)
-                self.pos += 1
+            i = self.i
+            op = texts[i]
+            if op == ".":
+                # '.' is not EOF, so a token follows it
+                after = texts[i + 1]
+                if after == "this":
+                    raise self.fail("qualified 'this'", self.offsets[i + 1])
+                if after == "new":
+                    raise self.fail("qualified class instance creation", self.offsets[i + 1])
+                if after == "class":
+                    raise self.fail("class literal", self.offsets[i + 1])
+                self.i = i + 1
+                start = self.offsets[i + 1]
                 name = self.ident("after '.'")
                 if self.at("("):
-                    args = self.arg_list()
-                    expr = ast.MethodCall(expr, name.text, args, self.span(name))
+                    expr = ast.MethodCall(expr, name, self.arg_list(), start)
                 else:
-                    expr = ast.FieldAccess(expr, name.text, self.span(name))
-            elif t.text == "[":
-                self.pos += 1
+                    expr = ast.FieldAccess(expr, name, start)
+            elif op == "[":
+                self.i = i + 1
                 index = self.expr()
                 self.expect("]", "after array index")
-                expr = ast.ArrayAccess(expr, index, self.span(t))
-            elif t.text == "++" or t.text == "--":
-                self.pos += 1
-                expr = ast.Unary(t.text, expr, False, self.span(t))
+                expr = ast.ArrayAccess(expr, index, self.offsets[i])
+            elif op == "++" or op == "--":
+                self.i = i + 1
+                expr = ast.Unary(op, expr, False, self.offsets[i])
             else:
                 return expr
 
@@ -714,42 +691,51 @@ class _Parser:
             if not self.accept(","):
                 break
         self.expect("}", "to close an array initializer")
-        return ast.ArrayInit(items, self.span(start))
+        return ast.ArrayInit(items, start)
 
     def primary(self) -> ast.Expr:
-        t = self.toks[self.pos]
-        if t.kind in _LITERAL_KINDS:
-            self.next()
-            return ast.Literal(_LITERAL_KINDS[t.kind], t.text, self.span(t))
-        if t.kind is Kind.KEYWORD:
-            if t.text in ("true", "false"):
-                self.next()
-                return ast.Literal("boolean", t.text, self.span(t))
-            if t.text == "null":
-                self.next()
-                return ast.Literal("null", t.text, self.span(t))
-            if t.text == "this":
-                self.next()
+        i = self.i
+        kind = self.kinds[i]
+        text = self.texts[i]
+        start = self.offsets[i]
+        if kind is IDENT:
+            self.i = i + 1
+            if self.at("("):
+                return ast.MethodCall(None, text, self.arg_list(), start)
+            return ast.NameExpr(text, start)
+        if kind in _LITERAL_KINDS:
+            self.i = i + 1
+            return ast.Literal(kind, text, start)
+        if kind is KEYWORD:
+            if text == "true" or text == "false":
+                self.i = i + 1
+                return ast.Literal("boolean", text, start)
+            if text == "null":
+                self.i = i + 1
+                return ast.Literal("null", text, start)
+            if text == "this":
+                self.i = i + 1
                 if self.at("("):
-                    return ast.ThisCtorCall(self.arg_list(), self.span(t))
-                return ast.ThisExpr(self.span(t))
-            if t.text == "super":
-                self.next()
+                    return ast.ThisCtorCall(self.arg_list(), start)
+                return ast.ThisExpr(start)
+            if text == "super":
+                self.i = i + 1
                 if self.at("("):
-                    return ast.SuperCtorCall(self.arg_list(), self.span(t))
+                    return ast.SuperCtorCall(self.arg_list(), start)
                 self.expect(".", "after 'super'")
+                name_start = self.here()
                 name = self.ident("after 'super.'")
                 if self.at("("):
-                    return ast.SuperMember(name.text, self.arg_list(), self.span(name))
-                return ast.SuperMember(name.text, None, self.span(name))
-            if t.text == "new":
+                    return ast.SuperMember(name, self.arg_list(), name_start)
+                return ast.SuperMember(name, None, name_start)
+            if text == "new":
                 return self.creator()
-            if t.text in PRIMITIVE_TYPES:
+            if text in PRIMITIVE_TYPES:
                 # e.g. 'int.class'; nothing in the dialect starts this way
-                raise self.fail(f"'{t.text}' in expression position")
-        if self.at("("):
-            self.next()
-            if self.at(")") and self.peek(1).text == "->":
+                raise self.fail(f"'{text}' in expression position")
+        if text == "(":
+            self.i = i + 1
+            if self.at(")") and self.at("->", 1):
                 raise self.fail("lambda expression")
             inner = self.expr()
             if self.at(",") and self._lambda_params_ahead():
@@ -757,47 +743,41 @@ class _Parser:
             self.expect(")", "to close the parenthesized expression")
             if self.at("->"):
                 raise self.fail("lambda expression")
-            return ast.Paren(inner, self.span(t))
-        if t.text == "->":
+            return ast.Paren(inner, start)
+        if text == "->":
             raise self.fail("lambda expression")
-        if t.text == "@":
+        if text == "@":
             raise self.fail("annotation")
-        if t.kind is Kind.IDENT:
-            self.next()
-            if self.at("("):
-                return ast.MethodCall(None, t.text, self.arg_list(), self.span(t))
-            return ast.NameExpr(t.text, self.span(t))
-        raise ParseError(
-            self.file, t.line, t.col, f"unexpected '{t.text or 'end of file'}' in expression"
-        )
+        raise self.error(f"unexpected '{text or 'end of file'}' in expression")
 
     def _lambda_params_ahead(self) -> bool:
         """From inside '(...', does the matching ')' lead into '->'?"""
         depth = 1
         k = 0
         while True:
-            tok = self.peek(k)
-            if tok.kind is Kind.EOF:
+            j = self.peek(k)
+            if self.kinds[j] is EOF:
                 return False
-            if tok.text == "(":
+            text = self.texts[j]
+            if text == "(":
                 depth += 1
-            elif tok.text == ")":
+            elif text == ")":
                 depth -= 1
                 if depth == 0:
-                    return self.peek(k + 1).text == "->"
+                    return self.at("->", k + 1)
             k += 1
 
     def creator(self) -> ast.Expr:
         start = self.next()  # 'new'
-        t = self.toks[self.pos]
-        if t.kind is Kind.KEYWORD and t.text in PRIMITIVE_TYPES and t.text != "void":
+        type_start = self.here()
+        text = self.texts[self.i]
+        if text in PRIMITIVE_TYPES and text != "void":
             self.next()
-            elem = ast.TypeName(t.text, 0, self.span(t))
-            return self.array_creator(elem, start)
+            return self.array_creator(ast.TypeName(text, 0, type_start), start)
         name = self.qualified_name("after 'new'")
         if self.at("<"):
             raise self.fail("generic type arguments")
-        ty = ast.TypeName(name, 0, ast.Span(self.file, t.line, t.col))
+        ty = ast.TypeName(name, 0, type_start)
         if self.at("["):
             return self.array_creator(ty, start)
         args = self.arg_list()
@@ -810,16 +790,16 @@ class _Parser:
                 extends=[],
                 implements=[],
                 members=[],
-                span=self.span(start),
+                pos=start,
                 anonymous=True,
                 anon_supertype=ty,
             )
             named = self.named
             named[1] += 1
             self.type_body(body, f"{named[0]}$anon{named[1]}", named)
-        return ast.NewObject(ty, args, body, self.span(start))
+        return ast.NewObject(ty, args, body, start)
 
-    def array_creator(self, elem: ast.TypeName, start: Token) -> ast.NewArray:
+    def array_creator(self, elem: ast.TypeName, start: int) -> ast.NewArray:
         dim_exprs: list[ast.Expr | None] = []
         while self.at("["):
             self.next()
@@ -831,8 +811,5 @@ class _Parser:
                 self.expect("]", "after array dimension")
         init = self.array_init() if self.at("{") else None
         if init is None and all(d is None for d in dim_exprs):
-            raise ParseError(
-                self.file, start.line, start.col, "array creation needs a dimension or initializer"
-            )
-        return ast.NewArray(elem, dim_exprs, init, ast.Span(self.file, start.line, start.col))
-
+            raise self.error("array creation needs a dimension or initializer", start)
+        return ast.NewArray(elem, dim_exprs, init, start)

@@ -4,12 +4,13 @@ time.
 This is the original character-by-character tokenizer, kept deliberately
 naive as the independent check for ``demeterlint.javafront.lexer``: it
 advances through a closure, tries every operator with ``startswith`` and
-classifies characters with ``str`` predicates.  Only the token types and the
-error class are shared with the engine.
+classifies characters with ``str`` predicates.  A token is a plain
+``(kind, text, line, col)`` tuple.  Only the token kinds and the error class
+are shared with the engine.
 """
 
 from demeterlint.javafront.errors import ParseError
-from demeterlint.javafront.lexer import Kind, Token
+from demeterlint.javafront.lexer import Kind
 
 KEYWORDS = frozenset(
     """
@@ -40,8 +41,8 @@ def _is_ident_part(c: str) -> bool:
     return c.isalnum() or c in "_$"
 
 
-def naive_tokenize(text: str, file_name: str) -> list[Token]:
-    tokens: list[Token] = []
+def naive_tokenize(text: str, file_name: str) -> list[tuple]:
+    tokens: list[tuple] = []
     i = 0
     n = len(text)
     line = 1
@@ -84,34 +85,34 @@ def naive_tokenize(text: str, file_name: str) -> list[Token]:
                 advance(1)
             word = text[start:i]
             kind = Kind.KEYWORD if word in KEYWORDS else Kind.IDENT
-            tokens.append(Token(kind, word, start_line, start_col))
+            tokens.append((kind, word, start_line, start_col))
             continue
         if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
             tokens.append(_number(text, file_name, i, line, col))
-            advance(len(tokens[-1].text))
+            advance(len(tokens[-1][1]))
             continue
         if c == "'":
             tok = _char_literal(text, file_name, i, line, col)
             tokens.append(tok)
-            advance(len(tok.text))
+            advance(len(tok[1]))
             continue
         if c == '"':
             tok = _string_literal(text, file_name, i, line, col)
             tokens.append(tok)
-            advance(len(tok.text))
+            advance(len(tok[1]))
             continue
         for op in _OPERATORS:
             if text.startswith(op, i):
-                tokens.append(Token(Kind.PUNCT, op, line, col))
+                tokens.append((Kind.PUNCT, op, line, col))
                 advance(len(op))
                 break
         else:
             raise ParseError(file_name, line, col, f"unexpected character {c!r}")
-    tokens.append(Token(Kind.EOF, "", line, col))
+    tokens.append((Kind.EOF, "", line, col))
     return tokens
 
 
-def _number(text: str, file_name: str, i: int, line: int, col: int) -> Token:
+def _number(text: str, file_name: str, i: int, line: int, col: int) -> tuple:
     n = len(text)
     start = i
     is_float = False
@@ -140,19 +141,19 @@ def _number(text: str, file_name: str, i: int, line: int, col: int) -> Token:
         if is_float:
             raise ParseError(file_name, line, col, "long suffix on a fractional literal")
         i += 1
-        return Token(Kind.LONG, text[start:i], line, col)
+        return (Kind.LONG, text[start:i], line, col)
     if i < n and text[i] in "fF":
         i += 1
-        return Token(Kind.FLOAT, text[start:i], line, col)
+        return (Kind.FLOAT, text[start:i], line, col)
     if i < n and text[i] in "dD":
         i += 1
-        return Token(Kind.DOUBLE, text[start:i], line, col)
+        return (Kind.DOUBLE, text[start:i], line, col)
     if is_float:
-        return Token(Kind.DOUBLE, text[start:i], line, col)
-    return Token(Kind.INT, text[start:i], line, col)
+        return (Kind.DOUBLE, text[start:i], line, col)
+    return (Kind.INT, text[start:i], line, col)
 
 
-def _char_literal(text: str, file_name: str, i: int, line: int, col: int) -> Token:
+def _char_literal(text: str, file_name: str, i: int, line: int, col: int) -> tuple:
     n = len(text)
     start = i
     i += 1
@@ -164,10 +165,10 @@ def _char_literal(text: str, file_name: str, i: int, line: int, col: int) -> Tok
         i += 1
     if i >= n:
         raise ParseError(file_name, line, col, "unterminated character literal")
-    return Token(Kind.CHAR, text[start : i + 1], line, col)
+    return (Kind.CHAR, text[start : i + 1], line, col)
 
 
-def _string_literal(text: str, file_name: str, i: int, line: int, col: int) -> Token:
+def _string_literal(text: str, file_name: str, i: int, line: int, col: int) -> tuple:
     n = len(text)
     start = i
     i += 1
@@ -179,4 +180,4 @@ def _string_literal(text: str, file_name: str, i: int, line: int, col: int) -> T
         i += 1
     if i >= n:
         raise ParseError(file_name, line, col, "unterminated string literal")
-    return Token(Kind.STRING, text[start : i + 1], line, col)
+    return (Kind.STRING, text[start : i + 1], line, col)

@@ -301,6 +301,29 @@ class TestSites:
         (g,) = by_id(exes)["p.A$anon2#f()"].body_accesses
         assert g.receiver.static_type == TypeRef("p.A$anon1$In")
 
+    @pytest.mark.parametrize(
+        "outer, header",
+        [("q.Point", "import q.Point;\n"), ("p.Point", ""), ("java.lang.String", "")],
+        ids=["import", "same-package", "java.lang"],
+    )
+    def test_anonymous_body_member_hides_an_outer_name_inside_the_body(self, outer, header):
+        # Inside the body, and inside a type nested in it, the body's own
+        # member is meant; outside it, the name keeps its outer meaning.
+        package, name = outer.rsplit(".", 1)
+        table, exes = front(
+            f"package p;\n{header}interface I {{ void f(); }}\n"
+            f"class A {{ {name} o; void m() {{ I i = new I() {{ class {name} {{ void z() {{ }} }} "
+            f"class In {{ {name} n; }} "
+            f"public void f() {{ {name} k = new {name}(); k.z(); }} }}; o.x(); }} }}",
+            f"package {package};\npublic class {name} {{ public void x() {{ }} }}",
+        )
+        inner = TypeRef(f"p.A$anon1${name}")
+        (z,) = by_id(exes)["p.A$anon1#f()"].body_accesses
+        assert (z.member.name, z.receiver.static_type) == ("z", inner)
+        assert table.get("p.A$anon1$In").members[0].declared_type == inner
+        _, x = by_id(exes)["p.A#m()"].body_accesses
+        assert (x.member.name, x.receiver.static_type) == ("x", TypeRef(outer))
+
     def test_call_chain_provenance(self):
         src = (
             "package p;\n"

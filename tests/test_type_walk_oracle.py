@@ -1,6 +1,8 @@
 """The parser's list of type declarations against the naive walk oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demeterlint.javafront import parse_unit
 
@@ -76,3 +78,34 @@ def test_nested_and_anonymous_shapes():
         "p.A$anon9", "p.A$anon10", "p.A$anon11", "p.A$J", "p.A$Inner",
         "p.A$Inner$anon1", "p.I", "p.B", "p.E",
     ]
+
+
+def _anonymous(body: str) -> str:
+    return f"new I() {{ {body} }}"
+
+
+#: Member lists that nest anonymous classes and member types in each other:
+#: an anonymous class in an anonymous class, a member type in an anonymous
+#: class, and an anonymous class in a member of an anonymous class.
+nested_members = st.recursive(
+    st.sampled_from(["", "int k;", "void n() { }"]),
+    lambda inner: st.one_of(
+        inner.map(lambda body: f"I g = {_anonymous(body)};"),
+        inner.map(lambda body: f"void m() {{ {_anonymous(body)}; }}"),
+        st.tuples(inner, inner).map(
+            lambda bodies: f"void m() {{ h({_anonymous(bodies[0])}, {_anonymous(bodies[1])}); }}"
+        ),
+        st.tuples(inner, inner).map(
+            lambda bodies: f"void m() {{ new B({_anonymous(bodies[0])}) {{ {bodies[1]} }}; }}"
+        ),
+        st.tuples(st.integers(0, 2), inner).map(lambda named: f"class In{named[0]} {{ {named[1]} }}"),
+        st.tuples(inner, inner).map(" ".join),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_members)
+def test_nested_anonymous_shapes(members):
+    _agrees_with_oracle(f"package p;\nclass A {{ {members} }}\ninterface I {{ }}\n", "A.java")
