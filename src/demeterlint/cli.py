@@ -59,13 +59,22 @@ class RunOptions(Struct):
 
 
 def _collect_sources(paths: Sequence[Path]) -> list[Path]:
-    files: list[Path] = []
+    """The source files named or found under directories, each once: a
+    file named again, by any path to it, keeps its first place and path.
+
+    A file is known by its device and inode, which one ``stat`` gives;
+    resolving every path costs ten times as much.
+    """
+    files: dict[object, Path] = {}
     for p in paths:
-        if p.is_dir():
-            files.extend(sorted(p.rglob("*.java")))
-        else:
-            files.append(p)
-    return files
+        for f in sorted(p.rglob("*.java")) if p.is_dir() else (p,):
+            try:
+                st = f.stat()
+            except OSError:  # read_source reports it
+                files.setdefault(f, f)
+            else:
+                files.setdefault((st.st_dev, st.st_ino), f)
+    return list(files.values())
 
 
 def read_source(path: Path) -> str:

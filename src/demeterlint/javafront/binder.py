@@ -1,11 +1,14 @@
 """Name binding and per-executable fact extraction.
 
-Two passes over parsed units.  ``build_type_table`` turns every type
-declaration the parser listed, under the qualified name the parser gave it
-(generated ``Outer$anonN`` names included), into a TypeDecl, and merges
-with the stub table.  ``bind_and_extract`` then
-walks executable bodies emitting one AccessSite per syntactic member access,
-with receiver static type and provenance, in token order.
+Two passes, each over the type declarations the parser listed in
+``unit.type_decls``.  ``build_type_table`` turns every one, under the
+qualified name the parser gave it (generated ``Outer$anonN`` names
+included), into a TypeDecl, and merges with the stub table.
+``bind_and_extract`` then walks the executable bodies of each one, emitting
+one AccessSite per syntactic member access, with receiver static type and
+provenance, in token order.  Postfix chains such as ``a.b().c[i]`` and
+left-nested binary chains are walked in loops, so a chain of any length
+binds.
 
 Receiver typing is static: the declared type of the receiver expression
 governs, with no flow analysis.  Accesses through ``this``/``super`` are
@@ -155,14 +158,13 @@ class Executable(Struct):
 class _UnitEnv:
     """Type-name resolution for one compilation unit.
 
-    Inside an anonymous class body, a simple name first resolves to a
-    member type declared there: the unit-wide table leaves these out, since
-    each is named only within the body that declares it.  So the lookup
-    walks out from ``scope``, the type whose text holds the name, through
-    the anonymous bodies and the types nested in them.  Then simple names
-    resolve in the usual order: types declared in this unit, then the
-    unit's package, then single-type imports, then on-demand imports in
-    declared order (ambiguity is an error), then java.lang.
+    A simple name first resolves to a member type of ``scope``, the type
+    whose text holds the name, then to one of each enclosing type outward,
+    as in Java.  Then it resolves in the usual order: types declared in
+    this unit (the unit-wide table leaves out the member types of anonymous
+    bodies, each named only within its body), then the unit's package, then
+    single-type imports, then on-demand imports in declared order
+    (ambiguity is an error), then java.lang.
     """
 
     def __init__(self, unit: ast.CompilationUnit, universe: set[str]):
@@ -179,19 +181,19 @@ class _UnitEnv:
         # Each type's enclosing type and the named types, by qualified name.
         self.outer = {n.qualified_name: n.outer for n in unit.type_decls}
         self.named = {n.qualified_name for n in unit.type_decls if not n.anonymous}
-        # The types inside an anonymous body, and the others by simple name,
-        # the first in preorder winning; preorder lists a type after the
-        # type that holds it.
-        self.in_anonymous: set[str] = set()
+        # The named types outside anonymous bodies by simple name, the first
+        # in preorder winning; preorder lists a type after the type that
+        # holds it.
+        in_anonymous: set[str] = set()
         self.local_types: dict[str, str] = {}
         for n in unit.type_decls:
-            if n.anonymous or n.outer in self.in_anonymous:
-                self.in_anonymous.add(n.qualified_name)
+            if n.anonymous or n.outer in in_anonymous:
+                in_anonymous.add(n.qualified_name)
             else:
                 self.local_types.setdefault(n.name, n.qualified_name)
 
     def resolve_simple(self, name: str, scope: Optional[str]) -> Optional[str]:
-        while scope in self.in_anonymous:
+        while scope is not None:
             q = f"{scope}${name}"
             if q in self.named:
                 return q
@@ -278,7 +280,11 @@ def build_type_table(
     stubs: TypeTable,
     mode: ResolutionMode = ResolutionMode.STRICT,
 ) -> TypeTable:
-    """Declare every source type the parser listed, merge with stubs."""
+    """Declare every source type the parser listed, merge with stubs.
+
+    A type declared twice among the sources is an error at its second
+    declaration, even when both declarations are the same text.
+    """
     universe: set[str] = {d.name for d in stubs}
     for unit in units:
         universe.update(n.qualified_name for n in unit.type_decls)
@@ -287,6 +293,8 @@ def build_type_table(
     for unit in units:
         env = _UnitEnv(unit, universe)
         for node in unit.type_decls:
+            if node.qualified_name in source:
+                raise env.error(node.pos, f"duplicate type {node.qualified_name}")
             source.add(_declare(node, env, mode))
     merged = stubs.merge(source)
     merged.validate()
@@ -294,8 +302,9 @@ def build_type_table(
 
 
 def _too_deep(unit: ast.CompilationUnit) -> BindError:
-    """A unit whose expressions nest deeper than the recursive body walk
-    reaches, such as a call chain thousands of links long."""
+    """A unit whose statements or expressions nest deeper than the
+    recursive body walk reaches.  The parser rejects every such nesting
+    first today; this is the safety net."""
     return BindError(unit.file, 1, 1, "nesting too deep to analyze")
 
 
@@ -379,11 +388,10 @@ def bind_and_extract(
     universe = {d.name for d in table}
     out: list[Executable] = []
     for unit in units:
-        env = _UnitEnv(unit, universe)
-        extractor = _Extractor(env, table, mode)
+        extractor = _Extractor(_UnitEnv(unit, universe), table, mode)
         try:
-            for node in unit.types:
-                extractor.extract_type(node, enclosing_types=[], enclosing_exec=None)
+            for node in unit.type_decls:
+                extractor.extract_type(node)
         except RecursionError:
             raise _too_deep(unit) from None
         out.extend(extractor.executables)
@@ -413,17 +421,23 @@ class _Extractor:
         self.executables: list[Executable] = []
         self.file = env.unit.file
         self.line_starts = env.unit.line_starts
+        # The id of the executable that creates each anonymous body.
+        self.creators: dict[str, str] = {}
 
-    # -- executables ------------------------------------------------------
+    def extract_type(self, node: ast.TypeDeclNode) -> None:
+        """Extract the executables declared directly in ``node``.
 
-    def extract_type(
-        self,
-        node: ast.TypeDeclNode,
-        enclosing_types: list[TypeRef],
-        enclosing_exec: Optional[str],
-    ) -> None:
+        The parser lists a type after the type whose body holds it, so the
+        executable that creates an anonymous body has been walked already.
+        """
         assert node.qualified_name is not None
         owner = TypeRef(node.qualified_name)
+        instances = [owner]
+        outer = node.outer
+        while outer is not None:
+            instances.append(TypeRef(outer))
+            outer = self.env.outer[outer]
+        creator = self.creators.get(owner.name)
         init_blocks = 0
         static_blocks = 0
         for m in node.members:
@@ -433,11 +447,9 @@ class _Extractor:
                         continue
                     ex = self._new_executable(
                         f"{owner.name}#<field:{d.name}>",
-                        owner, "field-initializer", [], d.pos, enclosing_exec,
+                        owner, "field-initializer", [], d.pos, creator,
                     )
-                    walker = _BodyWalker(self, ex, owner, enclosing_types)
-                    walker.visit_expr_or_init(d.init)
-                    walker.finish()
+                    _BodyWalker(self, ex, instances).visit_expr_or_init(d.init)
             elif isinstance(m, ast.InitBlock):
                 if m.static:
                     static_blocks += 1
@@ -447,13 +459,9 @@ class _Extractor:
                     init_blocks += 1
                     ident = f"{owner.name}#<init-block>[{init_blocks}]"
                     kind = "instance-initializer"
-                ex = self._new_executable(ident, owner, kind, [], m.pos, enclosing_exec)
-                walker = _BodyWalker(self, ex, owner, enclosing_types)
-                walker.visit_stmt(m.body)
-                walker.finish()
-            elif isinstance(m, ast.MethodDecl):
-                if m.body is None:
-                    continue
+                ex = self._new_executable(ident, owner, kind, [], m.pos, creator)
+                _BodyWalker(self, ex, instances).visit_stmt(m.body)
+            elif isinstance(m, ast.MethodDecl) and m.body is not None:
                 sig = ",".join(p.written_type for p in m.params)
                 name = "<init>" if m.is_ctor else m.name
                 resolve = self.env.resolve_type_name
@@ -467,13 +475,9 @@ class _Extractor:
                     "constructor" if m.is_ctor else "method",
                     params,
                     m.pos,
-                    enclosing_exec,
+                    creator,
                 )
-                walker = _BodyWalker(self, ex, owner, enclosing_types)
-                walker.visit_stmt(m.body)
-                walker.finish()
-            elif isinstance(m, ast.TypeDeclNode):
-                self.extract_type(m, [owner] + enclosing_types, None)
+                _BodyWalker(self, ex, instances).visit_stmt(m.body)
 
     def _new_executable(
         self,
@@ -499,47 +503,27 @@ class _Extractor:
         return ex
 
 
+#: The postfix forms a chain is made of; a call with no target ends one.
+_LINKS = (ast.FieldAccess, ast.MethodCall, ast.ArrayAccess)
+
+
 class _BodyWalker:
     """Walks one executable body, emitting sites in token order."""
 
-    def __init__(
-        self,
-        extractor: _Extractor,
-        ex: Executable,
-        owner: TypeRef,
-        enclosing_types: list[TypeRef],
-    ):
+    def __init__(self, extractor: _Extractor, ex: Executable, instances: list[TypeRef]):
         self.x = extractor
         self.ex = ex
-        self.owner = owner
-        self.enclosing_types = enclosing_types
+        self.owner = instances[0]
+        # The owner, then each enclosing type outward: the instances an
+        # unqualified member name may belong to, in lookup order.
+        self.instances = instances
         self.scopes: list[dict[str, TypeRef]] = []
         self.ordinal = 0
-        self.pending_anons: list[tuple[ast.TypeDeclNode, list[TypeRef]]] = []
-
-    def finish(self) -> None:
-        """Process anonymous classes created in this body, in source order."""
-        for node, types_chain in self.pending_anons:
-            self.x.extract_type(node, types_chain, enclosing_exec=self.ex.id)
 
     # -- helpers ------------------------------------------------------------
 
-    @property
-    def table(self) -> TypeTable:
-        return self.x.table
-
-    @property
-    def mode(self) -> ResolutionMode:
-        return self.x.mode
-
     def err(self, pos: int, message: str) -> BindError:
         return self.x.env.error(pos, message)
-
-    def try_member(self, receiver: TypeRef, name: str, arity: int | None) -> MemberDecl | None:
-        try:
-            return self.table.resolve_member(receiver, name, arity, ResolutionMode.STRICT)
-        except MemberResolutionError:
-            return None
 
     def member_or_err(
         self, receiver: TypeRef, name: str, arity: int | None, pos: int
@@ -549,7 +533,7 @@ class _BodyWalker:
         if receiver.kind is TypeKind.ARRAY:
             receiver = OBJECT  # arrays expose only Object members beyond length
         try:
-            return self.table.resolve_member(receiver, name, arity, self.mode)
+            return self.x.table.resolve_member(receiver, name, arity, self.x.mode)
         except MemberResolutionError:
             shown = name if arity is None else f"{name}({arity} args)"
             raise self.err(pos, f"no member {shown} on type {receiver.name}") from None
@@ -575,23 +559,62 @@ class _BodyWalker:
         self.ex.body_accesses.append(site)
         return site
 
-    def lookup_local(self, name: str) -> TypeRef | None:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        return None
-
     def lookup_param(self, name: str) -> TypeRef | None:
         for pname, ptype in self.ex.params:
             if pname == name:
                 return ptype
         return None
 
+    def implicit_member(
+        self, name: str, arity: int | None, access_kind: str, pos: int
+    ) -> AccessSite | None:
+        """Emit the site of an unqualified member on the first instance
+        that has it: this one, then each enclosing one outward."""
+        form = "this-implicit"
+        for t in self.instances:
+            try:
+                member = self.x.table.resolve_member(t, name, arity, ResolutionMode.STRICT)
+            except MemberResolutionError:
+                form = "outer-instance"
+                continue
+            return self.emit(access_kind, ReceiverDesc(form, t, ()), member, pos)
+        return None
+
+    def variable(self, name: str, pos: int, access_kind: str) -> _Value | None:
+        """A simple name as a local, then a parameter, then an implicit
+        field, whose ``access_kind`` site it emits; None if it is none."""
+        for scope in reversed(self.scopes):
+            if name in scope:
+                t = scope[name]
+                return _Value(t, (ProvStep("local", name, t),), "expression")
+        t = self.lookup_param(name)
+        if t is not None:
+            return _Value(t, (ProvStep("parameter", name, t),), "expression")
+        site = self.implicit_member(name, None, access_kind, pos)
+        if site is None:
+            return None
+        t = site.member.declared_type
+        return _Value(t, (ProvStep("field", name, t),), "expression")
+
+    def unresolved(self, name: str, pos: int) -> _Value:
+        """A name that resolves to nothing: an unknown value when lenient."""
+        if self.x.mode is ResolutionMode.LENIENT:
+            t = unknown_type(name)
+            return _Value(t, (ProvStep("local", name, t),), "expression")
+        raise self.err(pos, f"cannot resolve name '{name}'")
+
+    def name_prefix(self, label: str, pos: int) -> _Value:
+        """``label`` as the start of a longer qualified type name, if any
+        known type's name starts with it; else an unresolved name."""
+        if self.x.env.is_name_prefix(label):
+            return _Value(OBJECT, (), "name-prefix", label=label)
+        return self.unresolved(label, pos)
+
     def direct_superclass(self) -> TypeRef:
-        decl = self.table.get(self.owner.name)
+        decl = self.x.table.get(self.owner.name)
         if decl is not None:
             for sup in decl.supertypes:
-                sup_decl = self.table.get(sup.name)
+                sup_decl = self.x.table.get(sup.name)
                 if sup_decl is None or sup_decl.decl_kind is DeclKind.CLASS:
                     return sup
         return OBJECT
@@ -646,7 +669,7 @@ class _BodyWalker:
             self.visit_stmt(s.body)
             for c in s.catches:
                 # Caught variables count as parameters of this executable.
-                ptype = self.x.env.resolve_type_name(c.param.type, self.owner.name, self.mode)
+                ptype = self.x.env.resolve_type_name(c.param.type, self.owner.name, self.x.mode)
                 self.ex.params.append((c.param.name, ptype))
                 self.visit_stmt(c.body)
             if s.final is not None:
@@ -661,7 +684,7 @@ class _BodyWalker:
             if d.init is not None:
                 self.visit_expr_or_init(d.init)
             t = self.x.env.resolve_type_name(
-                s.type, self.owner.name, self.mode, extra_dims=d.extra_dims
+                s.type, self.owner.name, self.x.mode, extra_dims=d.extra_dims
             )
             if not self.scopes:
                 self.scopes.append({})
@@ -682,10 +705,6 @@ class _BodyWalker:
             raise AssertionError(f"unhandled expression {type(e).__name__}")
         return method(e)
 
-    def _unknown_value(self, name: str) -> _Value:
-        t = unknown_type(name)
-        return _Value(t, (ProvStep("local", name, t),), "expression")
-
     def _visit_Literal(self, e: ast.Literal) -> _Value:
         if e.kind == "string":
             t: TypeRef = TypeRef(STRING)
@@ -704,134 +723,95 @@ class _BodyWalker:
         return self.visit_expr(e.expr)
 
     def _visit_NameExpr(self, e: ast.NameExpr) -> _Value:
-        name = e.name
-        t = self.lookup_local(name)
-        if t is not None:
-            return _Value(t, (ProvStep("local", name, t),), "expression")
-        t = self.lookup_param(name)
-        if t is not None:
-            return _Value(t, (ProvStep("parameter", name, t),), "expression")
-        member = self.try_member(self.owner, name, None)
-        if member is not None:
-            recv = ReceiverDesc("this-implicit", self.owner, ())
-            self.emit("field-read", recv, member, e.pos)
-            return _Value(
-                member.declared_type,
-                (ProvStep("field", name, member.declared_type),),
-                "expression",
-            )
-        for outer in self.enclosing_types:
-            member = self.try_member(outer, name, None)
-            if member is not None:
-                recv = ReceiverDesc("outer-instance", outer, ())
-                self.emit("field-read", recv, member, e.pos)
-                return _Value(
-                    member.declared_type,
-                    (ProvStep("field", name, member.declared_type),),
-                    "expression",
-                )
+        v = self.variable(e.name, e.pos, "field-read")
+        if v is not None:
+            return v
         try:
-            resolved = self.x.env.resolve_simple(name, self.owner.name)
+            resolved = self.x.env.resolve_simple(e.name, self.owner.name)
         except _Ambiguity as amb:
             raise self.err(e.pos, amb.message()) from None
         if resolved is not None:
             return _Value(TypeRef(resolved), (), "type-name")
-        if self.x.env.is_name_prefix(name):
-            return _Value(OBJECT, (), "name-prefix", label=name)
-        if self.mode is ResolutionMode.LENIENT:
-            return self._unknown_value(name)
-        raise self.err(e.pos, f"cannot resolve name '{name}'")
+        return self.name_prefix(e.name, e.pos)
 
-    def _visit_FieldAccess(self, e: ast.FieldAccess) -> _Value:
-        v = self.visit_expr(e.target)
+    def _visit_chain(self, e: ast.Expr) -> _Value:
+        # The parser nests a postfix chain like a.b().c[i] to the left, as
+        # deep as the chain is long, so peel it in a loop, not by recursion:
+        # visit the innermost operand, then apply each link in order.
+        links = []
+        while isinstance(e, _LINKS) and e.target is not None:
+            links.append(e)
+            e = e.target
+        v = self.implicit_call(e) if isinstance(e, ast.MethodCall) else self.visit_expr(e)
+        for link in reversed(links):
+            v = self.link(v, link, "field-read")
+        return v
+
+    _visit_FieldAccess = _visit_MethodCall = _visit_ArrayAccess = _visit_chain
+
+    def implicit_call(self, e: ast.MethodCall) -> _Value:
+        """A call with no target: emit its site, then visit its arguments."""
+        arity = len(e.args)
+        site = self.implicit_member(e.name, arity, "method-call", e.pos)
+        if site is None:
+            if self.x.mode is not ResolutionMode.LENIENT:
+                raise self.err(e.pos, f"cannot resolve method '{e.name}' ({arity} args)")
+            member = self.x.table.resolve_member(self.owner, e.name, arity, ResolutionMode.LENIENT)
+            recv = ReceiverDesc("this-implicit", self.owner, ())
+            site = self.emit("method-call", recv, member, e.pos)
+        site.arg_types = tuple(self.visit_expr(a).type for a in e.args)
+        t = site.member.declared_type
+        return _Value(t, (ProvStep("call", e.name, t),), "expression")
+
+    def link(self, v: _Value, e: ast.Expr, access_kind: str) -> _Value:
+        """Apply one postfix link to ``v``: an index, or a member that is
+        called, or read or written as ``access_kind`` says.  A member link
+        emits its site, then visits its arguments."""
+        if isinstance(e, ast.ArrayAccess):
+            self.visit_expr(e.index)
+            if v.type.kind is TypeKind.ARRAY:
+                assert v.type.element is not None
+                return _Value(v.type.element, v.chain, "expression")
+            if v.type.kind is TypeKind.UNKNOWN or self.x.mode is ResolutionMode.LENIENT:
+                return _Value(unknown_type(f"{v.type.name}[?]"), v.chain, "expression")
+            raise self.err(e.pos, f"array access on non-array type {v.type.name}")
+        name, pos = e.name, e.pos
+        call = isinstance(e, ast.MethodCall)
+        if call:
+            access_kind = "method-call"
         if v.form == "name-prefix":
-            extended = f"{v.label}.{e.name}"
-            if extended in self.x.env.universe:
-                return _Value(TypeRef(extended), (), "type-name")
-            if self.x.env.is_name_prefix(extended):
-                return _Value(OBJECT, (), "name-prefix", label=extended)
-            if self.mode is ResolutionMode.LENIENT:
-                return self._unknown_value(extended)
-            raise self.err(e.pos, f"cannot resolve name '{extended}'")
-        if v.type.kind is TypeKind.ARRAY and e.name == "length":
+            if access_kind == "field-read":
+                extended = f"{v.label}.{name}"
+                if extended in self.x.env.universe:
+                    return _Value(TypeRef(extended), (), "type-name")
+                return self.name_prefix(extended, pos)
+            v = self.unresolved(v.label, pos)
+        form = "this-explicit" if v.form == "this-explicit" else "expression"
+        if access_kind == "field-read" and name == "length" and v.type.kind is TypeKind.ARRAY:
+            t = _PRIM["int"]
             member = MemberDecl(
                 name="length",
                 member_kind=MemberKind.FIELD,
                 is_static=False,
                 visibility="public",
-                declared_type=_PRIM["int"],
+                declared_type=t,
                 param_types=(),
                 declaring_type=v.type.name,
             )
-            form = v.form if v.form in ("this-explicit",) else "expression"
-            self.emit("array-length", ReceiverDesc(form, v.type, v.chain), member, e.pos)
-            return _Value(_PRIM["int"], (ProvStep("field", "length", _PRIM["int"]),), "expression")
-        member = self.member_or_err(v.type, e.name, None, e.pos)
+            self.emit("array-length", ReceiverDesc(form, v.type, v.chain), member, pos)
+            return _Value(t, (ProvStep("field", "length", t),), "expression")
+        member = self.member_or_err(v.type, name, len(e.args) if call else None, pos)
+        step = "call" if call else "field"
         if v.form == "type-name":
-            self.emit("static-member-access", ReceiverDesc("type-name", v.type, ()), member, e.pos)
-            return _Value(
-                member.declared_type,
-                (ProvStep("static-member", e.name, member.declared_type),),
-                "expression",
-            )
-        form = "this-explicit" if v.form == "this-explicit" else "expression"
-        self.emit("field-read", ReceiverDesc(form, v.type, v.chain), member, e.pos)
-        return _Value(
-            member.declared_type,
-            v.chain + (ProvStep("field", e.name, member.declared_type),),
-            "expression",
-        )
-
-    def _visit_MethodCall(self, e: ast.MethodCall) -> _Value:
-        arity = len(e.args)
-        if e.target is None:
-            member = self.try_member(self.owner, e.name, arity)
-            if member is not None:
-                recv = ReceiverDesc("this-implicit", self.owner, ())
-                site = self.emit("method-call", recv, member, e.pos)
-            else:
-                for outer in self.enclosing_types:
-                    member = self.try_member(outer, e.name, arity)
-                    if member is not None:
-                        recv = ReceiverDesc("outer-instance", outer, ())
-                        site = self.emit("method-call", recv, member, e.pos)
-                        break
-                else:
-                    if self.mode is ResolutionMode.LENIENT:
-                        member = self.table.resolve_member(
-                            self.owner, e.name, arity, ResolutionMode.LENIENT
-                        )
-                        recv = ReceiverDesc("this-implicit", self.owner, ())
-                        site = self.emit("method-call", recv, member, e.pos)
-                    else:
-                        raise self.err(
-                            e.pos, f"cannot resolve method '{e.name}' ({arity} args)"
-                        )
+            # A written static field keeps the step of a field.
+            if access_kind != "field-write":
+                step = "static-member"
+            access_kind, form = "static-member-access", "type-name"
+        site = self.emit(access_kind, ReceiverDesc(form, v.type, v.chain), member, pos)
+        if call:
             site.arg_types = tuple(self.visit_expr(a).type for a in e.args)
-            ret = member.declared_type
-            return _Value(ret, (ProvStep("call", e.name, ret),), "expression")
-        v = self.visit_expr(e.target)
-        if v.form == "name-prefix":
-            if self.mode is ResolutionMode.LENIENT:
-                v = self._unknown_value(v.label)
-            else:
-                raise self.err(e.pos, f"cannot resolve name '{v.label}'")
-        member = self.member_or_err(v.type, e.name, arity, e.pos)
-        if v.form == "type-name":
-            site = self.emit(
-                "static-member-access", ReceiverDesc("type-name", v.type, ()), member, e.pos
-            )
-            result_chain: tuple[ProvStep, ...] = (
-                ProvStep("static-member", e.name, member.declared_type),
-            )
-        else:
-            form = "this-explicit" if v.form == "this-explicit" else "expression"
-            site = self.emit(
-                "method-call", ReceiverDesc(form, v.type, v.chain), member, e.pos
-            )
-            result_chain = v.chain + (ProvStep("call", e.name, member.declared_type),)
-        site.arg_types = tuple(self.visit_expr(a).type for a in e.args)
-        return _Value(member.declared_type, result_chain, "expression")
+        t = member.declared_type
+        return _Value(t, v.chain + (ProvStep(step, name, t),), "expression")
 
     def _visit_SuperMember(self, e: ast.SuperMember) -> _Value:
         sup = self.direct_superclass()
@@ -864,7 +844,7 @@ class _BodyWalker:
 
     def _visit_Cast(self, e: ast.Cast) -> _Value:
         v = self.visit_expr(e.expr)
-        t = self.x.env.resolve_type_name(e.type, self.owner.name, self.mode)
+        t = self.x.env.resolve_type_name(e.type, self.owner.name, self.x.mode)
         if isinstance(e.expr, ast.NameExpr) and self.lookup_param(e.expr.name) is not None:
             if not t.is_primitive:
                 self.ex.downcast_param_types.add(t)
@@ -874,9 +854,9 @@ class _BodyWalker:
         if e.body is not None:
             assert e.body.qualified_name is not None
             t = TypeRef(e.body.qualified_name)
-            self.pending_anons.append((e.body, [self.owner] + self.enclosing_types))
+            self.x.creators[t.name] = self.ex.id
         else:
-            t = self.x.env.resolve_type_name(e.type, self.owner.name, self.mode)
+            t = self.x.env.resolve_type_name(e.type, self.owner.name, self.x.mode)
         if not t.is_primitive:
             self.ex.instantiated_types.add(t)
         for a in e.args:
@@ -884,7 +864,7 @@ class _BodyWalker:
         return _Value(t, (ProvStep("new", t.name, t),), "expression")
 
     def _visit_NewArray(self, e: ast.NewArray) -> _Value:
-        elem = self.x.env.resolve_type_name(e.element, self.owner.name, self.mode)
+        elem = self.x.env.resolve_type_name(e.element, self.owner.name, self.x.mode)
         t = elem
         for _ in e.dim_exprs:
             t = array_of(t)
@@ -899,19 +879,9 @@ class _BodyWalker:
         self.visit_expr_or_init(e)
         return _Value(unknown_type("<array-init>"), (), "expression")
 
-    def _visit_ArrayAccess(self, e: ast.ArrayAccess) -> _Value:
-        v = self.visit_expr(e.target)
-        self.visit_expr(e.index)
-        if v.type.kind is TypeKind.ARRAY:
-            assert v.type.element is not None
-            return _Value(v.type.element, v.chain, "expression")
-        if v.type.kind is TypeKind.UNKNOWN or self.mode is ResolutionMode.LENIENT:
-            return _Value(unknown_type(f"{v.type.name}[?]"), v.chain, "expression")
-        raise self.err(e.pos, f"array access on non-array type {v.type.name}")
-
     def _visit_Unary(self, e: ast.Unary) -> _Value:
         if e.op in ("++", "--"):
-            return self._visit_increment(e)
+            return self._write_target(e.expr)
         v = self.visit_expr(e.expr)
         if e.op == "!":
             t: TypeRef = _PRIM["boolean"]
@@ -920,13 +890,6 @@ class _BodyWalker:
         else:  # pragma: no cover
             t = v.type
         return _Value(t, (ProvStep("literal", e.op, t),), "expression")
-
-    def _visit_increment(self, e: ast.Unary) -> _Value:
-        target = e.expr
-        while isinstance(target, ast.Paren):
-            target = target.expr
-        v = self._write_target(target)
-        return _Value(v.type, v.chain, "expression")
 
     def _visit_Binary(self, e: ast.Binary) -> _Value:
         # The parser nests a chain like a + b + c to the left, as deep as the
@@ -942,7 +905,7 @@ class _BodyWalker:
 
     def _visit_InstanceOf(self, e: ast.InstanceOf) -> _Value:
         self.visit_expr(e.expr)
-        self.x.env.resolve_type_name(e.type, self.owner.name, self.mode)
+        self.x.env.resolve_type_name(e.type, self.owner.name, self.x.mode)
         t = _PRIM["boolean"]
         return _Value(t, (ProvStep("literal", "instanceof", t),), "expression")
 
@@ -954,71 +917,25 @@ class _BodyWalker:
         return _Value(then.type, then.chain, "expression")
 
     def _visit_Assign(self, e: ast.Assign) -> _Value:
-        target = e.target
-        while isinstance(target, ast.Paren):
-            target = target.expr
-        v = self._write_target(target)
+        v = self._write_target(e.target)
         self.visit_expr(e.value)
-        return _Value(v.type, v.chain, "expression")
+        return v
 
     def _write_target(self, target: ast.Expr) -> _Value:
-        """Visit an assignment/increment target, emitting one write site."""
+        """Visit an assignment or increment target, emitting one write site
+        for a field; any other target is visited as a read."""
+        while isinstance(target, ast.Paren):
+            target = target.expr
         if isinstance(target, ast.NameExpr):
-            name = target.name
-            t = self.lookup_local(name)
-            if t is not None:
-                return _Value(t, (ProvStep("local", name, t),), "expression")
-            t = self.lookup_param(name)
-            if t is not None:
-                return _Value(t, (ProvStep("parameter", name, t),), "expression")
-            member = self.try_member(self.owner, name, None)
-            if member is not None:
-                recv = ReceiverDesc("this-implicit", self.owner, ())
-                self.emit("field-write", recv, member, target.pos)
-                return _Value(
-                    member.declared_type,
-                    (ProvStep("field", name, member.declared_type),),
-                    "expression",
-                )
-            for outer in self.enclosing_types:
-                member = self.try_member(outer, name, None)
-                if member is not None:
-                    recv = ReceiverDesc("outer-instance", outer, ())
-                    self.emit("field-write", recv, member, target.pos)
-                    return _Value(
-                        member.declared_type,
-                        (ProvStep("field", name, member.declared_type),),
-                        "expression",
-                    )
-            if self.mode is ResolutionMode.LENIENT:
-                return self._unknown_value(name)
-            raise self.err(target.pos, f"cannot resolve name '{name}'")
-        if isinstance(target, ast.FieldAccess):
-            v = self.visit_expr(target.target)
-            if v.form == "name-prefix":
-                if self.mode is ResolutionMode.LENIENT:
-                    v = self._unknown_value(v.label)
-                else:
-                    raise self.err(target.pos, f"cannot resolve name '{v.label}'")
-            member = self.member_or_err(v.type, target.name, None, target.pos)
-            if v.form == "type-name":
-                self.emit(
-                    "static-member-access", ReceiverDesc("type-name", v.type, ()), member, target.pos
-                )
-            else:
-                form = "this-explicit" if v.form == "this-explicit" else "expression"
-                self.emit("field-write", ReceiverDesc(form, v.type, v.chain), member, target.pos)
-            return _Value(
-                member.declared_type,
-                v.chain + (ProvStep("field", target.name, member.declared_type),),
-                "expression",
-            )
-        if isinstance(target, ast.ArrayAccess):
-            return self._visit_ArrayAccess(target)
-        if isinstance(target, ast.SuperMember) and target.args is None:
-            return self._visit_SuperMember(target)
-        # anything else: value computed, no member written
-        return self.visit_expr(target)
+            v = self.variable(target.name, target.pos, "field-write")
+            if v is None:
+                v = self.unresolved(target.name, target.pos)
+        elif isinstance(target, ast.FieldAccess):
+            v = self.link(self.visit_expr(target.target), target, "field-write")
+        else:
+            v = self.visit_expr(target)
+        return _Value(v.type, v.chain, "expression")
+
 
 
 def _promote_unary(t: TypeRef) -> TypeRef:

@@ -212,6 +212,51 @@ class TestLoadErrors:
         assert err == f"E-PARSE: cannot decode {src} as UTF-8\n"
 
 
+class TestDuplicateInputs:
+    SOURCE = "package p;\nclass A { void m(A a) { a.m(null); a.m(a); } }\n"
+
+    def test_a_file_named_again_is_analyzed_once(self, tmp_path, monkeypatch):
+        src = tmp_path / "sub" / "A.java"
+        src.parent.mkdir()
+        src.write_text(self.SOURCE)
+        (tmp_path / "L.java").symlink_to(src)
+        monkeypatch.chdir(tmp_path)
+        once, again = (
+            invoke(RunOptions(source_paths=paths, stub_paths=(OBJECT_STUB,), format="json"))
+            for paths in [
+                (Path("sub/A.java"),),
+                (Path("sub/A.java"), Path("sub/../sub/A.java"), tmp_path / "sub", Path("L.java")),
+            ]
+        )
+        # The same bytes, the digest of the first spelling's path included.
+        assert again == once
+        code, out, err = again
+        assert (code, err) == (0, "")
+        assert json.loads(out)["totals"]["accesses"] == 2
+
+    @pytest.mark.parametrize("second", [SOURCE, "package p;\nclass A { }\n"],
+                             ids=["same-text", "other-text"])
+    def test_type_declared_twice(self, tmp_path, second):
+        first, other = tmp_path / "A.java", tmp_path / "B.java"
+        first.write_text(self.SOURCE)
+        other.write_text(second)
+        code, out, err = invoke(RunOptions(source_paths=(first, other), stub_paths=(OBJECT_STUB,)))
+        assert (code, out) == (2, b"")
+        assert err == f"E-BIND: {other}:2:1: duplicate type p.A\n"
+
+    def test_member_type_named_like_an_anonymous_body(self, tmp_path):
+        # The parser names the anonymous body p.A$anon1 too; the second
+        # declaration, at its 'new', is reported.
+        src = tmp_path / "A.java"
+        src.write_text(
+            "package p; interface I { }\nclass A { class anon1 { void g() { } } "
+            "void m() { I i = new I() { }; anon1 a = null; a.g(); } }\n"
+        )
+        code, out, err = invoke(RunOptions(source_paths=(src,), stub_paths=(OBJECT_STUB,)))
+        assert (code, out) == (2, b"")
+        assert err == f"E-BIND: {src}:2:57: duplicate type p.A$anon1\n"
+
+
 def _returning(expr: str) -> str:
     return "class A { String m() { return " + expr + "; } }"
 
@@ -246,6 +291,22 @@ class TestDeepNesting:
         assert (code, out) == (2, b"")
         assert err.startswith(f"E-PARSE: {path}:1:") and "nesting too deep" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "this" + ".g()" * 5000 + ";",
+            "A x = this" + ".f" * 5000 + ";",
+            "this" + ".f" * 5000 + " = null;",
+        ],
+        ids=["calls-5000", "field-reads-5000", "field-write-5000"],
+    )
+    def test_long_postfix_chain_is_analyzed(self, tmp_path, body):
+        path = tmp_path / "A.java"
+        path.write_text("class A { A f; A g() { return this; } void m() { " + body + " } }")
+        code, out, err = invoke(_jdk_options(path, format="json"))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["totals"]["accesses"] == 5000
 
     def test_long_concatenation_is_analyzed(self, tmp_path):
         path = tmp_path / "A.java"

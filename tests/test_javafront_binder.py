@@ -1,6 +1,8 @@
 """Binder coverage: table construction, executables, sites, provenance."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demeterlint.codemodel import (
     DeclKind,
@@ -324,6 +326,22 @@ class TestSites:
         _, x = by_id(exes)["p.A#m()"].body_accesses
         assert (x.member.name, x.receiver.static_type) == ("x", TypeRef(outer))
 
+    def test_member_type_name_resolves_in_enclosing_types_first(self):
+        # Both A and B declare an In; each of them, and a type nested in B,
+        # means its own.
+        table, exes = front(
+            "package p;\nclass A { class In { void a() { } } In own; void n(In y) { y.a(); } }\n"
+            "class B { class In { void b() { } } void m(In x) { x.b(); }"
+            " class Nest { void k(In z) { z.b(); } } }"
+        )
+        b_in, a_in = TypeRef("p.B$In"), TypeRef("p.A$In")
+        for ident, name, expected in [
+            ("p.B#m(In)", "b", b_in), ("p.B$Nest#k(In)", "b", b_in), ("p.A#n(In)", "a", a_in)
+        ]:
+            (site,) = by_id(exes)[ident].body_accesses
+            assert (site.member.name, site.receiver.static_type) == (name, expected)
+        assert table.get("p.A").members[0].declared_type == a_in
+
     def test_call_chain_provenance(self):
         src = (
             "package p;\n"
@@ -553,6 +571,95 @@ class TestSites:
         src = "package p;\nclass A { class B { void m() { } } }"
         _, exes = front(src)
         assert by_id(exes)["p.A$B#m()"].enclosing_executable is None
+
+
+#: A postfix chain over ``C`` below: a base, then links.  A base is ``c``,
+#: ``this``, ``f``, ``("g", chain)`` for ``g(chain)`` or ``("()", chain)``
+#: for ``(chain)``; a link is ``.f``, ``.a[0]`` or ``(".g", chain)``.
+_bases = st.sampled_from(["c", "this", "f"])
+_fields = st.sampled_from([".f", ".a[0]"])
+_chains = st.recursive(
+    st.tuples(_bases, st.lists(_fields, max_size=4)),
+    lambda chains: st.tuples(
+        st.one_of(_bases, st.tuples(st.sampled_from(["g", "()"]), chains)),
+        st.lists(st.one_of(_fields, st.tuples(st.just(".g"), chains)), max_size=4),
+    ),
+    max_leaves=6,
+)
+
+_CHAIN_CLASS = "package p;\nclass C { C f; C[] a; C g(C x) { return x; } void m(C c) { %s } }"
+
+
+def _chain_text(chain) -> str:
+    base, links = chain
+    if isinstance(base, tuple):
+        text = ("g(%s)" if base[0] == "g" else "(%s)") % _chain_text(base[1])
+    else:
+        text = base
+    for link in links:
+        text += f".g({_chain_text(link[1])})" if isinstance(link, tuple) else link
+    return text
+
+
+def _chain_sites(chain, sites: list) -> tuple:
+    """Append the sites ``chain`` emits, as (kind, member, receiver form,
+    provenance), to ``sites``: a receiver's sites come before its member's,
+    and a call's argument sites after it.  Returns the chain's receiver
+    form and provenance."""
+    base, links = chain
+    if base == "c":
+        form, steps = "expression", (("parameter", "c"),)
+    elif base == "this":
+        form, steps = "this-explicit", ()
+    elif base == "f":
+        sites.append(("field-read", "f", "this-implicit", ()))
+        form, steps = "expression", (("field", "f"),)
+    elif base[0] == "g":
+        sites.append(("method-call", "g", "this-implicit", ()))
+        _chain_sites(base[1], sites)
+        form, steps = "expression", (("call", "g"),)
+    else:
+        form, steps = _chain_sites(base[1], sites)
+    for link in links:
+        if isinstance(link, tuple):
+            sites.append(("method-call", "g", form, steps))
+            _chain_sites(link[1], sites)
+            steps += (("call", "g"),)
+        else:
+            name = link[1]  # .f or .a[0]
+            sites.append(("field-read", name, form, steps))
+            steps += (("field", name),)
+        form = "expression"
+    return form, steps
+
+
+class TestChainOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(target=_chains, value=_chains, parens=st.booleans())
+    def test_sites_follow_the_chain(self, target, value, parens):
+        written = f"{_chain_text(target)}.f"
+        stmts = (
+            f"C r = {_chain_text(value)}; "
+            f"{'(' + written + ')' if parens else written} = {_chain_text(value)};"
+        )
+        expected: list = []
+        _chain_sites(value, expected)
+        form, steps = _chain_sites(target, expected)
+        expected.append(("field-write", "f", form, steps))
+        _chain_sites(value, expected)
+        _, exes = front(_CHAIN_CLASS % stmts)
+        sites = by_id(exes)["p.C#m(C)"].body_accesses
+        got = [
+            (
+                s.access_kind,
+                s.member.name,
+                s.receiver.form,
+                tuple((step.kind, step.label) for step in s.receiver.chain),
+            )
+            for s in sites
+        ]
+        assert got == expected
+        assert all(s.receiver.static_type == TypeRef("p.C") for s in sites)
 
 
 class TestDeterminism:
