@@ -18,8 +18,9 @@ grants with a review status.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_left, bisect_right
-from fnmatch import fnmatchcase
+from fnmatch import fnmatchcase, translate
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -402,12 +403,18 @@ def _is_primitive_name(name: str) -> bool:
 # -- effective friend sets -------------------------------------------------------
 
 
-def _glob_matches_id(glob: str, exec_id: str) -> bool:
-    # Executable ids may contain [] (initializer indices), which fnmatch
-    # would treat as a character class; literal patterns compare directly.
-    if not any(c in glob for c in "*?["):
-        return glob == exec_id
-    return fnmatchcase(exec_id, glob)
+def _id_pattern(globs: Iterable[str]) -> re.Pattern:
+    """One pattern that matches an executable id when any of ``globs`` does.
+
+    Executable ids may contain [] (initializer indices), which fnmatch
+    would treat as a character class; a literal glob matches only itself.
+    """
+    return re.compile(
+        "|".join(
+            translate(g) if any(c in g for c in "*?[") else re.escape(g) + r"\Z"
+            for g in globs
+        )
+    )
 
 
 def _package_of(name: str) -> str:
@@ -420,15 +427,30 @@ Contribution = tuple[tuple[TypeRef, ...], int]
 
 _NOTHING: Contribution = ((), 0)
 
-#: The rules that can change one executable's friend set, each with its
-#: grant as (rule id, types) and that grant's mask; (None, 0) for the kinds
-#: ``Adapter.effective`` applies itself.
+#: The rules of one layer that can change one executable's friend set, each
+#: with its grant as (rule id, types) and that grant's mask; (None, 0) for
+#: the kinds ``Adapter.effective`` applies itself.
 _Active = tuple[tuple[Rule, Optional[tuple[str, tuple[TypeRef, ...]]], int], ...]
 
 
 #: One friend-implication pair, ready for bit tests: rule id, the premise's
 #: bit position, the conclusion, its bit position and its closure mask.
 _Implication = tuple[str, int, TypeRef, int, int]
+
+#: One executable's set through some layers before anon-inner-share and the
+#: implication fixpoint: the mask, the grants in rule order, the implication
+#: pairs, the member exemptions and the first enabled anon-inner-share rule.
+_Prefix = tuple[
+    int,
+    tuple[tuple[str, tuple[TypeRef, ...]], ...],
+    tuple[_Implication, ...],
+    tuple[MemberExemption, ...],
+    Optional[Rule],
+]
+
+#: A method call of one executable: its site's position, the method's name
+#: and its declared type.
+_Call = tuple[int, str, TypeRef]
 
 
 class Adapter:
@@ -473,7 +495,18 @@ class Adapter:
                     if r.member_predicate
                     else MemberExemption(r.rule_id, "pattern", *r.member_pattern)
                 )
+        # Each rule's layer as a position in layer_indices, and each layer's
+        # rules with their kinds' grant functions.
+        self._position = {
+            r.rule_id: bisect_left(config.layer_indices, r.layer) for r in config.rules
+        }
+        self._grants_at = {
+            k: tuple((r, _KINDS[r.kind].grant) for r in config.rules_at(k))
+            for k in config.layer_indices
+        }
         self._active_cache: dict[tuple[str, int], _Active] = {}
+        self._prefix_cache: dict[tuple[str, int], _Prefix] = {}
+        self._calls_cache: dict[str, dict[str, list[_Call]]] = {}
         self._effective_cache: dict[tuple[str, int, frozenset[str]], FriendSet] = {}
         self._universal_cache: dict[str, Contribution] = {}
         self._implementors_cache: dict[str, tuple[str, ...]] = {}
@@ -482,7 +515,12 @@ class Adapter:
         self._agg_cache: dict[tuple[str, str], Contribution] = {}
         self._field_calls_cache: dict[str, tuple[tuple[str, tuple[TypeRef, ...]], ...]] = {}
         self._base_seeds_cache: dict[str, tuple[TypeRef, ...]] = {}
-        self._grant_rules_cache: dict[str, tuple[Rule, ...]] = {}
+        self._executable_grant_rules = tuple(
+            (r, _id_pattern(r.executables).match)
+            for r in config.rules
+            if r.kind == "executable-grant"
+        )
+        self._executable_grants_cache: dict[str, dict[str, Rule]] = {}
 
     def _close(self, types: Iterable[TypeRef]) -> Contribution:
         kept = tuple(dict.fromkeys(t for t in types if not t.is_primitive))
@@ -509,9 +547,11 @@ class Adapter:
             target = parse_type_name(interface)
             table = self.table
             got = tuple(
-                decl.name
-                for decl in sorted(table, key=lambda d: d.name)
-                if table.in_mask(table.closure_mask([decl.ref]), target)
+                sorted(
+                    decl.name
+                    for decl in table
+                    if table.in_mask(table.closure_mask([decl.ref]), target)
+                )
             )
             self._implementors_cache[interface] = got
         return got
@@ -521,11 +561,7 @@ class Adapter:
         if got is None:
             # "java.lang.*" means direct members of java.lang, not subpackages.
             pkg = glob[:-2] if glob.endswith(".*") else glob
-            got = tuple(
-                decl.name
-                for decl in sorted(self.table, key=lambda d: d.name)
-                if _package_of(decl.name) == pkg
-            )
+            got = tuple(sorted(decl.name for decl in self.table if _package_of(decl.name) == pkg))
             self._package_cache[glob] = got
         return got
 
@@ -553,7 +589,9 @@ class Adapter:
             for name, arg_types in self._field_calls(owner):
                 if name in rule.infer_via:
                     elements += arg_types
-        got = self._agg_cache[(owner, rule.rule_id)] = self._close(elements)
+        got = self._agg_cache[(owner, rule.rule_id)] = (
+            self._close(elements) if elements else _NOTHING
+        )
         return got
 
     def _field_calls(self, owner: str) -> tuple[tuple[str, tuple[TypeRef, ...]], ...]:
@@ -577,57 +615,115 @@ class Adapter:
         return got
 
     def _grant_call(self, ex: Executable, rule: Rule) -> Contribution:
-        returned = []
-        for site in ex.body_accesses:
-            member = site.member
-            if site.access_kind not in ("method-call", "static-member-access"):
-                continue
-            if member.member_kind is not MemberKind.METHOD:
-                continue
-            if any(
-                member.declaring_type == m_type and fnmatchcase(member.name, m_glob)
-                for m_type, m_glob in rule.matcher
-            ):
-                if rule.grants:
-                    return self._listed[rule.rule_id]
-                returned.append(member.declared_type)
-        return self._close(returned)
+        calls = self._calls(ex)
+        hits: dict[int, TypeRef] = {}
+        for m_type, m_glob in rule.matcher:
+            for position, name, declared in calls.get(m_type, ()):
+                if fnmatchcase(name, m_glob):
+                    hits[position] = declared
+        if not hits:
+            return _NOTHING
+        if rule.grants:
+            return self._listed[rule.rule_id]
+        return self._close(hits[position] for position in sorted(hits))
+
+    def _calls(self, ex: Executable) -> dict[str, list[_Call]]:
+        """``ex``'s method calls by declaring type, in site order, so that a
+        call-grant whose matcher names none of those types needs no scan."""
+        got = self._calls_cache.get(ex.id)
+        if got is None:
+            got = self._calls_cache[ex.id] = {}
+            for position, site in enumerate(ex.body_accesses):
+                member = site.member
+                if (
+                    site.access_kind in ("method-call", "static-member-access")
+                    and member.member_kind is MemberKind.METHOD
+                ):
+                    got.setdefault(member.declaring_type, []).append(
+                        (position, member.name, member.declared_type)
+                    )
+        return got
 
     def _grant_downcast(self, ex: Executable, rule: Rule) -> Contribution:
-        return self._close(ex.downcast_param_types) if rule.enabled else _NOTHING
+        if rule.enabled and ex.downcast_param_types:
+            return self._close(ex.downcast_param_types)
+        return _NOTHING
 
     def _grant_executable(self, ex: Executable, rule: Rule) -> Contribution:
-        if rule.status == "accepted" and any(
-            _glob_matches_id(g, ex.id) for g in rule.executables
-        ):
+        if rule.status == "accepted" and rule.rule_id in self._executable_grants(ex.id):
             return self._listed[rule.rule_id]
         return _NOTHING
+
+    def _executable_grants(self, exec_id: str) -> dict[str, Rule]:
+        """The executable-grant rules whose globs match ``exec_id``, by id,
+        in rule order."""
+        got = self._executable_grants_cache.get(exec_id)
+        if got is None:
+            got = self._executable_grants_cache[exec_id] = {
+                r.rule_id: r for r, match in self._executable_grant_rules if match(exec_id)
+            }
+        return got
 
     # -- the effective set ---------------------------------------------------
 
     def _active(self, ex: Executable, k: int) -> _Active:
-        """The rules through layer k that can change ``ex``'s friend set, in
+        """The rules at layer k that can change ``ex``'s friend set, in
         order: the independent rules that grant ``ex`` something and every
-        rule of the other kinds.  Built layer on layer, so each rule's
-        contribution to ``ex`` is computed once."""
-        layers = self.config.layer_indices
-        i = bisect_right(layers, k)
-        if not i:
-            return ()
-        key = (ex.id, layers[i - 1])
+        rule of the other kinds, anon-inner-share only for an executable of
+        an anonymous body.  Each rule's contribution to ``ex`` is computed
+        once."""
+        key = (ex.id, k)
         got = self._active_cache.get(key)
         if got is None:
-            active = list(self._active(ex, layers[i - 2]) if i > 1 else ())
-            for r in self.config.rules_at(layers[i - 1]):
-                grant = _KINDS[r.kind].grant
+            active = []
+            for r, grant in self._grants_at[k]:
                 if grant is None:
-                    active.append((r, None, 0))
+                    if r.kind != "anon-inner-share" or ex.enclosing_executable is not None:
+                        active.append((r, None, 0))
                     continue
                 types, mask = grant(self, ex, r)
                 if types:
                     active.append((r, (r.rule_id, types), mask))
             got = self._active_cache[key] = tuple(active)
         return got
+
+    def _prefix(self, ex: Executable, n: int) -> _Prefix:
+        """``ex``'s undisabled set through the first n layers, before
+        anon-inner-share and the fixpoint; built layer on layer."""
+        cache = self._prefix_cache
+        state = cache.get((ex.id, n))
+        if state is not None:
+            return state
+        i = n
+        while i and state is None:
+            i -= 1
+            state = cache.get((ex.id, i))
+        if state is None:
+            state = (self.base[ex.id].mask, (), (), (), None)
+        layers = self.config.layer_indices
+        for i in range(i, n):
+            state = cache[(ex.id, i + 1)] = self._walk(ex, state, layers[i], frozenset())
+        return state
+
+    def _walk(
+        self, ex: Executable, state: _Prefix, k: int, disabled: frozenset[str]
+    ) -> _Prefix:
+        """``state`` with the rules at layer k not in ``disabled`` applied."""
+        mask, grants, implications, exemptions, share = state
+        added = []
+        for r, granted, granted_mask in self._active(ex, k):
+            if r.rule_id in disabled:
+                continue
+            if granted is not None:
+                added.append(granted)
+                mask |= granted_mask
+            elif r.kind == "friend-implication":
+                implications += self._implications[r.rule_id]
+            elif r.kind == "universal-friend-members":
+                exemptions += (self._exemptions[r.rule_id],)
+            elif share is None and r.enabled:  # the first enabled anon-inner-share
+                share = r
+        return mask, grants + tuple(added) if added else grants, implications, exemptions, share
 
     def effective(
         self,
@@ -639,6 +735,16 @@ class Adapter:
 
         k = -1 is the base set.  ``disabled`` removes whole rules, which is
         how attribution tests single-rule necessity.
+
+        The set starts from the cached undisabled prefix through the layer
+        before the first one that holds a disabled rule, and applies the
+        later layers' rules from there.  Every set that attribution asks
+        for disables rules of layer k only, so it starts from the prefix
+        through the previous layer and walks layer k alone; an undisabled
+        set is its cached prefix.  The prefix keeps grants in rule order,
+        and anon-inner-share and the implication fixpoint come after it, so
+        grants, their order and the implied grants are what one walk over
+        every rule through k would give.
         """
         if k < 0:
             return self.base[exec_id]
@@ -647,28 +753,19 @@ class Adapter:
         if got is not None:
             return got
 
-        base = self.base[exec_id]
         rules = self.config.rules_through(k)
         if len(disabled) >= len(rules) and disabled.issuperset(r.rule_id for r in rules):
-            return base
+            return self.base[exec_id]
         ex = self.by_id[exec_id]
-        mask = base.mask
-        grants: list[tuple[str, tuple[TypeRef, ...]]] = []
-        implications: list[_Implication] = []
-        exemptions = []
-        share = None
-        for r, granted, granted_mask in self._active(ex, k):
-            if r.rule_id in disabled:
-                continue
-            if granted is not None:
-                grants.append(granted)
-                mask |= granted_mask
-            elif r.kind == "friend-implication":
-                implications.extend(self._implications[r.rule_id])
-            elif r.kind == "universal-friend-members":
-                exemptions.append(self._exemptions[r.rule_id])
-            elif share is None and r.enabled:  # the first enabled anon-inner-share
-                share = r
+        layers = self.config.layer_indices
+        n = bisect_right(layers, k)
+        position = self._position
+        first = min((position[i] for i in disabled if i in position), default=n)
+        state = self._prefix(ex, min(first, n))
+        for i in range(first, n):
+            state = self._walk(ex, state, layers[i], disabled)
+        mask, grants, implications, exemptions, share = state
+        grants = list(grants)
 
         if share is not None and ex.enclosing_executable is not None:
             enclosing = self.effective(ex.enclosing_executable, k, disabled)
@@ -686,7 +783,7 @@ class Adapter:
                     mask |= implied
                     changed = True
 
-        got = FriendSet(self.table, ex, mask, tuple(grants), tuple(exemptions))
+        got = FriendSet(self.table, ex, mask, tuple(grants), exemptions)
         self._effective_cache[key] = got
         return got
 
@@ -710,65 +807,99 @@ class Adapter:
         friends = self.effective(v.executable_id, k, disabled)
         return check_site(v.site, v.executable_id, friends) is None
 
-    def _classify_one(self, v: PotentialViolation) -> "Verdict":
-        for k in self.config.layer_indices:
-            if not self._silenced_at(v, k):
-                continue
-            at_k = self.config.rules_at(k)
-            ids = [r.rule_id for r in at_k]
-            credited = [
-                r for r in at_k if not self._silenced_at(v, k, frozenset({r.rule_id}))
-            ]
-            if not credited:
-                # Same-layer redundancy: no single rule is necessary, so
-                # credit the rules at k that suffice alone on top of the
-                # previous layers.
-                credited = [
-                    r
-                    for r in at_k
-                    if self._silenced_at(v, k, frozenset(ids) - {r.rule_id})
-                ]
-            if not credited:
-                # Only a conjunction of rules at k silences: credit the first
-                # rule whose layer-k prefix completes the silencing.  Silencing
-                # is monotone in that prefix, so bisection finds it.
-                first = bisect_left(
-                    range(len(at_k)),
-                    True,
-                    key=lambda i: self._silenced_at(v, k, frozenset(ids[i + 1 :])),
-                )
-                credited = [at_k[first]]
-            also = tuple(r.rule_id for r in credited[1:])
-            return Verdict(v, "silenced", layer=k, rule_id=credited[0].rule_id, also_matched=also)
-        return Verdict(
-            violation=v,
-            outcome="remaining",
-            status=self._remaining_status(v),
-            hint=self._remaining_hint(v),
-        )
+    def _probed(self, v: PotentialViolation, k: int) -> list[Rule]:
+        """The rules at layer k, the first that silences ``v``, whose removal
+        can change ``v``'s verdict, in order.
 
-    def _matching_grant_rules(self, v: PotentialViolation) -> tuple[Rule, ...]:
-        got = self._grant_rules_cache.get(v.executable_id)
-        if got is None:
-            got = self._grant_rules_cache[v.executable_id] = tuple(
-                r
-                for r in self.config.rules
-                if r.kind == "executable-grant"
-                and any(_glob_matches_id(g, v.executable_id) for g in r.executables)
+        Those are the active rules at k of ``v``'s executable and, while an
+        enabled anon-inner-share carries the enclosing executable's set in,
+        those of each enclosing executable outward; less a member rule whose
+        exemption does not match the site, and an implication none of whose
+        premises is in the undisabled set at k: disabling rules only shrinks
+        the mask, so it never fires.
+        """
+        ex = self.by_id[v.executable_id]
+        share = self._prefix(ex, bisect_right(self.config.layer_indices, k))[4]
+        relevant = set()
+        while True:
+            relevant.update(r.rule_id for r, _, _ in self._active(ex, k))
+            if share is None or ex.enclosing_executable is None:
+                break
+            ex = self.by_id[ex.enclosing_executable]
+        mask = self.effective(v.executable_id, k).mask
+        probed = []
+        for r in self.config.rules_at(k):
+            if r.rule_id not in relevant:
+                continue
+            if r.kind == "universal-friend-members":
+                if not self._exemptions[r.rule_id].matches(v.site):
+                    continue
+            elif r.kind == "friend-implication":
+                if not any(mask >> premise & 1 for _, premise, *_ in self._implications[r.rule_id]):
+                    continue
+            probed.append(r)
+        return probed
+
+    def _classify_one(self, v: PotentialViolation) -> "Verdict":
+        """The verdict of one violation: remaining, or silenced at the first
+        layer k whose set silences it and credited to rules at k.
+
+        Without disabled rules, silencing is monotone in the layer: rules
+        only add friends and exemptions, so a site the last layer does not
+        silence is remaining after that one probe.
+
+        A rule at k outside ``_probed`` changes neither the mask nor whether
+        an exemption matches the site, when disabled or when it is the only
+        rule of layer k.  So it is not necessary, and it does not suffice
+        alone either: alone, the set checks the site as the set through the
+        previous layer does, which does not silence it.  Its probes are
+        skipped in those two branches; the conjunction bisection probes
+        prefixes of every rule at k.
+        """
+        layers = self.config.layer_indices
+        if not layers or not self._silenced_at(v, layers[-1]):
+            return Verdict(
+                violation=v,
+                outcome="remaining",
+                status=self._remaining_status(v),
+                hint=self._remaining_hint(v),
             )
-        return got
+        k = next((k for k in layers[:-1] if self._silenced_at(v, k)), layers[-1])
+        at_k = self.config.rules_at(k)
+        ids = [r.rule_id for r in at_k]
+        probed = self._probed(v, k)
+        credited = [r for r in probed if not self._silenced_at(v, k, frozenset({r.rule_id}))]
+        if not credited:
+            # Same-layer redundancy: no single rule is necessary, so credit
+            # the rules at k that suffice alone on top of the previous
+            # layers.
+            credited = [
+                r for r in probed if self._silenced_at(v, k, frozenset(ids) - {r.rule_id})
+            ]
+        if not credited:
+            # Only a conjunction of rules at k silences: credit the first
+            # rule whose layer-k prefix completes the silencing.  Silencing
+            # is monotone in that prefix, so bisection finds it.
+            first = bisect_left(
+                range(len(at_k)),
+                True,
+                key=lambda i: self._silenced_at(v, k, frozenset(ids[i + 1 :])),
+            )
+            credited = [at_k[first]]
+        also = tuple(r.rule_id for r in credited[1:])
+        return Verdict(v, "silenced", layer=k, rule_id=credited[0].rule_id, also_matched=also)
 
     def _would_befriend(self, rule: Rule, v: PotentialViolation) -> bool:
         return self.table.in_mask(self._listed[rule.rule_id][1], v.receiver_type)
 
     def _remaining_status(self, v: PotentialViolation) -> str:
-        for r in self._matching_grant_rules(v):
+        for r in self._executable_grants(v.executable_id).values():
             if r.status != "accepted" and r.grants and self._would_befriend(r, v):
                 return r.status
         return "candidate-true-positive"
 
     def _remaining_hint(self, v: PotentialViolation) -> str:
-        for r in self._matching_grant_rules(v):
+        for r in self._executable_grants(v.executable_id).values():
             if r.hint and (not r.grants or self._would_befriend(r, v)):
                 return r.hint
         return ""

@@ -305,6 +305,12 @@ class TypeTable(Struct):
         return self._decls.get(name)
 
     def add(self, decl: TypeDecl) -> None:
+        if decl.name not in self._decls:
+            _check_members(decl.name, decl.members)
+        self._put(decl)
+
+    def _put(self, decl: TypeDecl) -> None:
+        """Add a declaration whose members are already checked."""
         self._masks.clear()
         existing = self._decls.get(decl.name)
         if existing is not None:
@@ -318,13 +324,15 @@ class TypeTable(Struct):
                 f"conflicting declarations for {decl.name} "
                 f"({existing.origin.value} vs {decl.origin.value})",
             )
-        _check_members(decl.name, decl.members)
         self._decls[decl.name] = decl
 
     def merge(self, other: TypeTable) -> TypeTable:
+        """A new table with the declarations of both.  Every declaration
+        entered its table through ``add`` or a merge of such tables, so its
+        members are checked already."""
         merged = TypeTable(dict(self._decls))
         for decl in other:
-            merged.add(decl)
+            merged._put(decl)
         return merged
 
     def validate(self) -> None:

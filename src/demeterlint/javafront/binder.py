@@ -155,21 +155,74 @@ class Executable(Struct):
 # -- unit environment ---------------------------------------------------------
 
 
+class _MemberTypes:
+    """The member types that source types declare, for finding the ones a
+    type inherits.
+
+    ``names`` holds the simple names some source type declares as a named
+    member type, ``named`` every named source type, and ``supers`` each
+    type's supertype names.
+    """
+
+    __slots__ = ("names", "named", "supers")
+
+    def __init__(self, names: set[str], named: set[str], supers: dict[str, tuple[str, ...]]):
+        self.names = names
+        self.named = named
+        self.supers = supers
+
+    def inherited(self, scope: str, name: str) -> Optional[str]:
+        """The member type ``name`` that ``scope`` inherits, nearest first:
+        each supertype's own member types before those it inherits."""
+        stack = list(reversed(self.supers.get(scope, ())))
+        seen = {scope}
+        while stack:
+            t = stack.pop()
+            if t in seen:
+                continue
+            seen.add(t)
+            q = f"{t}${name}"
+            if q in self.named:
+                return q
+            stack.extend(reversed(self.supers.get(t, ())))
+        return None
+
+
+def _member_types(units: list[ast.CompilationUnit]) -> Optional[_MemberTypes]:
+    """The member types of ``units`` with no supertypes filled in yet; None
+    when no source type declares a named member type, so that resolution
+    consults no inheritance."""
+    names = {
+        n.name for unit in units for n in unit.type_decls if n.outer and not n.anonymous
+    }
+    if not names:
+        return None
+    named = {n.qualified_name for unit in units for n in unit.type_decls if not n.anonymous}
+    return _MemberTypes(names, named, {})
+
+
 class _UnitEnv:
     """Type-name resolution for one compilation unit.
 
     A simple name first resolves to a member type of ``scope``, the type
-    whose text holds the name, then to one of each enclosing type outward,
-    as in Java.  Then it resolves in the usual order: types declared in
-    this unit (the unit-wide table leaves out the member types of anonymous
-    bodies, each named only within its body), then the unit's package, then
-    single-type imports, then on-demand imports in declared order
-    (ambiguity is an error), then java.lang.
+    whose text holds the name, declared there or inherited from a source
+    supertype, then to one of each enclosing type outward, as in Java.
+    Then it resolves in the usual order: types declared in this unit (the
+    unit-wide table leaves out the member types of anonymous bodies, each
+    named only within its body), then the unit's package, then single-type
+    imports, then on-demand imports in declared order (ambiguity is an
+    error), then java.lang.
     """
 
-    def __init__(self, unit: ast.CompilationUnit, universe: set[str]):
+    def __init__(
+        self,
+        unit: ast.CompilationUnit,
+        universe: set[str],
+        members: Optional[_MemberTypes] = None,
+    ):
         self.unit = unit
         self.universe = universe
+        self.members = members
         self.package = unit.package or ""
         self.single: dict[str, str] = {}
         self.on_demand: list[str] = []
@@ -193,10 +246,16 @@ class _UnitEnv:
                 self.local_types.setdefault(n.name, n.qualified_name)
 
     def resolve_simple(self, name: str, scope: Optional[str]) -> Optional[str]:
+        members = self.members
+        inherits = members is not None and name in members.names
         while scope is not None:
             q = f"{scope}${name}"
             if q in self.named:
                 return q
+            if inherits:
+                q = members.inherited(scope, name)
+                if q is not None:
+                    return q
             scope = self.outer[scope]
         if name in self.local_types:
             return self.local_types[name]
@@ -246,6 +305,27 @@ class _UnitEnv:
             return unknown_type(name)
         raise self.error(pos, f"unknown type '{name}'")
 
+    def supertypes(
+        self, node: ast.TypeDeclNode, mode: ResolutionMode
+    ) -> tuple[TypeRef, ...] | BindError:
+        """``node``'s supertypes, resolved from its outer scope and recorded
+        for the member types it passes on.  A resolution error is returned,
+        for the caller to raise where declaring the type meets it."""
+        try:
+            if node.anonymous:
+                assert node.anon_supertype is not None
+                refs = (self.resolve_type_name(node.anon_supertype, node.outer, mode),)
+            else:
+                refs = tuple(
+                    self.resolve_type_name(tn, node.outer, mode)
+                    for tn in node.extends + node.implements
+                )
+        except BindError as exc:
+            return exc
+        if self.members is not None:
+            self.members.supers.setdefault(node.qualified_name, tuple(t.name for t in refs))
+        return refs
+
     def error(self, pos: int, message: str) -> BindError:
         """An error at offset ``pos`` of this unit."""
         return BindError(self.unit.file, *line_col(self.unit.line_starts, pos), message)
@@ -284,18 +364,30 @@ def build_type_table(
 
     A type declared twice among the sources is an error at its second
     declaration, even when both declarations are the same text.
+
+    Every type's supertypes resolve first, from its outer scope, so that a
+    member or body can name a member type its type inherits.  An error in
+    them is raised where declaring the type would have met it.
     """
     universe: set[str] = {d.name for d in stubs}
     for unit in units:
         universe.update(n.qualified_name for n in unit.type_decls)
 
+    members = _member_types(units)
+    envs = [_UnitEnv(unit, universe, members) for unit in units]
+    resolved = [
+        [env.supertypes(node, mode) for node in unit.type_decls]
+        for unit, env in zip(units, envs)
+    ]
+
     source = TypeTable()
-    for unit in units:
-        env = _UnitEnv(unit, universe)
-        for node in unit.type_decls:
+    for unit, env, unit_supers in zip(units, envs, resolved):
+        for node, supers in zip(unit.type_decls, unit_supers):
             if node.qualified_name in source:
                 raise env.error(node.pos, f"duplicate type {node.qualified_name}")
-            source.add(_declare(node, env, mode))
+            if isinstance(supers, BindError):
+                raise supers
+            source.add(_declare(node, supers, env, mode))
     merged = stubs.merge(source)
     merged.validate()
     return merged
@@ -308,16 +400,14 @@ def _too_deep(unit: ast.CompilationUnit) -> BindError:
     return BindError(unit.file, 1, 1, "nesting too deep to analyze")
 
 
-def _declare(node: ast.TypeDeclNode, env: _UnitEnv, mode: ResolutionMode) -> TypeDecl:
+def _declare(
+    node: ast.TypeDeclNode,
+    supers: tuple[TypeRef, ...],
+    env: _UnitEnv,
+    mode: ResolutionMode,
+) -> TypeDecl:
     assert node.qualified_name is not None
     owner = node.qualified_name
-    supers: list[TypeRef] = []
-    if node.anonymous:
-        assert node.anon_supertype is not None
-        supers.append(env.resolve_type_name(node.anon_supertype, node.outer, mode))
-    else:
-        for tn in node.extends + node.implements:
-            supers.append(env.resolve_type_name(tn, node.outer, mode))
     members: list[MemberDecl] = []
     is_interface = node.kind == "interface"
     for m in node.members:
@@ -370,7 +460,7 @@ def _declare(node: ast.TypeDeclNode, env: _UnitEnv, mode: ResolutionMode) -> Typ
     return TypeDecl(
         ref=TypeRef(owner),
         decl_kind=DeclKind.INTERFACE if is_interface else DeclKind.CLASS,
-        supertypes=tuple(supers),
+        supertypes=supers,
         members=tuple(members),
         origin=Origin.SOURCE,
     )
@@ -386,9 +476,12 @@ def bind_and_extract(
 ) -> list[Executable]:
     """Extract every executable with its access sites, sorted by position."""
     universe = {d.name for d in table}
+    members = _member_types(units)
+    if members is not None:
+        members.supers.update((d.name, tuple(t.name for t in d.supertypes)) for d in table)
     out: list[Executable] = []
     for unit in units:
-        extractor = _Extractor(_UnitEnv(unit, universe), table, mode)
+        extractor = _Extractor(_UnitEnv(unit, universe, members), table, mode)
         try:
             for node in unit.type_decls:
                 extractor.extract_type(node)

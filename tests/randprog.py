@@ -207,3 +207,63 @@ def random_config(seed: int, n_classes: int = 7, max_rules: int = 3):
             )
         )
     return load_config(docs)
+
+
+def _granting_rule(kind: str, rid: str, owner: str, granted: str) -> dict:
+    """A rule of ``kind`` that grants ``granted`` to the executables of class
+    ``owner`` (and, for the broader kinds, to others too)."""
+    rule: dict = {"id": rid, "kind": kind}
+    if kind == "universal-friend-types":
+        rule["types"] = [granted]
+    elif kind == "executable-grant":
+        rule["executables"] = [f"{owner}#*"]
+        rule["grants"] = [granted]
+    elif kind == "call-grant":
+        rule["matcher"] = [{"type": owner, "name": "*"}]
+        rule["grants"] = [granted]
+    elif kind == "aggregation-elements":
+        rule["field_map"] = [{"type": owner, "field": "fLink", "element": granted}]
+    else:  # a class is its own friend, so it implies what it grants
+        rule["pairs"] = [[owner, granted]]
+    return rule
+
+
+_GRANTING_KINDS = (
+    "universal-friend-types",
+    "executable-grant",
+    "call-grant",
+    "aggregation-elements",
+    "friend-implication",
+)
+
+
+def redundant_config(seed: int, n_classes: int = 7):
+    """A 1..3 layer stack of redundant rule families, shuffled within each layer.
+
+    A family is 1..3 rules of different kinds that grant one type to the
+    executables of one class.  In some families the rules grant a premise
+    type instead, and two implications from it grant the type, so that only
+    a conjunction silences.  Redundancy is what makes attribution fall past
+    a single necessary rule to the rules that suffice alone, and past those
+    to the conjunction.
+    """
+    rng = random.Random(seed * 104729 + 3)
+    cls = lambda: f"{PKG}.C{rng.randrange(n_classes)}"  # noqa: E731
+    docs = []
+    counter = 0
+    for layer in range(rng.randrange(1, 4)):
+        rules = []
+        for _ in range(rng.randrange(1, 4)):
+            owner, target = cls(), cls()
+            via = rng.random() < 0.4
+            granted = cls() if via else target
+            for kind in rng.sample(_GRANTING_KINDS, rng.randrange(1, 4)):
+                rules.append(_granting_rule(kind, f"R{counter}", owner, granted))
+                counter += 1
+            for _ in range(2 if via else 0):
+                rules.append({"id": f"R{counter}", "kind": "friend-implication",
+                              "pairs": [[granted, target]]})
+                counter += 1
+        rng.shuffle(rules)
+        docs.append(json.dumps({"schema": "demeterlint-config/1", "layer": layer, "rules": rules}))
+    return load_config(docs)

@@ -321,6 +321,25 @@ class TestEffectiveFriendSet:
         assert TypeRef("p.C") in adapter.effective("p.A#m(B)", 0).closure
         assert TypeRef("p.C") not in adapter.effective("p.A#other()", 0).closure
 
+    def test_call_grant_returns_in_site_order(self):
+        # Matchers name types in the other order than the calls; each type
+        # is granted once, at its first call.
+        src = (
+            "package p;\n"
+            "class A { void m(B b, E e) { e.mk(); b.mk(); b.nk(); e.mk(); } }\n"
+            "class B { C mk() { return null; } D nk() { return null; } }\n"
+            "class E { F mk() { return null; } }\n"
+            "class C { } class D { } class F { }"
+        )
+        config = cfg(
+            doc(0, {"id": "R1", "kind": "call-grant",
+                    "matcher": [{"type": "p.B", "name": "*"}, {"type": "p.E", "name": "mk"}]})
+        )
+        adapter, _ = analyze([src], config)
+        assert adapter.effective("p.A#m(B,E)", 0).grants == (
+            ("R1", (TypeRef("p.F"), TypeRef("p.C"), TypeRef("p.D"))),
+        )
+
     def test_call_grant_explicit_grants(self):
         src = (
             "package p;\n"

@@ -6,10 +6,13 @@ and on every field of every verdict, for the corpus and for generated
 programs with generated rule stacks.
 """
 
+import json
+from collections import Counter
+
 import pytest
 
 from demeterlint.adapt import Adapter, load_config
-from demeterlint.demeter import detect
+from demeterlint.demeter import check_site, detect
 from demeterlint.presets import STACK
 
 from bruteforce import engine_verdicts_as_dicts, naive_detect, oracle_verdicts
@@ -20,7 +23,7 @@ from conftest import (
     build_case_front,
     build_front,
 )
-from randprog import LARGE_STACK, random_config, random_program
+from randprog import LARGE_STACK, random_config, random_program, redundant_config
 
 
 def compare_project(executables, table, config) -> list[str]:
@@ -83,6 +86,76 @@ class TestRandomEquivalence:
         config = load_config([str(p) for p in STACK])
         problems = compare_project(executables, table, config)
         assert problems == []
+
+
+#: A violation in an anonymous body that only grants to the enclosing
+#: ``p.A#m()`` silence, through an enabled anon-inner-share of layer 0.  G1
+#: and G2 each suffice alone; U grants the anonymous body itself.
+SHARE_SOURCE = (
+    "package p; interface R { void go(); } class B { void f() { } } class X { } "
+    "class A { void m() { R r = new R() { public void go() { B b = null; b.f(); } }; } }"
+)
+SHARE_CONFIG = [
+    json.dumps({"schema": "demeterlint-config/1", "layer": layer, "rules": rules})
+    for layer, rules in enumerate([
+        [{"id": "S", "kind": "anon-inner-share"}],
+        [
+            {"id": "U", "kind": "universal-friend-types", "types": ["p.X"]},
+            {"id": "G1", "kind": "executable-grant", "executables": ["p.A#m()"],
+             "grants": ["p.B"]},
+            {"id": "G2", "kind": "executable-grant", "executables": ["p.A#*"],
+             "grants": ["p.B"]},
+        ],
+    ])
+]
+
+
+class TestShareAttribution:
+    def test_rules_of_the_enclosing_executable_are_probed(self):
+        table, executables = build_front([("A.java", SHARE_SOURCE)], [OBJECT_STUB])
+        config = load_config(SHARE_CONFIG)
+        assert compare_project(executables, table, config) == []
+        adapter = Adapter(executables, table, config)
+        violations = [v for ex in executables for v in detect(ex, adapter.base[ex.id])]
+        (verdict,) = adapter.classify(violations)
+        assert verdict.violation.executable_id == "p.A$anon1#go()"
+        # Neither grant is necessary and each suffices alone.
+        assert (verdict.outcome, verdict.layer, verdict.rule_id, verdict.also_matched) == (
+            "silenced", 1, "G1", ("G2",)
+        )
+
+
+def attribution_branch(adapter, config, verdict) -> str:
+    """Which branch credited a silenced verdict, probed afresh: a rule at
+    its layer is necessary, else one suffices alone, else a conjunction."""
+    v = verdict.violation
+    ids = {r.rule_id for r in config.rules_at(verdict.layer)}
+
+    def silenced(disabled) -> bool:
+        friends = adapter.effective(v.executable_id, verdict.layer, frozenset(disabled))
+        return check_site(v.site, v.executable_id, friends) is None
+
+    if any(not silenced({i}) for i in ids):
+        return "single-necessary"
+    if any(silenced(ids - {i}) for i in ids):
+        return "suffices-alone"
+    return "conjunction"
+
+
+class TestRedundantRuleFamilies:
+    def test_random_runs_reach_every_attribution_branch(self):
+        counts = Counter()
+        for seed in range(40):
+            table, executables = build_front(random_program(seed))
+            config = redundant_config(seed)
+            assert compare_project(executables, table, config) == [], seed
+            adapter = Adapter(executables, table, config)
+            violations = [v for ex in executables for v in detect(ex, adapter.base[ex.id])]
+            for verdict in adapter.classify(violations):
+                if verdict.outcome == "silenced":
+                    counts[attribution_branch(adapter, config, verdict)] += 1
+        print(f"attribution branches over 40 seeds: {dict(sorted(counts.items()))}")
+        assert all(counts[b] > 0 for b in ("single-necessary", "suffices-alone", "conjunction"))
 
 
 class TestConjunctionAttribution:

@@ -342,6 +342,50 @@ class TestSites:
             assert (site.member.name, site.receiver.static_type) == (name, expected)
         assert table.get("p.A").members[0].declared_type == a_in
 
+    @pytest.mark.parametrize(
+        "sources, ident, name, expected",
+        [
+            (  # inherited from the superclass, not the unit's first In
+                ["package p;\nclass C { class In { void c() { } } }\n"
+                 "class A { class In { void a() { } } }\n"
+                 "class B extends A { void m(In x) { x.a(); } }\n"],
+                "p.B#m(In)", "a", "p.A$In",
+            ),
+            (  # two levels up, declared in another file
+                ["package p;\nclass C { class In { void c() { } } }\n"
+                 "class B extends Mid { void m(In x) { x.a(); } }\n"
+                 "class Mid extends A { }\n",
+                 "package p;\nclass A { class In { void a() { } } }\n"],
+                "p.B#m(In)", "a", "p.A$In",
+            ),
+            (  # through an interface, from a type nested in the heir
+                ["package p;\nclass C { class In { void c() { } } }\n"
+                 "interface J { class In { void j() { } } }\n"
+                 "class B implements J { class Nest { void k(In z) { z.j(); } } }\n"],
+                "p.B$Nest#k(In)", "j", "p.J$In",
+            ),
+            (  # the nearest supertype's own In hides the one it inherits
+                ["package p;\nclass C { class In { void c() { } } }\n"
+                 "class A { class In { void a() { } } }\n"
+                 "class Mid extends A { class In { void b() { } } }\n"
+                 "class B extends Mid { void m(In x) { x.b(); } }\n"],
+                "p.B#m(In)", "b", "p.Mid$In",
+            ),
+        ],
+    )
+    def test_inherited_member_type(self, sources, ident, name, expected):
+        _, exes = front(*sources)
+        (site,) = by_id(exes)[ident].body_accesses
+        assert (site.member.name, site.receiver.static_type) == (name, TypeRef(expected))
+        assert site.member.declaring_type == expected
+
+    def test_inherited_member_type_names_a_field_type(self):
+        table, exes = front(
+            "package p;\nclass C { class In { } }\nclass A { class In { } }\n"
+            "class B extends A { In f; }\n"
+        )
+        assert table.get("p.B").members[0].declared_type == TypeRef("p.A$In")
+
     def test_call_chain_provenance(self):
         src = (
             "package p;\n"

@@ -3,8 +3,11 @@
 Four families, checked per seed: supertype closures are idempotent, layer
 prefixes silence monotonically, attribution conserves counts, and the empty
 configuration is an identity.  Determinism (byte-identical reports across
-fresh runs) is checked on a sample of seeds.
+fresh runs) is checked on a sample of seeds, and disabling rules on a sample
+with large stacks.
 """
+
+import random
 
 import pytest
 
@@ -104,6 +107,25 @@ def test_properties(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_properties_large_rule_stack(seed):
     assert property_failures(seed, max_rules=LARGE_STACK) == []
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_disabled_rules_as_if_never_configured(seed):
+    # Sets with rules of any layers disabled, as attribution and explain
+    # never ask for them, equal the sets of a stack without those rules:
+    # the same mask, grants in the same order, the same exemptions.
+    table, executables, config, adapter, _ = _analyze(seed, max_rules=LARGE_STACK)
+    rng = random.Random(seed)
+    ids = [r.rule_id for r in config.rules]
+    for _ in range(5):
+        disabled = frozenset(rng.sample(ids, rng.randrange(len(ids) + 1)))
+        kept = Adapter(executables, table, LayeredConfig(
+            rules=tuple(r for r in config.rules if r.rule_id not in disabled),
+            layer_names=config.layer_names,
+        ))
+        for k in config.layer_indices:
+            for ex in executables:
+                assert adapter.effective(ex.id, k, disabled) == kept.effective(ex.id, k)
 
 
 @pytest.mark.parametrize("seed", range(0, N_SEEDS, 20))
