@@ -194,11 +194,11 @@ def check_site(
     receiver_type = site.receiver.static_type
     if receiver_type.is_primitive:
         return None
+    if receiver_type in friends:
+        return None
     for exemption in friends.member_exemptions:
         if exemption.matches(site):
             return None
-    if receiver_type in friends:
-        return None
     note = "unresolved-receiver" if receiver_type.kind is TypeKind.UNKNOWN else None
     return PotentialViolation(
         site=site, executable_id=executable_id, receiver_type=receiver_type, note=note

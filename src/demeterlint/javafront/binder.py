@@ -152,77 +152,16 @@ class Executable(Struct):
         return (self.file, self.line, self.col)
 
 
-# -- unit environment ---------------------------------------------------------
-
-
-class _MemberTypes:
-    """The member types that source types declare, for finding the ones a
-    type inherits.
-
-    ``names`` holds the simple names some source type declares as a named
-    member type, ``named`` every named source type, and ``supers`` each
-    type's supertype names.
-    """
-
-    __slots__ = ("names", "named", "supers")
-
-    def __init__(self, names: set[str], named: set[str], supers: dict[str, tuple[str, ...]]):
-        self.names = names
-        self.named = named
-        self.supers = supers
-
-    def inherited(self, scope: str, name: str) -> Optional[str]:
-        """The member type ``name`` that ``scope`` inherits, nearest first:
-        each supertype's own member types before those it inherits."""
-        stack = list(reversed(self.supers.get(scope, ())))
-        seen = {scope}
-        while stack:
-            t = stack.pop()
-            if t in seen:
-                continue
-            seen.add(t)
-            q = f"{t}${name}"
-            if q in self.named:
-                return q
-            stack.extend(reversed(self.supers.get(t, ())))
-        return None
-
-
-def _member_types(units: list[ast.CompilationUnit]) -> Optional[_MemberTypes]:
-    """The member types of ``units`` with no supertypes filled in yet; None
-    when no source type declares a named member type, so that resolution
-    consults no inheritance."""
-    names = {
-        n.name for unit in units for n in unit.type_decls if n.outer and not n.anonymous
-    }
-    if not names:
-        return None
-    named = {n.qualified_name for unit in units for n in unit.type_decls if not n.anonymous}
-    return _MemberTypes(names, named, {})
+# -- type names ----------------------------------------------------------------
 
 
 class _UnitEnv:
-    """Type-name resolution for one compilation unit.
+    """What one compilation unit brings to resolving type names: its
+    package, its imports, its top-level types and each type's enclosing
+    type."""
 
-    A simple name first resolves to a member type of ``scope``, the type
-    whose text holds the name, declared there or inherited from a source
-    supertype, then to one of each enclosing type outward, as in Java.
-    Then it resolves in the usual order: types declared in this unit (the
-    unit-wide table leaves out the member types of anonymous bodies, each
-    named only within its body), then the unit's package, then single-type
-    imports, then on-demand imports in declared order (ambiguity is an
-    error), then java.lang.
-    """
-
-    def __init__(
-        self,
-        unit: ast.CompilationUnit,
-        universe: set[str],
-        members: Optional[_MemberTypes] = None,
-    ):
+    def __init__(self, unit: ast.CompilationUnit):
         self.unit = unit
-        self.universe = universe
-        self.members = members
         self.package = unit.package or ""
         self.single: dict[str, str] = {}
         self.on_demand: list[str] = []
@@ -231,118 +170,160 @@ class _UnitEnv:
                 self.on_demand.append(imp.name)
             else:
                 self.single[imp.name.rsplit(".", 1)[-1]] = imp.name
-        # Each type's enclosing type and the named types, by qualified name.
         self.outer = {n.qualified_name: n.outer for n in unit.type_decls}
-        self.named = {n.qualified_name for n in unit.type_decls if not n.anonymous}
-        # The named types outside anonymous bodies by simple name, the first
-        # in preorder winning; preorder lists a type after the type that
-        # holds it.
-        in_anonymous: set[str] = set()
-        self.local_types: dict[str, str] = {}
-        for n in unit.type_decls:
-            if n.anonymous or n.outer in in_anonymous:
-                in_anonymous.add(n.qualified_name)
-            else:
-                self.local_types.setdefault(n.name, n.qualified_name)
-
-    def resolve_simple(self, name: str, scope: Optional[str]) -> Optional[str]:
-        members = self.members
-        inherits = members is not None and name in members.names
-        while scope is not None:
-            q = f"{scope}${name}"
-            if q in self.named:
-                return q
-            if inherits:
-                q = members.inherited(scope, name)
-                if q is not None:
-                    return q
-            scope = self.outer[scope]
-        if name in self.local_types:
-            return self.local_types[name]
-        candidate = f"{self.package}.{name}" if self.package else name
-        if candidate in self.universe:
-            return candidate
-        if name in self.single:
-            return self.single[name]
-        matches = []
-        for pkg in self.on_demand:
-            q = f"{pkg}.{name}"
-            if q in self.universe and q not in matches:
-                matches.append(q)
-        if len(matches) > 1:
-            raise _Ambiguity(name, matches)
-        if matches:
-            return matches[0]
-        q = f"java.lang.{name}"
-        if q in self.universe:
-            return q
-        return None
-
-    def resolve_type_name(
-        self, tn: ast.TypeName, scope: Optional[str], mode: ResolutionMode, extra_dims: int = 0
-    ) -> TypeRef:
-        ref = self.resolve_base(tn.name, tn.pos, scope, mode)
-        for _ in range(tn.dims + extra_dims):
-            ref = array_of(ref)
-        return ref
-
-    def resolve_base(
-        self, name: str, pos: int, scope: Optional[str], mode: ResolutionMode
-    ) -> TypeRef:
-        if name in _PRIM:
-            return _PRIM[name]
-        try:
-            if "." in name:
-                if name in self.universe:
-                    return TypeRef(name)
-            else:
-                resolved = self.resolve_simple(name, scope)
-                if resolved is not None:
-                    return TypeRef(resolved)
-        except _Ambiguity as amb:
-            raise self.error(pos, amb.message()) from None
-        if mode is ResolutionMode.LENIENT:
-            return unknown_type(name)
-        raise self.error(pos, f"unknown type '{name}'")
-
-    def supertypes(
-        self, node: ast.TypeDeclNode, mode: ResolutionMode
-    ) -> tuple[TypeRef, ...] | BindError:
-        """``node``'s supertypes, resolved from its outer scope and recorded
-        for the member types it passes on.  A resolution error is returned,
-        for the caller to raise where declaring the type meets it."""
-        try:
-            if node.anonymous:
-                assert node.anon_supertype is not None
-                refs = (self.resolve_type_name(node.anon_supertype, node.outer, mode),)
-            else:
-                refs = tuple(
-                    self.resolve_type_name(tn, node.outer, mode)
-                    for tn in node.extends + node.implements
-                )
-        except BindError as exc:
-            return exc
-        if self.members is not None:
-            self.members.supers.setdefault(node.qualified_name, tuple(t.name for t in refs))
-        return refs
+        self.top = {n.name: n.qualified_name for n in unit.types}
 
     def error(self, pos: int, message: str) -> BindError:
         """An error at offset ``pos`` of this unit."""
         return BindError(self.unit.file, *line_col(self.unit.line_starts, pos), message)
 
+
+class _Names:
+    """Type-name resolution for the compilation units of one project.
+
+    A simple name resolves in Java's order (JLS 2nd ed. §6.3, §7.5.1):
+    first to a member type of ``scope``, the type whose text holds the
+    name, declared there or inherited, then to one of each enclosing type
+    outward; then to a top-level type of the unit, a single-type import, a
+    type of the unit's package, an on-demand import (ambiguity is an
+    error) and, last, a type of java.lang, which unlike in javac takes no
+    part in the ambiguity check.
+
+    A type's supertypes resolve when first asked for, from the scope that
+    holds its declaration, so the order of the files does not matter.
+    """
+
+    def __init__(
+        self, units: list[ast.CompilationUnit], universe: set[str], mode: ResolutionMode
+    ):
+        self.universe = universe
+        self.mode = mode
+        self.envs = [_UnitEnv(unit) for unit in units]
+        # Each source type's first declaration, with its unit.
+        self.decls: dict[str, tuple[ast.TypeDeclNode, _UnitEnv]] = {}
+        for env in self.envs:
+            for n in env.unit.type_decls:
+                self.decls.setdefault(n.qualified_name, (n, env))
+        self.named = {q for q, (n, _) in self.decls.items() if not n.anonymous}
+        # The simple names of the named member types: no other name needs
+        # the scope chain.
+        self.member_names = {
+            n.name for n, _ in self.decls.values() if n.outer and not n.anonymous
+        }
+        # Supertypes by type, None while they resolve; member types by
+        # (type, name), None for none and while being found.
+        self.supers: dict[str, Optional[tuple[TypeRef, ...]]] = {}
+        self.members: dict[tuple[str, str], Optional[str]] = {}
+
+    def resolve(
+        self, env: _UnitEnv, tn: ast.TypeName, scope: Optional[str], extra_dims: int = 0
+    ) -> TypeRef:
+        """The type ``tn`` names in ``scope`` of ``env``'s unit."""
+        name = tn.name
+        if name in _PRIM:
+            ref = _PRIM[name]
+        else:
+            if "." in name:
+                q = name if name in self.universe else None
+            else:
+                q = self.resolve_simple(env, name, tn.pos, scope)
+            if q is not None:
+                ref = TypeRef(q)
+            elif self.mode is ResolutionMode.LENIENT:
+                ref = unknown_type(name)
+            else:
+                raise env.error(tn.pos, f"unknown type '{name}'")
+        for _ in range(tn.dims + extra_dims):
+            ref = array_of(ref)
+        return ref
+
+    def resolve_simple(
+        self, env: _UnitEnv, name: str, pos: int, scope: Optional[str]
+    ) -> Optional[str]:
+        """The type simple ``name`` means in ``scope``, None if none; an
+        ambiguous name is an error at ``pos``."""
+        if name in self.member_names:
+            while scope is not None:
+                q = self.member_type(scope, name)
+                if q is not None:
+                    return q
+                scope = env.outer[scope]
+        if name in env.top:
+            return env.top[name]
+        if name in env.single:
+            return env.single[name]
+        q = f"{env.package}.{name}" if env.package else name
+        if q in self.universe:
+            return q
+        matches = []
+        for pkg in env.on_demand:
+            q = f"{pkg}.{name}"
+            if q in self.universe and q not in matches:
+                matches.append(q)
+        if len(matches) > 1:
+            raise env.error(pos, f"ambiguous type name '{name}': {' vs '.join(matches)}")
+        if matches:
+            return matches[0]
+        q = f"java.lang.{name}"
+        return q if q in self.universe else None
+
+    def supertypes(self, name: str) -> tuple[TypeRef, ...]:
+        """The supertypes of source type ``name``, resolved once; () for any
+        other type.  Meeting a type again while its own supertypes resolve
+        is a cycle, and an error."""
+        if name in self.supers:
+            supers = self.supers[name]
+            if supers is None:
+                node, env = self.decls[name]
+                raise env.error(node.pos, f"cyclic inheritance involving {name}")
+            return supers
+        if name not in self.decls:
+            return ()
+        node, env = self.decls[name]
+        self.supers[name] = None
+        written = [node.anon_supertype] if node.anonymous else node.extends + node.implements
+        supers = tuple(self.resolve(env, tn, node.outer) for tn in written)
+        self.supers[name] = supers
+        return supers
+
+    def member_type(self, owner: str, name: str) -> Optional[str]:
+        """The member type ``name`` of ``owner``: its own, else the nearest
+        one it inherits, each supertype's own before those that supertype
+        inherits.
+
+        Each answer is memoized per (type, name) and built from the
+        supertypes' answers, found depth first on an explicit stack, so a
+        chain of supertypes of any length costs one step per type.  In a
+        cycle of supertypes, a type being found counts as having none.
+        """
+        memo = self.members
+        if (owner, name) in memo:
+            return memo[owner, name]
+        memo[owner, name] = None
+        stack = [owner]
+        while stack:
+            t = stack[-1]
+            found: Optional[str] = f"{t}${name}"
+            if found not in self.named:
+                found = pending = None
+                for sup in self.supertypes(t):
+                    if (sup.name, name) not in memo:
+                        pending = sup.name
+                        break
+                    found = memo[sup.name, name]
+                    if found is not None:
+                        break
+                if pending is not None:
+                    memo[pending, name] = None
+                    stack.append(pending)
+                    continue
+            memo[t, name] = found
+            stack.pop()
+        return memo[owner, name]
+
     def is_name_prefix(self, prefix: str) -> bool:
         dotted = prefix + "."
         return any(n.startswith(dotted) for n in self.universe)
-
-
-class _Ambiguity(Exception):
-    def __init__(self, name: str, matches: list[str]):
-        super().__init__(name)
-        self.name = name
-        self.matches = matches
-
-    def message(self) -> str:
-        return f"ambiguous type name '{self.name}': {' vs '.join(self.matches)}"
 
 
 # -- table construction -------------------------------------------------------
@@ -364,47 +345,36 @@ def build_type_table(
 
     A type declared twice among the sources is an error at its second
     declaration, even when both declarations are the same text.
-
-    Every type's supertypes resolve first, from its outer scope, so that a
-    member or body can name a member type its type inherits.  An error in
-    them is raised where declaring the type would have met it.
     """
     universe: set[str] = {d.name for d in stubs}
     for unit in units:
         universe.update(n.qualified_name for n in unit.type_decls)
 
-    members = _member_types(units)
-    envs = [_UnitEnv(unit, universe, members) for unit in units]
-    resolved = [
-        [env.supertypes(node, mode) for node in unit.type_decls]
-        for unit, env in zip(units, envs)
-    ]
-
+    names = _Names(units, universe, mode)
     source = TypeTable()
-    for unit, env, unit_supers in zip(units, envs, resolved):
-        for node, supers in zip(unit.type_decls, unit_supers):
-            if node.qualified_name in source:
-                raise env.error(node.pos, f"duplicate type {node.qualified_name}")
-            if isinstance(supers, BindError):
-                raise supers
-            source.add(_declare(node, supers, env, mode))
+    for env in names.envs:
+        try:
+            for node in env.unit.type_decls:
+                if node.qualified_name in source:
+                    raise env.error(node.pos, f"duplicate type {node.qualified_name}")
+                supers = names.supertypes(node.qualified_name)
+                source.add(_declare(node, supers, names, env))
+        except RecursionError:
+            raise _too_deep(env.unit) from None
     merged = stubs.merge(source)
     merged.validate()
     return merged
 
 
 def _too_deep(unit: ast.CompilationUnit) -> BindError:
-    """A unit whose statements or expressions nest deeper than the
-    recursive body walk reaches.  The parser rejects every such nesting
-    first today; this is the safety net."""
+    """A unit whose statements, expressions or type names nest deeper than
+    the recursive walks reach.  The parser rejects every such nesting of
+    statements and expressions first today; this is the safety net."""
     return BindError(unit.file, 1, 1, "nesting too deep to analyze")
 
 
 def _declare(
-    node: ast.TypeDeclNode,
-    supers: tuple[TypeRef, ...],
-    env: _UnitEnv,
-    mode: ResolutionMode,
+    node: ast.TypeDeclNode, supers: tuple[TypeRef, ...], names: _Names, env: _UnitEnv
 ) -> TypeDecl:
     assert node.qualified_name is not None
     owner = node.qualified_name
@@ -420,16 +390,14 @@ def _declare(
                         member_kind=MemberKind.FIELD,
                         is_static="static" in m.modifiers or is_interface,
                         visibility="public" if is_interface else _visibility(m.modifiers),
-                        declared_type=env.resolve_type_name(
-                            base, owner, mode, extra_dims=d.extra_dims
-                        ),
+                        declared_type=names.resolve(env, base, owner, d.extra_dims),
                         param_types=(),
                         declaring_type=owner,
                     )
                 )
         elif isinstance(m, ast.MethodDecl):
             params = tuple(
-                env.resolve_type_name(p.type, owner, mode, extra_dims=p.extra_dims)
+                names.resolve(env, p.type, owner, p.extra_dims)
                 for p in m.params
             )
             if m.is_ctor:
@@ -452,7 +420,7 @@ def _declare(
                         member_kind=MemberKind.METHOD,
                         is_static="static" in m.modifiers,
                         visibility="public" if is_interface else _visibility(m.modifiers),
-                        declared_type=env.resolve_type_name(m.ret, owner, mode),
+                        declared_type=names.resolve(env, m.ret, owner),
                         param_types=params,
                         declaring_type=owner,
                     )
@@ -475,18 +443,15 @@ def bind_and_extract(
     mode: ResolutionMode = ResolutionMode.STRICT,
 ) -> list[Executable]:
     """Extract every executable with its access sites, sorted by position."""
-    universe = {d.name for d in table}
-    members = _member_types(units)
-    if members is not None:
-        members.supers.update((d.name, tuple(t.name for t in d.supertypes)) for d in table)
+    names = _Names(units, {d.name for d in table}, mode)
     out: list[Executable] = []
-    for unit in units:
-        extractor = _Extractor(_UnitEnv(unit, universe, members), table, mode)
+    for env in names.envs:
+        extractor = _Extractor(names, env, table)
         try:
-            for node in unit.type_decls:
+            for node in env.unit.type_decls:
                 extractor.extract_type(node)
         except RecursionError:
-            raise _too_deep(unit) from None
+            raise _too_deep(env.unit) from None
         out.extend(extractor.executables)
     out.sort(key=Executable.sort_key)
     return out
@@ -507,10 +472,11 @@ class _Value(Value):
 
 
 class _Extractor:
-    def __init__(self, env: _UnitEnv, table: TypeTable, mode: ResolutionMode):
+    def __init__(self, names: _Names, env: _UnitEnv, table: TypeTable):
+        self.names = names
         self.env = env
         self.table = table
-        self.mode = mode
+        self.mode = names.mode
         self.executables: list[Executable] = []
         self.file = env.unit.file
         self.line_starts = env.unit.line_starts
@@ -557,9 +523,8 @@ class _Extractor:
             elif isinstance(m, ast.MethodDecl) and m.body is not None:
                 sig = ",".join(p.written_type for p in m.params)
                 name = "<init>" if m.is_ctor else m.name
-                resolve = self.env.resolve_type_name
                 params = [
-                    (p.name, resolve(p.type, owner.name, self.mode, extra_dims=p.extra_dims))
+                    (p.name, self.names.resolve(self.env, p.type, owner.name, p.extra_dims))
                     for p in m.params
                 ]
                 ex = self._new_executable(
@@ -617,6 +582,10 @@ class _BodyWalker:
 
     def err(self, pos: int, message: str) -> BindError:
         return self.x.env.error(pos, message)
+
+    def type_of(self, tn: ast.TypeName, extra_dims: int = 0) -> TypeRef:
+        """The type ``tn`` names in the owner's scope."""
+        return self.x.names.resolve(self.x.env, tn, self.owner.name, extra_dims)
 
     def member_or_err(
         self, receiver: TypeRef, name: str, arity: int | None, pos: int
@@ -699,7 +668,7 @@ class _BodyWalker:
     def name_prefix(self, label: str, pos: int) -> _Value:
         """``label`` as the start of a longer qualified type name, if any
         known type's name starts with it; else an unresolved name."""
-        if self.x.env.is_name_prefix(label):
+        if self.x.names.is_name_prefix(label):
             return _Value(OBJECT, (), "name-prefix", label=label)
         return self.unresolved(label, pos)
 
@@ -725,10 +694,13 @@ class _BodyWalker:
         elif isinstance(s, ast.ExprStmt):
             self.visit_expr(s.expr)
         elif isinstance(s, ast.IfStmt):
-            self.visit_expr(s.cond)
-            self.visit_stmt(s.then)
-            if s.other is not None:
-                self.visit_stmt(s.other)
+            # An else-if chain nests as deep as it is long: walk it in a loop.
+            while isinstance(s, ast.IfStmt):
+                self.visit_expr(s.cond)
+                self.visit_stmt(s.then)
+                s = s.other
+            if s is not None:
+                self.visit_stmt(s)
         elif isinstance(s, ast.WhileStmt):
             self.visit_expr(s.cond)
             self.visit_stmt(s.body)
@@ -762,8 +734,7 @@ class _BodyWalker:
             self.visit_stmt(s.body)
             for c in s.catches:
                 # Caught variables count as parameters of this executable.
-                ptype = self.x.env.resolve_type_name(c.param.type, self.owner.name, self.x.mode)
-                self.ex.params.append((c.param.name, ptype))
+                self.ex.params.append((c.param.name, self.type_of(c.param.type)))
                 self.visit_stmt(c.body)
             if s.final is not None:
                 self.visit_stmt(s.final)
@@ -776,9 +747,7 @@ class _BodyWalker:
         for d in s.declarators:
             if d.init is not None:
                 self.visit_expr_or_init(d.init)
-            t = self.x.env.resolve_type_name(
-                s.type, self.owner.name, self.x.mode, extra_dims=d.extra_dims
-            )
+            t = self.type_of(s.type, d.extra_dims)
             if not self.scopes:
                 self.scopes.append({})
             self.scopes[-1][d.name] = t
@@ -819,10 +788,7 @@ class _BodyWalker:
         v = self.variable(e.name, e.pos, "field-read")
         if v is not None:
             return v
-        try:
-            resolved = self.x.env.resolve_simple(e.name, self.owner.name)
-        except _Ambiguity as amb:
-            raise self.err(e.pos, amb.message()) from None
+        resolved = self.x.names.resolve_simple(self.x.env, e.name, e.pos, self.owner.name)
         if resolved is not None:
             return _Value(TypeRef(resolved), (), "type-name")
         return self.name_prefix(e.name, e.pos)
@@ -875,7 +841,7 @@ class _BodyWalker:
         if v.form == "name-prefix":
             if access_kind == "field-read":
                 extended = f"{v.label}.{name}"
-                if extended in self.x.env.universe:
+                if extended in self.x.names.universe:
                     return _Value(TypeRef(extended), (), "type-name")
                 return self.name_prefix(extended, pos)
             v = self.unresolved(v.label, pos)
@@ -937,7 +903,7 @@ class _BodyWalker:
 
     def _visit_Cast(self, e: ast.Cast) -> _Value:
         v = self.visit_expr(e.expr)
-        t = self.x.env.resolve_type_name(e.type, self.owner.name, self.x.mode)
+        t = self.type_of(e.type)
         if isinstance(e.expr, ast.NameExpr) and self.lookup_param(e.expr.name) is not None:
             if not t.is_primitive:
                 self.ex.downcast_param_types.add(t)
@@ -949,7 +915,7 @@ class _BodyWalker:
             t = TypeRef(e.body.qualified_name)
             self.x.creators[t.name] = self.ex.id
         else:
-            t = self.x.env.resolve_type_name(e.type, self.owner.name, self.x.mode)
+            t = self.type_of(e.type)
         if not t.is_primitive:
             self.ex.instantiated_types.add(t)
         for a in e.args:
@@ -957,7 +923,7 @@ class _BodyWalker:
         return _Value(t, (ProvStep("new", t.name, t),), "expression")
 
     def _visit_NewArray(self, e: ast.NewArray) -> _Value:
-        elem = self.x.env.resolve_type_name(e.element, self.owner.name, self.x.mode)
+        elem = self.type_of(e.element)
         t = elem
         for _ in e.dim_exprs:
             t = array_of(t)
@@ -998,7 +964,7 @@ class _BodyWalker:
 
     def _visit_InstanceOf(self, e: ast.InstanceOf) -> _Value:
         self.visit_expr(e.expr)
-        self.x.env.resolve_type_name(e.type, self.owner.name, self.x.mode)
+        self.type_of(e.type)
         t = _PRIM["boolean"]
         return _Value(t, (ProvStep("literal", "instanceof", t),), "expression")
 

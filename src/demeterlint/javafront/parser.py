@@ -389,13 +389,7 @@ class _Parser:
                 self.i = i + 1
                 return ast.EmptyStmt(start)
             if text == "if":
-                self.next()
-                self.expect("(", "after 'if'")
-                cond = self.expr()
-                self.expect(")", "after if condition")
-                then = self.stmt()
-                other = self.stmt() if self.accept("else") else None
-                return ast.IfStmt(cond, then, other, start)
+                return self.if_stmt()
             if text == "while":
                 self.next()
                 self.expect("(", "after 'while'")
@@ -478,6 +472,26 @@ class _Parser:
             declarators.append(self.declarator("in local declaration"))
         self.expect(";", "after local declaration")
         return ast.LocalDecl(ty, declarators, start)
+
+    def if_stmt(self) -> ast.IfStmt:
+        """An ``if`` statement.  Each ``else if`` arm nests in the ``other``
+        of the arm before it, but the arms are parsed in a loop, so a chain
+        of any length parses."""
+        arms = []
+        while True:
+            start = self.next()  # 'if'
+            self.expect("(", "after 'if'")
+            cond = self.expr()
+            self.expect(")", "after if condition")
+            arms.append(ast.IfStmt(cond, self.stmt(), None, start))
+            if not self.accept("else"):
+                break
+            if not self.at("if"):
+                arms[-1].other = self.stmt()
+                break
+        for arm, other in zip(arms, arms[1:]):
+            arm.other = other
+        return arms[0]
 
     def for_stmt(self) -> ast.ForStmt:
         start = self.next()

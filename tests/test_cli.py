@@ -2,6 +2,7 @@
 
 import importlib.util
 import io
+import itertools
 import json
 import re
 import subprocess
@@ -307,6 +308,26 @@ class TestDeepNesting:
         code, out, err = invoke(_jdk_options(path, format="json"))
         assert (code, err) == (0, "")
         assert json.loads(out)["totals"]["accesses"] == 5000
+
+    def test_long_else_if_chain_is_analyzed(self, tmp_path):
+        arms = " else ".join(f"if (k == {i}) g();" for i in range(5000))
+        path = tmp_path / "A.java"
+        path.write_text("class A { void g() { } void m(int k) { " + arms + " } }")
+        code, out, err = invoke(_jdk_options(path, format="json"))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["totals"]["accesses"] == 5000
+
+    def test_nested_supertype_resolution_keeps_the_contract(self, tmp_path):
+        # Each E<i>$T's supertype X is looked up among the member types E<i>
+        # inherits, whose supertypes resolve only after E<i-1>$T's, so
+        # declaring the last E first nests one resolution per class.
+        lines = [f"class E{i} extends E{i - 1}$T {{ class T extends X {{ }} }}" for i in range(600)]
+        lines[0] = "class E0 { class T { } }"
+        path = tmp_path / "E.java"
+        path.write_text("class X { } class Z { class X { } }\n" + "\n".join(reversed(lines)))
+        code, _, err = invoke(_jdk_options(path))
+        assert code in (0, 1, 2)
+        assert all(re.match(r"^[EW]-[A-Z]+: ", line) for line in err.splitlines())
 
     def test_long_concatenation_is_analyzed(self, tmp_path):
         path = tmp_path / "A.java"
@@ -753,6 +774,64 @@ class TestAnonymousMemberType:
         lines = out.decode().splitlines()
         assert "access: method-call .g" in lines
         assert "receiver: p.A$anon1$In (expression)" in lines
+
+
+def _write(root, files: dict) -> None:
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+class TestTypeNames:
+    """Simple type names resolve in Java's scope order, in any file order."""
+
+    def test_member_type_of_another_type_is_not_in_scope(self, tmp_path):
+        src = tmp_path / "K.java"
+        src.write_text(
+            "package p; interface J { class K { } } class K { void f() { } } "
+            "class B { void m(K y) { y.f(); } }"
+        )
+        code, out, err = invoke(
+            RunOptions(source_paths=(src,), stub_paths=(OBJECT_STUB,), format="json")
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["totals"]["accesses"] == 1
+
+    def test_single_type_import_shadows_the_package(self, tmp_path):
+        _write(tmp_path, {
+            "q/K.java": "package q; public class K { public void g() { } }",
+            "p/K.java": "package p; class K { void f() { } }",
+            "p/B.java": "package p; import q.K; class B { void m(K y) { y.g(); } }",
+        })
+        code, out, err = invoke(
+            RunOptions(source_paths=(tmp_path,), stub_paths=(OBJECT_STUB,), format="json")
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["totals"]["accesses"] == 1
+
+    def test_inherited_member_type_in_any_file_order(self, tmp_path):
+        # D's supertype In is a member type B inherits through Mid, declared
+        # in files that may come after B's.
+        _write(tmp_path, {
+            "A.java": "package p;\nclass A { class In { C c() { return null; } } }\n"
+                      "class C { C d() { return null; } void g() { } }\n",
+            "Mid.java": "package p;\nclass Mid extends A { }\n",
+            "B.java": "package p;\nclass B extends Mid { class D extends In "
+                      "{ void m(In x) { c().d().g(); } } }\n",
+        })
+        files = [tmp_path / name for name in ("B.java", "Mid.java", "A.java")]
+        reports = []
+        for order in itertools.permutations(files):
+            code, out, err = invoke(
+                RunOptions(source_paths=order, stub_paths=(OBJECT_STUB,), format="json")
+            )
+            assert (code, err) == (1, "")
+            doc = json.loads(out)
+            del doc["digest"]
+            reports.append(doc)
+        assert reports[0]["totals"]["potential_violations"] == 2
+        assert all(doc == reports[0] for doc in reports)
 
 
 class TestImportGraph:

@@ -1,11 +1,14 @@
 """Binder coverage: table construction, executables, sites, provenance."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demeterlint.codemodel import (
     DeclKind,
+    LoadError,
     ResolutionMode,
     TypeKind,
     TypeRef,
@@ -385,6 +388,42 @@ class TestSites:
             "class B extends A { In f; }\n"
         )
         assert table.get("p.B").members[0].declared_type == TypeRef("p.A$In")
+
+    def test_member_type_of_another_type_is_not_in_scope(self):
+        # J's K is in scope only inside J and its subtypes; B means the
+        # package's K.
+        _, exes = front(
+            "package p; interface J { class K { } } class K { void f() { } } "
+            "class B { void m(K y) { y.f(); } }"
+        )
+        (site,) = by_id(exes)["p.B#m(K)"].body_accesses
+        assert (site.member.name, site.receiver.static_type) == ("f", TypeRef("p.K"))
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_supertypes_resolve_in_any_file_order(self, order):
+        sources = [
+            ("B.java", "package p; class B extends Mid { class D extends In { } }"),
+            ("Mid.java", "package p; class Mid extends A { }"),
+            ("A.java", "package p; class A { class In { } }"),
+        ]
+        table, _ = build_front([sources[i] for i in order])
+        assert table.get("p.B$D").supertypes == (TypeRef("p.A$In"),)
+
+    def test_single_type_import_shadows_the_package(self):
+        _, exes = build_front([
+            ("q/K.java", "package q; public class K { public void g() { } }"),
+            ("p/K.java", "package p; class K { void f() { } }"),
+            ("p/B.java", "package p; import q.K; class B { void m(K y) { y.g(); } }"),
+        ])
+        (site,) = by_id(exes)["p.B#m(K)"].body_accesses
+        assert (site.member.name, site.receiver.static_type) == ("g", TypeRef("q.K"))
+
+    def test_cyclic_supertypes_with_member_types_are_an_error(self):
+        with pytest.raises(LoadError, match="cyclic supertypes"):
+            front(
+                "package p;\nclass A extends B { void m(In x) { } }\n"
+                "class B extends A { class In { } }"
+            )
 
     def test_call_chain_provenance(self):
         src = (

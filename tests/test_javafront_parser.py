@@ -102,6 +102,13 @@ class TestStatements:
         assert isinstance(stmts[0], ast.IfStmt)
         assert isinstance(stmts[0].other, ast.WhileStmt)
 
+    def test_else_if_arms_nest_and_else_binds_to_the_nearest_if(self):
+        (first,) = self.body("if (a) x(); else if (b) if (c) y(); else z(); else if (d) { }")
+        second = first.other
+        assert [s.cond.name for s in (first, second, second.then)] == ["a", "b", "c"]
+        assert isinstance(second.then.other, ast.ExprStmt)
+        assert second.other.cond.name == "d" and second.other.other is None
+
     def test_for_variants(self):
         stmts = self.body("for (int i = 0, j = 1; i < j; i++, j--) f(); for (;;) break;")
         first, second = stmts
