@@ -453,6 +453,27 @@ _Prefix = tuple[
 _Call = tuple[int, str, TypeRef]
 
 
+class _BaseSets(dict):
+    """Executable id -> its base friend set, built on first access.
+
+    Detection skips an executable with no access site, and most have none,
+    so most sets are never built.  The closure of each class and its field
+    types is shared by the sets of its executables.
+    """
+
+    __slots__ = ("by_id", "table", "class_masks")
+
+    def __init__(self, by_id: dict[str, Executable], table: TypeTable) -> None:
+        super().__init__()
+        self.by_id = by_id
+        self.table = table
+        self.class_masks: dict[str, int] = {}
+
+    def __missing__(self, exec_id: str) -> FriendSet:
+        got = self[exec_id] = base_friend_set(self.by_id[exec_id], self.table, self.class_masks)
+        return got
+
+
 class Adapter:
     """Computes effective friend sets and verdicts for one analysis run.
 
@@ -471,10 +492,7 @@ class Adapter:
         self.by_owner: dict[str, list[Executable]] = {}
         for ex in executables:
             self.by_owner.setdefault(ex.owner_type.name, []).append(ex)
-        class_masks: dict[str, int] = {}
-        self.base: dict[str, FriendSet] = {
-            ex.id: base_friend_set(ex, table, class_masks) for ex in executables
-        }
+        self.base = _BaseSets(self.by_id, table)
         # Rule payloads parsed once: the types a rule lists (``types`` or
         # ``grants``), implication pairs and member exemptions.
         self._listed: dict[str, Contribution] = {}

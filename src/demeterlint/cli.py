@@ -238,7 +238,10 @@ def _run(options: RunOptions, out, err) -> int:
 
     adapter = Adapter(loaded.executables, loaded.table, loaded.config)
     violations = [
-        v for ex in loaded.executables for v in detect(ex, adapter.base[ex.id])
+        v
+        for ex in loaded.executables
+        if ex.body_accesses
+        for v in detect(ex, adapter.base[ex.id])
     ]
     verdicts = adapter.classify(violations)
 

@@ -275,15 +275,27 @@ def _check_members(decl_name: str, members: Iterable[MemberDecl]) -> None:
         seen.add(key)
 
 
+def _own_member(
+    decl: TypeDecl, name: str, arity: int | None, private: bool
+) -> MemberDecl | None:
+    """The field or method (``name``, ``arity``) that ``decl`` declares
+    itself, None if none, or if it is private and ``private`` is false."""
+    for m in decl.members:
+        if m.name == name and m.arity == arity and m.member_kind is not MemberKind.CONSTRUCTOR:
+            return m if private or m.visibility != "private" else None
+    return None
+
+
 class TypeTable(Struct):
     """All known type declarations, keyed by qualified name.
 
     Also the interning of closures: ``_bits`` gives each type met a bit
     position (``_types`` is the reverse), and ``_masks`` memoizes each type's
-    closure mask until the next ``add``.
+    closure mask until the next ``add``.  ``_members`` memoizes, the same
+    way, the member each type offers its subtypes (see ``_inherited``).
     """
 
-    __slots__ = ("_decls", "_bits", "_types", "_masks")
+    __slots__ = ("_decls", "_bits", "_types", "_masks", "_members")
     _fields = ("_decls",)
 
     def __init__(self, _decls: dict[str, TypeDecl] | None = None) -> None:
@@ -291,6 +303,7 @@ class TypeTable(Struct):
         self._bits: dict[TypeRef, int] = {}
         self._types: list[TypeRef] = []
         self._masks: dict[TypeRef, int] = {}
+        self._members: dict[tuple[str, str, int | None], MemberDecl | None] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._decls
@@ -312,6 +325,7 @@ class TypeTable(Struct):
     def _put(self, decl: TypeDecl) -> None:
         """Add a declaration whose members are already checked."""
         self._masks.clear()
+        self._members.clear()
         existing = self._decls.get(decl.name)
         if existing is not None:
             if existing.structurally_equal(decl):
@@ -454,11 +468,9 @@ class TypeTable(Struct):
     # -- member resolution -------------------------------------------------
 
     def _resolution_order(self, start: TypeRef) -> Iterator[TypeDecl]:
-        """Receiver first, then supertypes depth-first in declared order.
-
-        The parser and the stub loader both keep the extends edge ahead of
-        implements edges, so the declared order realizes extends-first.
-        ``java.lang.Object`` is searched last.
+        """Receiver first, then supertypes depth-first in declared order:
+        the order ``resolve_member`` searches in, walked type by type.  The
+        tests check the memoized search against it.
 
         Preorder with an explicit stack: supertypes are pushed in reverse,
         and ``java.lang.Object`` sits at the bottom, so it comes up only
@@ -486,28 +498,34 @@ class TypeTable(Struct):
     ) -> MemberDecl:
         """Find the member ``name`` with the given arity on ``receiver``.
 
-        ``arity`` is ``None`` for fields.  Private members of supertypes are
+        ``arity`` is ``None`` for fields.  The receiver is searched first,
+        then its supertypes depth first in declared order, and
+        ``java.lang.Object`` last.  The parser and the stub loader both keep
+        the extends edge ahead of implements edges, so the declared order
+        realizes extends-first.  Private members of supertypes are
         invisible.  Constructors are looked up on the receiver only; they are
         not inherited.  In lenient mode an unresolved member comes back as a
         synthetic member of unknown type instead of an error.
         """
         if receiver.kind is TypeKind.DECLARED:
+            decl = self._decls.get(receiver.name)
             if name == "<init>":
-                decl = self._decls.get(receiver.name)
                 if decl is not None:
                     for m in decl.members:
                         if m.member_kind is MemberKind.CONSTRUCTOR and m.arity == arity:
                             return m
             else:
-                for decl in self._resolution_order(receiver):
-                    for m in decl.members:
-                        if m.member_kind is MemberKind.CONSTRUCTOR:
-                            continue
-                        if m.name != name or m.arity != arity:
-                            continue
-                        if m.visibility == "private" and decl.name != receiver.name:
-                            continue
-                        return m
+                found = None
+                if decl is not None:
+                    found = _own_member(decl, name, arity, private=True)
+                    for sup in decl.supertypes:
+                        if found is not None:
+                            break
+                        found = self._inherited(sup.name, name, arity)
+                if found is None and receiver.name != OBJECT_NAME:
+                    found = self._inherited(OBJECT_NAME, name, arity)
+                if found is not None:
+                    return found
         if mode is ResolutionMode.LENIENT:
             kind = MemberKind.FIELD if arity is None else MemberKind.METHOD
             return MemberDecl(
@@ -520,6 +538,46 @@ class TypeTable(Struct):
                 declaring_type=receiver.name,
             )
         raise MemberResolutionError(receiver, name, arity)
+
+    def _inherited(self, owner: str, name: str, arity: int | None) -> MemberDecl | None:
+        """The member (``name``, ``arity``) that type ``owner`` offers a
+        subtype: its own unless private, else the first one its supertypes
+        offer, in declared order; None for none.
+
+        The search order is the preorder of a depth-first walk, and in a
+        walk without cycles a type met again was searched in full already,
+        so each answer is built from the supertypes' answers.  Answers are
+        memoized per (type, name, arity) and found on an explicit stack, so
+        a chain of supertypes of any length costs one step per type.  In a
+        cycle of supertypes, a type being found counts as offering none.
+        """
+        memo = self._members
+        key = (owner, name, arity)
+        if key in memo:
+            return memo[key]
+        memo[key] = None
+        stack = [owner]
+        while stack:
+            t = stack[-1]
+            decl = self._decls.get(t)
+            found = pending = None
+            if decl is not None:
+                found = _own_member(decl, name, arity, private=False)
+                for sup in decl.supertypes:
+                    if found is not None:
+                        break
+                    sup_key = (sup.name, name, arity)
+                    if sup_key not in memo:
+                        pending = sup_key
+                        break
+                    found = memo[sup_key]
+            if pending is not None:
+                memo[pending] = None
+                stack.append(pending[0])
+                continue
+            memo[t, name, arity] = found
+            stack.pop()
+        return memo[key]
 
 
 # -- stub loading -----------------------------------------------------------

@@ -10,6 +10,10 @@ character offset of its first token in the unit's text, an int rather than
 an object; ``lexer.line_col`` decodes it against the unit's ``line_starts``
 where a line and column are shown.  No method is generated at import time,
 so importing this module costs a per-file invocation next to nothing.
+
+Every sequence a node holds is a tuple, finished when the node is built;
+an empty one is the shared ``()``.  Most sequences of a tree are short or
+empty, and a tuple is smaller than a list and needs no spare capacity.
 """
 
 from __future__ import annotations
@@ -134,7 +138,7 @@ class MethodCall(Struct):
         self,
         target: Optional["Expr"],
         name: str,
-        args: list["Expr"],
+        args: tuple["Expr", ...],
         pos: int,
     ) -> None:
         self.target = target  # None = unqualified call
@@ -148,7 +152,7 @@ class SuperMember(Struct):
 
     __slots__ = ("name", "args", "pos")
 
-    def __init__(self, name: str, args: Optional[list["Expr"]], pos: int) -> None:
+    def __init__(self, name: str, args: Optional[tuple["Expr", ...]], pos: int) -> None:
         self.name = name
         self.args = args
         self.pos = pos
@@ -159,7 +163,7 @@ class SuperCtorCall(Struct):
 
     __slots__ = ("args", "pos")
 
-    def __init__(self, args: list["Expr"], pos: int) -> None:
+    def __init__(self, args: tuple["Expr", ...], pos: int) -> None:
         self.args = args
         self.pos = pos
 
@@ -169,7 +173,7 @@ class ThisCtorCall(Struct):
 
     __slots__ = ("args", "pos")
 
-    def __init__(self, args: list["Expr"], pos: int) -> None:
+    def __init__(self, args: tuple["Expr", ...], pos: int) -> None:
         self.args = args
         self.pos = pos
 
@@ -193,7 +197,7 @@ class NewObject(Struct):
     def __init__(
         self,
         type: TypeName,
-        args: list["Expr"],
+        args: tuple["Expr", ...],
         body: Optional["TypeDeclNode"],
         pos: int,
     ) -> None:
@@ -211,7 +215,7 @@ class NewArray(Struct):
     def __init__(
         self,
         element: TypeName,
-        dim_exprs: list[Optional["Expr"]],
+        dim_exprs: tuple[Optional["Expr"], ...],
         init: Optional["ArrayInit"],
         pos: int,
     ) -> None:
@@ -226,7 +230,7 @@ class ArrayInit(Struct):
 
     __slots__ = ("items", "pos")
 
-    def __init__(self, items: list[Union["Expr", "ArrayInit"]], pos: int) -> None:
+    def __init__(self, items: tuple[Union["Expr", "ArrayInit"], ...], pos: int) -> None:
         self.items = items
         self.pos = pos
 
@@ -342,7 +346,7 @@ class Block(Struct):
 
     __slots__ = ("stmts", "pos")
 
-    def __init__(self, stmts: list["Stmt"], pos: int) -> None:
+    def __init__(self, stmts: tuple["Stmt", ...], pos: int) -> None:
         self.stmts = stmts
         self.pos = pos
 
@@ -355,7 +359,7 @@ class LocalDecl(Struct):
     def __init__(
         self,
         type: TypeName,
-        declarators: list["Declarator"],
+        declarators: tuple["Declarator", ...],
         pos: int,
     ) -> None:
         self.type = type
@@ -409,9 +413,9 @@ class ForStmt(Struct):
 
     def __init__(
         self,
-        init: Union[LocalDecl, list[Expr], None],
+        init: Union[LocalDecl, tuple[Expr, ...], None],
         cond: Optional[Expr],
-        update: list[Expr],
+        update: tuple[Expr, ...],
         body: "Stmt",
         pos: int,
     ) -> None:
@@ -427,7 +431,7 @@ class SwitchGroup(Struct):
 
     __slots__ = ("labels", "stmts")
 
-    def __init__(self, labels: list[Optional[Expr]], stmts: list["Stmt"]) -> None:
+    def __init__(self, labels: tuple[Optional[Expr], ...], stmts: tuple["Stmt", ...]) -> None:
         self.labels = labels  # None = default
         self.stmts = stmts
 
@@ -437,7 +441,7 @@ class SwitchStmt(Struct):
 
     __slots__ = ("selector", "groups", "pos")
 
-    def __init__(self, selector: Expr, groups: list[SwitchGroup], pos: int) -> None:
+    def __init__(self, selector: Expr, groups: tuple[SwitchGroup, ...], pos: int) -> None:
         self.selector = selector
         self.groups = groups
         self.pos = pos
@@ -490,7 +494,7 @@ class TryStmt(Struct):
     def __init__(
         self,
         body: Block,
-        catches: list[CatchClause],
+        catches: tuple[CatchClause, ...],
         final: Optional[Block],
         pos: int,
     ) -> None:
@@ -553,9 +557,9 @@ class FieldDecl(Struct):
 
     def __init__(
         self,
-        modifiers: list[str],
+        modifiers: tuple[str, ...],
         type: TypeName,
-        declarators: list[Declarator],
+        declarators: tuple[Declarator, ...],
         pos: int,
     ) -> None:
         self.modifiers = modifiers
@@ -587,10 +591,10 @@ class MethodDecl(Struct):
 
     def __init__(
         self,
-        modifiers: list[str],
+        modifiers: tuple[str, ...],
         ret: Optional[TypeName],
         name: str,
-        params: list[Param],
+        params: tuple[Param, ...],
         body: Optional[Block],
         is_ctor: bool,
         pos: int,
@@ -636,10 +640,10 @@ class TypeDeclNode(Struct):
         self,
         name: Optional[str],
         kind: str,
-        modifiers: list[str],
-        extends: list[TypeName],
-        implements: list[TypeName],
-        members: list,
+        modifiers: tuple[str, ...],
+        extends: tuple[TypeName, ...],
+        implements: tuple[TypeName, ...],
+        members: tuple,
         pos: int,
         anonymous: bool = False,
         anon_supertype: Optional[TypeName] = None,
@@ -686,10 +690,10 @@ class CompilationUnit(Struct):
     def __init__(
         self,
         package: Optional[str],
-        imports: list[ImportDecl],
-        types: list[TypeDeclNode],
+        imports: tuple[ImportDecl, ...],
+        types: tuple[TypeDeclNode, ...],
         file: str,
-        type_decls: list[TypeDeclNode],
+        type_decls: tuple[TypeDeclNode, ...],
         line_starts: list[int],
     ) -> None:
         self.package = package

@@ -17,7 +17,7 @@ recorded but marked by form so detection can skip them.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from ..codemodel import (
     DeclKind,
@@ -56,25 +56,57 @@ _PRIM = {name: TypeRef(name, TypeKind.PRIMITIVE) for name in (
 
 _NUMERIC_RANK = {"double": 4, "float": 3, "long": 2, "int": 1, "char": 0, "short": 0, "byte": 0}
 
+#: The type set of an executable that has none.  Most executables create
+#: nothing and downcast no parameter, so they share this one; the walker
+#: gives an executable a set of its own at its first type.
+_NO_TYPES: frozenset[TypeRef] = frozenset()
+
 
 class ProvStep(Value):
-    """One step of receiver provenance: how the value came to hand."""
+    """One step of receiver provenance: how the value came to hand.
 
-    __slots__ = ("kind", "label", "type")
+    ``parent`` is the step before it, None for the first.  A chain is held
+    by its last step, and a chain shares the steps of the one it extends,
+    so an n-link chain costs n steps, not n(n+1)/2.  A step compares and
+    hashes by its own kind, label and type, not its parent's, so neither
+    recurses along a chain.
+    """
 
-    def __init__(self, kind: str, label: str, type: TypeRef) -> None:
+    __slots__ = ("kind", "label", "type", "parent")
+    _fields = ("kind", "label", "type")
+
+    def __init__(
+        self, kind: str, label: str, type: TypeRef, parent: Optional[ProvStep] = None
+    ) -> None:
         self.kind = kind  # parameter field local call cast new static-member literal
         self.label = label
         self.type = type
+        self.parent = parent
 
 
 class ReceiverDesc(Value):
-    __slots__ = ("form", "static_type", "chain")
+    """A site's receiver: its form, its static type and the last step of
+    its provenance, None for none.  It compares and hashes by its form,
+    static type and whole ``chain``."""
 
-    def __init__(self, form: str, static_type: TypeRef, chain: tuple[ProvStep, ...]) -> None:
+    __slots__ = ("form", "static_type", "last")
+    _fields = ("form", "static_type", "chain")
+
+    def __init__(self, form: str, static_type: TypeRef, last: Optional[ProvStep]) -> None:
         self.form = form  # this-implicit this-explicit super outer-instance type-name expression
         self.static_type = static_type
-        self.chain = chain
+        self.last = last
+
+    @property
+    def chain(self) -> tuple[ProvStep, ...]:
+        """The provenance steps, first to last."""
+        steps = []
+        step = self.last
+        while step is not None:
+            steps.append(step)
+            step = step.parent
+        steps.reverse()
+        return tuple(steps)
 
 
 class AccessSite(Struct):
@@ -125,8 +157,8 @@ class Executable(Struct):
         owner_type: TypeRef,
         exec_kind: str,
         params: list[tuple[str, TypeRef]],
-        instantiated_types: Optional[set[TypeRef]] = None,
-        downcast_param_types: Optional[set[TypeRef]] = None,
+        instantiated_types: AbstractSet[TypeRef] = _NO_TYPES,
+        downcast_param_types: AbstractSet[TypeRef] = _NO_TYPES,
         enclosing_executable: Optional[str] = None,
         body_accesses: Optional[list[AccessSite]] = None,
         file: str = "",
@@ -138,10 +170,8 @@ class Executable(Struct):
         # method constructor instance-initializer static-initializer field-initializer
         self.exec_kind = exec_kind
         self.params = params
-        self.instantiated_types = set() if instantiated_types is None else instantiated_types
-        self.downcast_param_types = (
-            set() if downcast_param_types is None else downcast_param_types
-        )
+        self.instantiated_types = instantiated_types
+        self.downcast_param_types = downcast_param_types
         self.enclosing_executable = enclosing_executable
         self.body_accesses = [] if body_accesses is None else body_accesses
         self.file = file
@@ -329,7 +359,7 @@ class _Names:
 # -- table construction -------------------------------------------------------
 
 
-def _visibility(modifiers: list[str]) -> str:
+def _visibility(modifiers: tuple[str, ...]) -> str:
     for v in ("public", "protected", "private"):
         if v in modifiers:
             return v
@@ -457,16 +487,18 @@ def bind_and_extract(
     return out
 
 
-class _Value(Value):
-    """What visiting an expression yields for receiver purposes."""
+class _Value(Struct):
+    """What visiting an expression yields for receiver purposes: its type,
+    the last step of its provenance, its form and, for a name prefix, its
+    text."""
 
-    __slots__ = ("type", "chain", "form", "label")
+    __slots__ = ("type", "last", "form", "label")
 
     def __init__(
-        self, type: TypeRef, chain: tuple[ProvStep, ...], form: str, label: str = ""
+        self, type: TypeRef, last: Optional[ProvStep], form: str, label: str = ""
     ) -> None:
         self.type = type
-        self.chain = chain
+        self.last = last
         self.form = form  # expression | this-explicit | type-name | name-prefix
         self.label = label  # dotted prefix text for name-prefix values
 
@@ -639,7 +671,7 @@ class _BodyWalker:
             except MemberResolutionError:
                 form = "outer-instance"
                 continue
-            return self.emit(access_kind, ReceiverDesc(form, t, ()), member, pos)
+            return self.emit(access_kind, ReceiverDesc(form, t, None), member, pos)
         return None
 
     def variable(self, name: str, pos: int, access_kind: str) -> _Value | None:
@@ -648,28 +680,28 @@ class _BodyWalker:
         for scope in reversed(self.scopes):
             if name in scope:
                 t = scope[name]
-                return _Value(t, (ProvStep("local", name, t),), "expression")
+                return _Value(t, ProvStep("local", name, t), "expression")
         t = self.lookup_param(name)
         if t is not None:
-            return _Value(t, (ProvStep("parameter", name, t),), "expression")
+            return _Value(t, ProvStep("parameter", name, t), "expression")
         site = self.implicit_member(name, None, access_kind, pos)
         if site is None:
             return None
         t = site.member.declared_type
-        return _Value(t, (ProvStep("field", name, t),), "expression")
+        return _Value(t, ProvStep("field", name, t), "expression")
 
     def unresolved(self, name: str, pos: int) -> _Value:
         """A name that resolves to nothing: an unknown value when lenient."""
         if self.x.mode is ResolutionMode.LENIENT:
             t = unknown_type(name)
-            return _Value(t, (ProvStep("local", name, t),), "expression")
+            return _Value(t, ProvStep("local", name, t), "expression")
         raise self.err(pos, f"cannot resolve name '{name}'")
 
     def name_prefix(self, label: str, pos: int) -> _Value:
         """``label`` as the start of a longer qualified type name, if any
         known type's name starts with it; else an unresolved name."""
         if self.x.names.is_name_prefix(label):
-            return _Value(OBJECT, (), "name-prefix", label=label)
+            return _Value(OBJECT, None, "name-prefix", label=label)
         return self.unresolved(label, pos)
 
     def direct_superclass(self) -> TypeRef:
@@ -708,7 +740,7 @@ class _BodyWalker:
             self.scopes.append({})
             if isinstance(s.init, ast.LocalDecl):
                 self.visit_local_decl(s.init)
-            elif isinstance(s.init, list):
+            elif isinstance(s.init, tuple):
                 for e in s.init:
                     self.visit_expr(e)
             if s.cond is not None:
@@ -776,10 +808,10 @@ class _BodyWalker:
             t = _PRIM["null"]
         else:
             t = _PRIM[e.kind]
-        return _Value(t, (ProvStep("literal", e.text, t),), "expression")
+        return _Value(t, ProvStep("literal", e.text, t), "expression")
 
     def _visit_ThisExpr(self, e: ast.ThisExpr) -> _Value:
-        return _Value(self.owner, (), "this-explicit")
+        return _Value(self.owner, None, "this-explicit")
 
     def _visit_Paren(self, e: ast.Paren) -> _Value:
         return self.visit_expr(e.expr)
@@ -790,7 +822,7 @@ class _BodyWalker:
             return v
         resolved = self.x.names.resolve_simple(self.x.env, e.name, e.pos, self.owner.name)
         if resolved is not None:
-            return _Value(TypeRef(resolved), (), "type-name")
+            return _Value(TypeRef(resolved), None, "type-name")
         return self.name_prefix(e.name, e.pos)
 
     def _visit_chain(self, e: ast.Expr) -> _Value:
@@ -816,11 +848,11 @@ class _BodyWalker:
             if self.x.mode is not ResolutionMode.LENIENT:
                 raise self.err(e.pos, f"cannot resolve method '{e.name}' ({arity} args)")
             member = self.x.table.resolve_member(self.owner, e.name, arity, ResolutionMode.LENIENT)
-            recv = ReceiverDesc("this-implicit", self.owner, ())
+            recv = ReceiverDesc("this-implicit", self.owner, None)
             site = self.emit("method-call", recv, member, e.pos)
         site.arg_types = tuple(self.visit_expr(a).type for a in e.args)
         t = site.member.declared_type
-        return _Value(t, (ProvStep("call", e.name, t),), "expression")
+        return _Value(t, ProvStep("call", e.name, t), "expression")
 
     def link(self, v: _Value, e: ast.Expr, access_kind: str) -> _Value:
         """Apply one postfix link to ``v``: an index, or a member that is
@@ -830,9 +862,9 @@ class _BodyWalker:
             self.visit_expr(e.index)
             if v.type.kind is TypeKind.ARRAY:
                 assert v.type.element is not None
-                return _Value(v.type.element, v.chain, "expression")
+                return _Value(v.type.element, v.last, "expression")
             if v.type.kind is TypeKind.UNKNOWN or self.x.mode is ResolutionMode.LENIENT:
-                return _Value(unknown_type(f"{v.type.name}[?]"), v.chain, "expression")
+                return _Value(unknown_type(f"{v.type.name}[?]"), v.last, "expression")
             raise self.err(e.pos, f"array access on non-array type {v.type.name}")
         name, pos = e.name, e.pos
         call = isinstance(e, ast.MethodCall)
@@ -842,7 +874,7 @@ class _BodyWalker:
             if access_kind == "field-read":
                 extended = f"{v.label}.{name}"
                 if extended in self.x.names.universe:
-                    return _Value(TypeRef(extended), (), "type-name")
+                    return _Value(TypeRef(extended), None, "type-name")
                 return self.name_prefix(extended, pos)
             v = self.unresolved(v.label, pos)
         form = "this-explicit" if v.form == "this-explicit" else "expression"
@@ -857,8 +889,8 @@ class _BodyWalker:
                 param_types=(),
                 declaring_type=v.type.name,
             )
-            self.emit("array-length", ReceiverDesc(form, v.type, v.chain), member, pos)
-            return _Value(t, (ProvStep("field", "length", t),), "expression")
+            self.emit("array-length", ReceiverDesc(form, v.type, v.last), member, pos)
+            return _Value(t, ProvStep("field", "length", t), "expression")
         member = self.member_or_err(v.type, name, len(e.args) if call else None, pos)
         step = "call" if call else "field"
         if v.form == "type-name":
@@ -866,48 +898,50 @@ class _BodyWalker:
             if access_kind != "field-write":
                 step = "static-member"
             access_kind, form = "static-member-access", "type-name"
-        site = self.emit(access_kind, ReceiverDesc(form, v.type, v.chain), member, pos)
+        site = self.emit(access_kind, ReceiverDesc(form, v.type, v.last), member, pos)
         if call:
             site.arg_types = tuple(self.visit_expr(a).type for a in e.args)
         t = member.declared_type
-        return _Value(t, v.chain + (ProvStep(step, name, t),), "expression")
+        return _Value(t, ProvStep(step, name, t, v.last), "expression")
 
     def _visit_SuperMember(self, e: ast.SuperMember) -> _Value:
         sup = self.direct_superclass()
         arity = None if e.args is None else len(e.args)
         member = self.member_or_err(sup, e.name, arity, e.pos)
         kind = "field-read" if e.args is None else "method-call"
-        site = self.emit(kind, ReceiverDesc("super", sup, ()), member, e.pos)
+        site = self.emit(kind, ReceiverDesc("super", sup, None), member, e.pos)
         if e.args is not None:
             site.arg_types = tuple(self.visit_expr(a).type for a in e.args)
             return _Value(
                 member.declared_type,
-                (ProvStep("call", e.name, member.declared_type),),
+                ProvStep("call", e.name, member.declared_type),
                 "expression",
             )
         return _Value(
             member.declared_type,
-            (ProvStep("field", e.name, member.declared_type),),
+            ProvStep("field", e.name, member.declared_type),
             "expression",
         )
 
     def _visit_SuperCtorCall(self, e: ast.SuperCtorCall) -> _Value:
         for a in e.args:
             self.visit_expr(a)
-        return _Value(_PRIM["void"], (), "expression")
+        return _Value(_PRIM["void"], None, "expression")
 
     def _visit_ThisCtorCall(self, e: ast.ThisCtorCall) -> _Value:
         for a in e.args:
             self.visit_expr(a)
-        return _Value(_PRIM["void"], (), "expression")
+        return _Value(_PRIM["void"], None, "expression")
 
     def _visit_Cast(self, e: ast.Cast) -> _Value:
         v = self.visit_expr(e.expr)
         t = self.type_of(e.type)
         if isinstance(e.expr, ast.NameExpr) and self.lookup_param(e.expr.name) is not None:
             if not t.is_primitive:
+                if self.ex.downcast_param_types is _NO_TYPES:
+                    self.ex.downcast_param_types = set()
                 self.ex.downcast_param_types.add(t)
-        return _Value(t, v.chain + (ProvStep("cast", t.name, t),), "expression")
+        return _Value(t, ProvStep("cast", t.name, t, v.last), "expression")
 
     def _visit_NewObject(self, e: ast.NewObject) -> _Value:
         if e.body is not None:
@@ -917,10 +951,12 @@ class _BodyWalker:
         else:
             t = self.type_of(e.type)
         if not t.is_primitive:
+            if self.ex.instantiated_types is _NO_TYPES:
+                self.ex.instantiated_types = set()
             self.ex.instantiated_types.add(t)
         for a in e.args:
             self.visit_expr(a)
-        return _Value(t, (ProvStep("new", t.name, t),), "expression")
+        return _Value(t, ProvStep("new", t.name, t), "expression")
 
     def _visit_NewArray(self, e: ast.NewArray) -> _Value:
         elem = self.type_of(e.element)
@@ -932,11 +968,11 @@ class _BodyWalker:
                 self.visit_expr(d)
         if e.init is not None:
             self.visit_expr_or_init(e.init)
-        return _Value(t, (ProvStep("new", t.name, t),), "expression")
+        return _Value(t, ProvStep("new", t.name, t), "expression")
 
     def _visit_ArrayInit(self, e: ast.ArrayInit) -> _Value:
         self.visit_expr_or_init(e)
-        return _Value(unknown_type("<array-init>"), (), "expression")
+        return _Value(unknown_type("<array-init>"), None, "expression")
 
     def _visit_Unary(self, e: ast.Unary) -> _Value:
         if e.op in ("++", "--"):
@@ -948,7 +984,7 @@ class _BodyWalker:
             t = _promote_unary(v.type)
         else:  # pragma: no cover
             t = v.type
-        return _Value(t, (ProvStep("literal", e.op, t),), "expression")
+        return _Value(t, ProvStep("literal", e.op, t), "expression")
 
     def _visit_Binary(self, e: ast.Binary) -> _Value:
         # The parser nests a chain like a + b + c to the left, as deep as the
@@ -960,20 +996,20 @@ class _BodyWalker:
         t = self.visit_expr(e).type
         for node in reversed(spine):
             t = _binary_type(node.op, t, self.visit_expr(node.right).type)
-        return _Value(t, (ProvStep("literal", spine[0].op, t),), "expression")
+        return _Value(t, ProvStep("literal", spine[0].op, t), "expression")
 
     def _visit_InstanceOf(self, e: ast.InstanceOf) -> _Value:
         self.visit_expr(e.expr)
         self.type_of(e.type)
         t = _PRIM["boolean"]
-        return _Value(t, (ProvStep("literal", "instanceof", t),), "expression")
+        return _Value(t, ProvStep("literal", "instanceof", t), "expression")
 
     def _visit_Conditional(self, e: ast.Conditional) -> _Value:
         self.visit_expr(e.cond)
         then = self.visit_expr(e.then)
         self.visit_expr(e.other)
         # Documented simplification: the conditional types as its then-branch.
-        return _Value(then.type, then.chain, "expression")
+        return _Value(then.type, then.last, "expression")
 
     def _visit_Assign(self, e: ast.Assign) -> _Value:
         v = self._write_target(e.target)
@@ -993,7 +1029,7 @@ class _BodyWalker:
             v = self.link(self.visit_expr(target.target), target, "field-write")
         else:
             v = self.visit_expr(target)
-        return _Value(v.type, v.chain, "expression")
+        return _Value(v.type, v.last, "expression")
 
 
 

@@ -9,11 +9,16 @@ by its text (keywords, operators) or else by its first character.  Only
 number literals, tokens that start with a non-ASCII character and error
 tokens are left without one; a loop over them, in text order, classifies
 them or raises.  ``line_col`` decodes an offset where a position is shown.
+
+Token texts are interned: the syntax trees of every unit live until the
+analysis ends, and most of their names repeat, so each distinct text is
+held once.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, chain, islice
@@ -140,7 +145,7 @@ def tokenize(text: str, file_name: str) -> Lexed:
     # trailing skip, the pair that holds the skip is the EOF token instead.
     if len(pairs) > 1 and not pairs[-2][1]:
         pairs.pop()
-    texts = list(map(itemgetter(1), pairs))
+    texts = list(map(sys.intern, map(itemgetter(1), pairs)))
     offsets = list(islice(accumulate(map(len, chain.from_iterable(pairs))), 0, None, 2))
     # map stops at the shorter input, before the EOF token, which has no
     # first character.

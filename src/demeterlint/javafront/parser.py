@@ -14,7 +14,8 @@ than the interpreter's stack allows fails with a ``ParseError``.
 The parser names every type declaration as it meets it and lists it in
 ``CompilationUnit.type_decls``, in preorder: a nested type is
 ``Outer$Inner``, and an anonymous body is ``Outer$anonN``, numbered per
-nearest named type when its body opens, after its creation arguments.
+nearest named type when its body opens, after its creation arguments.  A
+number whose ``anonN`` a member type of that named type takes is skipped.
 """
 
 from __future__ import annotations
@@ -93,11 +94,12 @@ class _Parser:
         self.file = file_name
         # Type declarations in preorder, the package prefix of their names,
         # the innermost enclosing type's qualified name, and the nearest
-        # named type's [qualified name, anonymous bodies numbered so far].
+        # named type's (qualified name, anonymous bodies so far); a body is
+        # [node, index in ``types``, index past its last nested type].
         self.types: list[ast.TypeDeclNode] = []
         self.prefix = ""
         self.outer: str | None = None
-        self.named: list | None = None
+        self.named: tuple[str, list] | None = None
 
     # -- token plumbing ----------------------------------------------------
     # ``i`` never moves past the EOF token, so ``texts[i]`` is always the
@@ -174,7 +176,9 @@ class _Parser:
             if self.accept(";"):
                 continue
             types.append(self.type_decl())
-        return ast.CompilationUnit(package, imports, types, self.file, self.types, self.starts)
+        return ast.CompilationUnit(
+            package, tuple(imports), tuple(types), self.file, tuple(self.types), self.starts
+        )
 
     def qualified_name(self, context: str) -> str:
         name = self.ident(context)
@@ -193,20 +197,21 @@ class _Parser:
         self.i = i + 1
         return text
 
-    def modifiers(self) -> list[str]:
+    def modifiers(self) -> tuple[str, ...]:
         mods: list[str] = []
         while True:
             text = self.texts[self.i]
             if text in MODIFIER_WORDS:
                 # 'static {' and 'synchronized (' open blocks, not modifiers
                 if text == "static" and self.at("{", 1):
-                    return mods
+                    break
                 mods.append(text)
                 self.next()
             elif text == "@":
                 raise self.fail("annotation")
             else:
-                return mods
+                break
+        return tuple(mods)
 
     def type_decl(self) -> ast.TypeDeclNode:
         mods = self.modifiers()
@@ -236,16 +241,48 @@ class _Parser:
             name=name,
             kind=kind,
             modifiers=mods,
-            extends=extends,
-            implements=implements,
-            members=[],
+            extends=tuple(extends),
+            implements=tuple(implements),
+            members=(),
             pos=start,
         )
         qualified_name = self.prefix + name if self.outer is None else f"{self.outer}${name}"
-        self.type_body(node, qualified_name, [qualified_name, 0])
+        bodies: list = []
+        self.type_body(node, qualified_name, (qualified_name, bodies))
+        if bodies:
+            self.renumber_anonymous(node, bodies)
         return node
 
-    def type_body(self, node: ast.TypeDeclNode, qualified_name: str, named: list) -> None:
+    def renumber_anonymous(self, node: ast.TypeDeclNode, bodies: list) -> None:
+        """Renumber the anonymous bodies of named type ``node`` in order,
+        skipping each N whose ``anonN`` one of its member types takes.
+
+        The member types are known only once the body is closed, so the
+        bodies were numbered 1, 2, ... as they opened.  When none skips a
+        number, that is their numbering.  Else each body and the types
+        nested in it are renamed, last body first: the new number of each
+        body already renamed exceeds the old number of the one at hand, so
+        no name is renamed twice.
+        """
+        taken = {m.name for m in node.members if isinstance(m, ast.TypeDeclNode)}
+        numbers = []
+        n = 0
+        for _ in bodies:
+            n += 1
+            while f"anon{n}" in taken:
+                n += 1
+            numbers.append(n)
+        if n == len(bodies):
+            return
+        for (body, start, end), n in reversed(list(zip(bodies, numbers))):
+            old, new = body.qualified_name, f"{node.qualified_name}$anon{n}"
+            for t in self.types[start:end]:
+                t.qualified_name = _renamed(t.qualified_name, old, new)
+                t.outer = _renamed(t.outer, old, new)
+
+    def type_body(
+        self, node: ast.TypeDeclNode, qualified_name: str, named: tuple[str, list]
+    ) -> None:
         """Name and list ``node``, then parse its body into its members;
         ``named`` is the nearest named type's entry (see ``__init__``)."""
         node.qualified_name = qualified_name
@@ -256,7 +293,7 @@ class _Parser:
         node.members = self.class_body(node.name)
         self.outer, self.named = outer, outer_named
 
-    def class_body(self, type_name: str | None) -> list:
+    def class_body(self, type_name: str | None) -> tuple:
         self.expect("{", "to open the type body")
         members: list = []
         while not self.at("}"):
@@ -266,7 +303,7 @@ class _Parser:
                 continue
             members.append(self.member(type_name))
         self.next()  # }
-        return members
+        return tuple(members)
 
     def member(self, type_name: str | None):
         start_i = self.i
@@ -304,7 +341,7 @@ class _Parser:
         while self.accept(","):
             declarators.append(self.declarator("in field declaration"))
         self.expect(";", "after field declaration")
-        return ast.FieldDecl(mods, ret, declarators, start)
+        return ast.FieldDecl(mods, ret, tuple(declarators), start)
 
     def no_body(self, what: str):
         self.expect(";", f"after {what} declaration")
@@ -316,7 +353,7 @@ class _Parser:
             while self.accept(","):
                 self.qualified_name("in throws clause")
 
-    def param_list(self) -> list[ast.Param]:
+    def param_list(self) -> tuple[ast.Param, ...]:
         self.expect("(", "to open the parameter list")
         params: list[ast.Param] = []
         if not self.at(")"):
@@ -333,7 +370,7 @@ class _Parser:
                 if not self.accept(","):
                     break
         self.expect(")", "to close the parameter list")
-        return params
+        return tuple(params)
 
     def declarator(self, context: str) -> ast.Declarator:
         start = self.here()
@@ -374,7 +411,7 @@ class _Parser:
                 raise self.error("unclosed block", start)
             stmts.append(self.stmt())
         self.next()
-        return ast.Block(stmts, start)
+        return ast.Block(tuple(stmts), start)
 
     def stmt(self) -> ast.Stmt:
         i = self.i
@@ -471,7 +508,7 @@ class _Parser:
         while self.accept(","):
             declarators.append(self.declarator("in local declaration"))
         self.expect(";", "after local declaration")
-        return ast.LocalDecl(ty, declarators, start)
+        return ast.LocalDecl(ty, tuple(declarators), start)
 
     def if_stmt(self) -> ast.IfStmt:
         """An ``if`` statement.  Each ``else if`` arm nests in the ``other``
@@ -496,7 +533,7 @@ class _Parser:
     def for_stmt(self) -> ast.ForStmt:
         start = self.next()
         self.expect("(", "after 'for'")
-        init: ast.LocalDecl | list[ast.Expr] | None
+        init: ast.LocalDecl | tuple[ast.Expr, ...] | None
         if self.at(";"):
             self.next()
             init = None
@@ -505,10 +542,11 @@ class _Parser:
             if decl is not None:
                 init = decl  # the ';' was consumed by the declaration parse
             else:
-                init = [self.expr()]
+                exprs = [self.expr()]
                 while self.accept(","):
-                    init.append(self.expr())
+                    exprs.append(self.expr())
                 self.expect(";", "after for-initializer")
+                init = tuple(exprs)
         cond = None if self.at(";") else self.expr()
         self.expect(";", "after for-condition")
         update: list[ast.Expr] = []
@@ -517,7 +555,7 @@ class _Parser:
             while self.accept(","):
                 update.append(self.expr())
         self.expect(")", "after for header")
-        return ast.ForStmt(init, cond, update, self.stmt(), start)
+        return ast.ForStmt(init, cond, tuple(update), self.stmt(), start)
 
     def switch_stmt(self) -> ast.SwitchStmt:
         start = self.next()
@@ -538,9 +576,9 @@ class _Parser:
             stmts: list[ast.Stmt] = []
             while not (self.at("case") or self.at("default") or self.at("}")):
                 stmts.append(self.stmt())
-            groups.append(ast.SwitchGroup(labels, stmts))
+            groups.append(ast.SwitchGroup(tuple(labels), tuple(stmts)))
         self.next()
-        return ast.SwitchStmt(selector, groups, start)
+        return ast.SwitchStmt(selector, tuple(groups), start)
 
     def try_stmt(self) -> ast.TryStmt:
         start = self.next()
@@ -557,7 +595,7 @@ class _Parser:
         final = self.block() if self.accept("finally") else None
         if not catches and final is None:
             raise self.error("try statement needs a catch or finally", start)
-        return ast.TryStmt(body, catches, final, start)
+        return ast.TryStmt(body, tuple(catches), final, start)
 
     # -- expressions ---------------------------------------------------------
 
@@ -687,7 +725,7 @@ class _Parser:
             else:
                 return expr
 
-    def arg_list(self) -> list[ast.Expr]:
+    def arg_list(self) -> tuple[ast.Expr, ...]:
         self.expect("(", "to open the argument list")
         args: list[ast.Expr] = []
         if not self.at(")"):
@@ -695,7 +733,7 @@ class _Parser:
             while self.accept(","):
                 args.append(self.expr())
         self.expect(")", "to close the argument list")
-        return args
+        return tuple(args)
 
     def array_init(self) -> ast.ArrayInit:
         start = self.expect("{", "to open an array initializer")
@@ -705,7 +743,7 @@ class _Parser:
             if not self.accept(","):
                 break
         self.expect("}", "to close an array initializer")
-        return ast.ArrayInit(items, start)
+        return ast.ArrayInit(tuple(items), start)
 
     def primary(self) -> ast.Expr:
         i = self.i
@@ -800,17 +838,19 @@ class _Parser:
             body = ast.TypeDeclNode(
                 name=None,
                 kind="class",
-                modifiers=[],
-                extends=[],
-                implements=[],
-                members=[],
+                modifiers=(),
+                extends=(),
+                implements=(),
+                members=(),
                 pos=start,
                 anonymous=True,
                 anon_supertype=ty,
             )
-            named = self.named
-            named[1] += 1
-            self.type_body(body, f"{named[0]}$anon{named[1]}", named)
+            owner, bodies = self.named
+            entry = [body, len(self.types), 0]
+            bodies.append(entry)
+            self.type_body(body, f"{owner}$anon{len(bodies)}", self.named)
+            entry[2] = len(self.types)
         return ast.NewObject(ty, args, body, start)
 
     def array_creator(self, elem: ast.TypeName, start: int) -> ast.NewArray:
@@ -826,4 +866,11 @@ class _Parser:
         init = self.array_init() if self.at("{") else None
         if init is None and all(d is None for d in dim_exprs):
             raise self.error("array creation needs a dimension or initializer", start)
-        return ast.NewArray(elem, dim_exprs, init, start)
+        return ast.NewArray(elem, tuple(dim_exprs), init, start)
+
+
+def _renamed(name: str | None, old: str, new: str) -> str | None:
+    """``name`` with the type name ``old`` it is or starts with made ``new``."""
+    if name is not None and (name == old or name.startswith(old + "$")):
+        return new + name[len(old):]
+    return name

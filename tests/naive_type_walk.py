@@ -47,7 +47,7 @@ def naive_type_nodes(unit: ast.CompilationUnit):
                     if member.body is not None:
                         children.append(member.body)
         elif isinstance(node, ast.NewObject) and node.body is not None:
-            children = node.args + [node.body]
+            children = [*node.args, node.body]
         else:
             children = _child_exprs(node)
         stack.extend((child, counter, named_base) for child in reversed(children))
@@ -72,7 +72,7 @@ def _stmt_exprs(s) -> list:
         out: list = []
         if isinstance(s.init, ast.LocalDecl):
             out.append(s.init)
-        elif isinstance(s.init, list):
+        elif isinstance(s.init, tuple):
             out.extend(s.init)
         if s.cond is not None:
             out.append(s.cond)

@@ -521,6 +521,43 @@ class TestResolveMember:
         assert order("java.lang.Object") == ["java.lang.Object"]
         assert order("p.Missing") == ["java.lang.Object"]
 
+    @given(st.data())
+    def test_memoized_lookup_takes_the_first_member_in_resolution_order(self, data):
+        # Random acyclic tables: each type's supertypes come from the types
+        # before it, java.lang.Object among them; every type declares some
+        # of a few (name, arity) pairs, private or not.
+        keys = [("a", None), ("a", 0), ("b", 1), ("c", 0)]
+        names = ["java.lang.Object"] + [f"p.T{i}" for i in range(data.draw(st.integers(1, 7)))]
+        t = TypeTable()
+        for i, name in enumerate(names):
+            supers = data.draw(st.lists(st.sampled_from(names[:i]), max_size=3, unique=True)) if i else []
+            members = [
+                MemberDecl(
+                    member, MemberKind.FIELD if arity is None else MemberKind.METHOD, False,
+                    data.draw(st.sampled_from(["public", "private"])),
+                    TypeRef("int", TypeKind.PRIMITIVE), (OBJECT,) * (arity or 0), name,
+                )
+                for member, arity in data.draw(st.lists(st.sampled_from(keys), unique=True))
+            ]
+            t.add(decl(name, supers=supers, members=members))
+
+        def first_on_order(receiver, member, arity):
+            for d in t._resolution_order(receiver):
+                for m in d.members:
+                    if (m.name, m.arity) == (member, arity) and (
+                        m.visibility != "private" or d.name == receiver.name
+                    ):
+                        return m
+            return None
+
+        for name in names + ["p.Missing"]:
+            for member, arity in keys:
+                try:
+                    got = t.resolve_member(TypeRef(name), member, arity)
+                except MemberResolutionError:
+                    got = None
+                assert got is first_on_order(TypeRef(name), member, arity), (name, member, arity)
+
     def test_never_returns_foreign_private(self):
         # Resolution over every (receiver, name, arity) triple in the table
         # must never surface a private member of another type.

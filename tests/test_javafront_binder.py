@@ -112,6 +112,41 @@ class TestTableConstruction:
             "p.A$anon4$In$anon1", "p.A$anon5", "p.A$Inner", "p.A$Inner$anon1", "p.I", "p.B",
         ]
 
+    @pytest.mark.parametrize("member_first", [True, False], ids=["before", "after"])
+    def test_anonymous_body_skips_a_member_type_named_anon(self, member_first):
+        member = "class anon1 { void g() { } }"
+        method = "void m() { I i = new I() { }; anon1 a = null; a.g(); }"
+        body = f"{member} {method}" if member_first else f"{method} {member}"
+        table, exes = front(f"package p; interface I {{ }} class A {{ {body} }}")
+        assert table.get("p.A$anon1").members[0].name == "g"
+        assert table.get("p.A$anon2").supertypes == (TypeRef("p.I"),)
+        (site,) = by_id(exes)["p.A#m()"].body_accesses
+        assert site.receiver.static_type == TypeRef("p.A$anon1")
+
+    def test_skipped_anonymous_numbers_rename_nested_types(self):
+        unit = parse_unit(
+            "package p;\n"
+            "class A {\n"
+            "  I f = new I() { class X { I y = new I() { }; } I z = new I() { }; };\n"
+            "  class anon1 { }\n"
+            "  class anon3 { }\n"
+            "  I g = new I() { };\n"
+            "}\n"
+            "interface I { }\n",
+            "A.java",
+        )
+        assert [(n.qualified_name, n.outer) for n in unit.type_decls] == [
+            ("p.A", None),
+            ("p.A$anon2", "p.A"),
+            ("p.A$anon2$X", "p.A$anon2"),
+            ("p.A$anon2$X$anon1", "p.A$anon2$X"),
+            ("p.A$anon4", "p.A$anon2"),
+            ("p.A$anon1", "p.A"),
+            ("p.A$anon3", "p.A"),
+            ("p.A$anon5", "p.A"),
+            ("p.I", None),
+        ]
+
     def test_ambiguous_on_demand_import(self):
         with pytest.raises(BindError) as e:
             front(
@@ -442,6 +477,17 @@ class TestSites:
             ("parameter", "b"),
             ("call", "g"),
         ]
+
+    def test_long_chain_receivers_compare_and_hash(self):
+        src = "class A { A b() { return this; } void m(A a) { a" + ".b()" * 5000 + "; } }"
+
+        def last_receiver():
+            return by_id(front(src)[1])["A#m(A)"].body_accesses[-1].receiver
+
+        first, second = last_receiver(), last_receiver()
+        assert first is not second and first.last is not second.last
+        assert first == second and hash(first) == hash(second)
+        assert len(first.chain) == 5000 and first.chain[0].kind == "parameter"
 
     def test_super_receiver(self):
         src = (

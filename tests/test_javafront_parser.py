@@ -15,7 +15,7 @@ class TestDeclarations:
         unit = parse("class A{}")
         assert len(unit.types) == 1
         assert unit.types[0].name == "A"
-        assert unit.types[0].members == []
+        assert unit.types[0].members == ()
 
     def test_package_and_imports(self):
         unit = parse(
@@ -121,7 +121,7 @@ class TestStatements:
         sw = stmts[0]
         assert len(sw.groups) == 2
         assert len(sw.groups[0].labels) == 2
-        assert sw.groups[1].labels == [None]
+        assert sw.groups[1].labels == (None,)
 
     def test_try_catch_finally(self):
         stmts = self.body("try { f(); } catch (E e) { g(); } finally { h(); }")
@@ -177,7 +177,7 @@ class TestExpressions:
 
     def test_super_member(self):
         stmts = parse("class A { void m() { super.f(); x = super.g; } }").types[0].members[0].body.stmts
-        assert isinstance(stmts[0].expr, ast.SuperMember) and stmts[0].expr.args == []
+        assert isinstance(stmts[0].expr, ast.SuperMember) and stmts[0].expr.args == ()
         assert stmts[1].expr.value.args is None
 
     def test_explicit_ctor_calls(self):

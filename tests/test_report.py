@@ -199,7 +199,10 @@ types = labels.map(TypeRef)
 
 def _site(site_id, access_kind, member, chain) -> AccessSite:
     member_decl = MemberDecl(member, MemberKind.METHOD, False, "public", TypeRef("T"), (), "T")
-    receiver = ReceiverDesc("expression", TypeRef("T"), tuple(chain))
+    last = None
+    for step in chain:
+        last = ProvStep(step.kind, step.label, step.type, last)
+    receiver = ReceiverDesc("expression", TypeRef("T"), last)
     return AccessSite(site_id, access_kind, receiver, member_decl, "A.java", 1, 1)
 
 
