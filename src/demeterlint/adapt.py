@@ -403,18 +403,22 @@ def _is_primitive_name(name: str) -> bool:
 # -- effective friend sets -------------------------------------------------------
 
 
-def _id_pattern(globs: Iterable[str]) -> re.Pattern:
-    """One pattern that matches an executable id when any of ``globs`` does.
+def _id_matcher(globs: Iterable[str]) -> Callable[[str], bool]:
+    """A test that holds for an executable id when any of ``globs`` does.
 
-    Executable ids may contain [] (initializer indices), which fnmatch
-    would treat as a character class; a literal glob matches only itself.
+    A glob matches the id it equals, so a literal glob names one
+    executable even when the id holds [] (an initializer index), which
+    fnmatch would read as a character class.  A glob with ``*``, ``?`` or
+    ``[`` matches, besides, the ids fnmatch matches it with.  The literal
+    globs are tested by set membership; one pattern is compiled for the
+    wildcard globs, and none when there are none.
     """
-    return re.compile(
-        "|".join(
-            translate(g) if any(c in g for c in "*?[") else re.escape(g) + r"\Z"
-            for g in globs
-        )
-    )
+    literals = frozenset(globs)
+    wild = sorted(g for g in literals if any(c in g for c in "*?["))
+    if not wild:
+        return literals.__contains__
+    match = re.compile("|".join(map(translate, wild))).match
+    return lambda exec_id: exec_id in literals or match(exec_id) is not None
 
 
 def _package_of(name: str) -> str:
@@ -534,7 +538,7 @@ class Adapter:
         self._field_calls_cache: dict[str, tuple[tuple[str, tuple[TypeRef, ...]], ...]] = {}
         self._base_seeds_cache: dict[str, tuple[TypeRef, ...]] = {}
         self._executable_grant_rules = tuple(
-            (r, _id_pattern(r.executables).match)
+            (r, _id_matcher(r.executables))
             for r in config.rules
             if r.kind == "executable-grant"
         )

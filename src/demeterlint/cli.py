@@ -8,7 +8,6 @@ Standard output carries nothing but the requested artifact.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 from pathlib import Path
@@ -263,7 +262,12 @@ def _run(options: RunOptions, out, err) -> int:
     return 0 if _tp_count(verdicts) <= options.fail_threshold else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argv parser.  ``argparse`` is imported here, not at module level:
+    only ``main`` parses argv, and a caller of ``run`` should not pay for
+    it (nor for the ``gettext`` it loads)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="demeterlint",
         description="Strict class-form Law of Demeter checker with layered, "

@@ -8,7 +8,6 @@ fixed-width per-executable grid with one column per configured layer.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 from json.encoder import encode_basestring_ascii as _q
@@ -43,8 +42,12 @@ def input_digest(inputs: Iterable[tuple[str, str, str]]) -> str:
     """Content hash over (kind, name, text) triples, order-independent.
 
     Each input is tagged and length-delimited so renaming a file or moving
-    bytes between inputs changes the digest.
+    bytes between inputs changes the digest.  Only the json writer shows
+    it, so ``hashlib`` (and OpenSSL behind it) is imported here, not by a
+    text or table run.
     """
+    import hashlib
+
     h = hashlib.sha256()
     for kind, name, text in sorted(inputs):
         for part in (kind, name, text):
@@ -85,9 +88,12 @@ class ExecutableRow(Value):
 
 
 class AnalysisReport(Value):
+    """A pass's results.  It keeps its (kind, name, text) ``inputs``, and
+    ``digest`` hashes them when asked: only the json writer asks."""
+
     __slots__ = (
         "tool_version",
-        "digest",
+        "inputs",
         "accesses",
         "potential_violations",
         "silenced_per_layer",
@@ -102,7 +108,7 @@ class AnalysisReport(Value):
     def __init__(
         self,
         tool_version: str,
-        digest: str,
+        inputs: tuple[tuple[str, str, str], ...],
         accesses: int,
         potential_violations: int,
         silenced_per_layer: tuple[tuple[int, int], ...],
@@ -114,7 +120,7 @@ class AnalysisReport(Value):
         layer_names: tuple[str, ...],
     ) -> None:
         self.tool_version = tool_version
-        self.digest = digest
+        self.inputs = inputs
         self.accesses = accesses
         self.potential_violations = potential_violations
         self.silenced_per_layer = silenced_per_layer
@@ -124,6 +130,10 @@ class AnalysisReport(Value):
         self.verdicts = verdicts
         self.layer_indices = layer_indices
         self.layer_names = layer_names
+
+    @property
+    def digest(self) -> str:
+        return input_digest(self.inputs)
 
 
 def build_report(
@@ -163,7 +173,7 @@ def build_report(
 
     return AnalysisReport(
         tool_version=__version__,
-        digest=input_digest(inputs),
+        inputs=tuple(inputs),
         accesses=accesses,
         potential_violations=waterfall.total,
         silenced_per_layer=waterfall.per_layer,
@@ -191,10 +201,15 @@ def render_chain(site: AccessSite, limit: Optional[int] = CHAIN_LIMIT) -> str:
     """Human form of how the receiver was reached, ending at the member.
 
     The first step shows the originating name with its type; later steps
-    show each hop with the type it produces.  ``limit`` elides long chains.
+    show each hop with the type it produces.  ``limit`` elides long chains,
+    and only the steps shown are formatted.
     """
+    chain = site.receiver.chain
+    more = 0
+    if limit is not None and len(chain) > limit:
+        chain, more = chain[:limit], len(chain) - limit
     parts = []
-    for i, step in enumerate(site.receiver.chain):
+    for i, step in enumerate(chain):
         t = step.type.simple_name
         if step.kind == "call":
             parts.append(f".{step.label}(): {t}")
@@ -206,10 +221,10 @@ def render_chain(site: AccessSite, limit: Optional[int] = CHAIN_LIMIT) -> str:
             parts.append(f"{step.label}: {t}")
         else:
             parts.append(f".{step.label}: {t}")
-    if not parts:
+    if not parts and not more:
         parts = [site.receiver.form]
-    if limit is not None and len(parts) > limit:
-        parts = parts[:limit] + [f"… (+{len(parts) - limit} more)"]
+    if more:
+        parts.append(f"… (+{more} more)")
     parts.append(_member_token(site))
     return " → ".join(parts)
 

@@ -38,7 +38,7 @@ def naive_closure(seed_types, table):
 
 
 def _id_matches(pattern: str, exec_id: str) -> bool:
-    if "*" in pattern or "?" in pattern or "[" in pattern:
+    if pattern != exec_id and ("*" in pattern or "?" in pattern or "[" in pattern):
         return fnmatchcase(exec_id, pattern)
     return pattern == exec_id
 

@@ -48,6 +48,21 @@ CONJUNCTION_CONFIG = json.dumps(
     }
 )
 
+#: One violation in each of a static initializer, two instance initializers
+#: and two methods: p.A#<clinit>[1], p.A#<init-block>[1], p.A#<init-block>[2],
+#: p.A#m1() and p.A#m2().
+INITIALIZERS = (
+    "package p;\n"
+    "class A {\n"
+    "  static { B b = null; b.f(); }\n"
+    "  { B b = null; b.f(); }\n"
+    "  { B b = null; b.f(); }\n"
+    "  void m1() { B b = null; b.f(); }\n"
+    "  void m2() { B b = null; b.f(); }\n"
+    "}\n"
+    "class B { void f() { } }"
+)
+
 
 @dataclass
 class CorpusCase:

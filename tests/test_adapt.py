@@ -17,7 +17,7 @@ from demeterlint.codemodel import ResolutionMode, TypeRef
 from demeterlint.demeter import detect
 from demeterlint.presets import GENERIC, JHOTDRAW, STACK
 
-from conftest import STUBS, build_case_front, build_front
+from conftest import INITIALIZERS, STUBS, build_case_front, build_front
 
 
 def front(*sources: str, stubs=(), mode=ResolutionMode.STRICT):
@@ -554,6 +554,28 @@ class TestEffectiveFriendSet:
         )
         _, verdicts = analyze([PLAIN], config)
         assert [v.outcome for v in verdicts] == ["remaining"]
+
+    @pytest.mark.parametrize(
+        "globs, silenced",
+        [
+            # A literal glob names an initializer: [1] is part of the id,
+            # not a character class.
+            (["p.A#<clinit>[1]"], ["p.A#<clinit>[1]"]),
+            (["p.A#<init-block>[2]"], ["p.A#<init-block>[2]"]),
+            (["p.A#m?()"], ["p.A#m1()", "p.A#m2()"]),
+            (["p.A#<init-block>[1]", "p.A#m2*"], ["p.A#<init-block>[1]", "p.A#m2()"]),
+        ],
+        ids=["clinit", "init-block", "question-mark", "literal-and-wildcard"],
+    )
+    def test_executable_grant_ids(self, globs, silenced):
+        config = cfg(
+            doc(0, {"id": "R1", "kind": "executable-grant",
+                    "executables": globs, "grants": ["p.B"]})
+        )
+        _, verdicts = analyze([INITIALIZERS], config)
+        outcomes = {v.violation.executable_id: v.outcome for v in verdicts}
+        assert len(outcomes) == 5
+        assert sorted(e for e, o in outcomes.items() if o == "silenced") == silenced
 
     def test_monotone_in_layer_prefix(self):
         table, exes = front(PLAIN)

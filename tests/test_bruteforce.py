@@ -19,6 +19,7 @@ from bruteforce import engine_verdicts_as_dicts, naive_detect, oracle_verdicts
 from conftest import (
     CONJUNCTION_CONFIG,
     CONJUNCTION_SOURCE,
+    INITIALIZERS,
     OBJECT_STUB,
     build_case_front,
     build_front,
@@ -123,6 +124,45 @@ class TestShareAttribution:
         assert (verdict.outcome, verdict.layer, verdict.rule_id, verdict.also_matched) == (
             "silenced", 1, "G1", ("G2",)
         )
+
+
+class TestExecutableIds:
+    def test_initializer_ids_and_globs_agree_with_the_oracle(self):
+        """An executable-grant glob that equals an id matches it, brackets
+        and all; other globs match as fnmatch does.  Accepted and pending
+        grants of each form, on initializer and method ids."""
+        table, executables = build_front([("A.java", INITIALIZERS)], [OBJECT_STUB])
+        rules = [
+            ("accepted", ["p.A#<clinit>[1]"]),
+            ("review-pending", ["p.A#<init-block>[2]"]),
+            ("adjourned", ["p.A#m?()", "p.A#<init-block>[1]"]),
+        ]
+        config = load_config([
+            json.dumps({
+                "schema": "demeterlint-config/1",
+                "layer": 0,
+                "name": "grants",
+                "rules": [
+                    {"id": f"G{i}", "kind": "executable-grant", "executables": globs,
+                     "grants": ["p.B"], "status": status}
+                    for i, (status, globs) in enumerate(rules)
+                ],
+            })
+        ])
+        assert compare_project(executables, table, config) == []
+        adapter = Adapter(executables, table, config)
+        violations = [v for ex in executables for v in detect(ex, adapter.base[ex.id])]
+        got = {
+            v.violation.executable_id: (v.outcome, v.status)
+            for v in adapter.classify(violations)
+        }
+        assert got == {
+            "p.A#<clinit>[1]": ("silenced", ""),
+            "p.A#<init-block>[1]": ("remaining", "adjourned"),
+            "p.A#<init-block>[2]": ("remaining", "review-pending"),
+            "p.A#m1()": ("remaining", "adjourned"),
+            "p.A#m2()": ("remaining", "adjourned"),
+        }
 
 
 def attribution_branch(adapter, config, verdict) -> str:

@@ -18,6 +18,7 @@ from demeterlint.adapt import RULE_KINDS
 from demeterlint.cli import RunOptions, main, run
 from demeterlint.codemodel import ResolutionMode
 from demeterlint.presets import GENERIC, STACK
+from demeterlint.report import input_digest
 
 from conftest import CONJUNCTION_CONFIG, CONJUNCTION_SOURCE, OBJECT_STUB, STUBS, load_case
 from test_lexer_oracle import java_like
@@ -838,30 +839,74 @@ class TestTypeNames:
 
 
 class TestImportGraph:
-    def test_hook_process_imports_no_code_generating_module(self):
-        """A per-file run imports neither ``dataclasses`` nor ``decimal``, nor
-        ``inspect``, which ``dataclasses`` pulls in."""
-        case = load_case("listing3")
-        argv = (
-            case.source_args
-            + [a for p in case.stub_args for a in ("--stubs", p)]
-            + [a for p in STACK for a in ("--config", str(p))]
-            + ["--format", "json"]
-        )
+    @staticmethod
+    def _child(body: str) -> subprocess.CompletedProcess:
+        """Run ``body`` in a fresh interpreter that imports this package from
+        source.  ``before`` holds the modules the interpreter had loaded
+        before the body ran: a site may preload some."""
         src = str(Path(importlib.util.find_spec("demeterlint").origin).parents[1])
         child = (
             "import sys\n"
+            "before = set(sys.modules)\n"
             f"sys.path.insert(0, {src!r})\n"
+        ) + body
+        return subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=60
+        )
+
+    @staticmethod
+    def _argv(fmt: str) -> list[str]:
+        case = load_case("listing3")
+        return (
+            case.source_args
+            + [a for p in case.stub_args for a in ("--stubs", p)]
+            + [a for p in STACK for a in ("--config", str(p))]
+            + ["--format", fmt]
+        )
+
+    def test_hook_process_imports_no_code_generating_module(self):
+        """A per-file run imports neither ``dataclasses`` nor ``decimal``, nor
+        ``inspect``, which ``dataclasses`` pulls in."""
+        proc = self._child(
             "import demeterlint.cli\n"
-            f"code = demeterlint.cli.main({argv!r})\n"
+            f"code = demeterlint.cli.main({self._argv('json')!r})\n"
             "loaded = [m for m in ('dataclasses', 'inspect', 'decimal') if m in sys.modules]\n"
             "print(code, loaded, file=sys.stderr)\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", child], capture_output=True, text=True, timeout=60
-        )
         assert proc.stderr.splitlines()[-1] == "1 []"
         assert json.loads(proc.stdout)["totals"]["remaining"] == 2
+
+    def test_import_loads_neither_argparse_nor_hashlib(self):
+        """Only ``main`` parses argv and only the json writer hashes, so
+        importing the front end loads neither."""
+        proc = self._child(
+            "import demeterlint.cli\n"
+            "lazy = {'argparse', 'gettext', 'hashlib', '_hashlib'}\n"
+            "print(sorted(lazy & (set(sys.modules) - before)))\n"
+        )
+        assert proc.stdout == "[]\n", proc.stderr
+
+    def test_text_run_never_loads_hashlib(self):
+        proc = self._child(
+            "import demeterlint.cli\n"
+            f"code = demeterlint.cli.main({self._argv('text')!r})\n"
+            "loaded = sorted({'hashlib', '_hashlib'} & (set(sys.modules) - before))\n"
+            "print(code, loaded, file=sys.stderr)\n"
+        )
+        assert proc.stderr.splitlines()[-1] == "1 []"
+        assert proc.stdout.startswith("accesses: ")
+
+    @pytest.mark.parametrize("mode", ["analyze", "stats"])
+    def test_json_digest_is_the_input_digest(self, mode):
+        case = load_case("listing3")
+        code, out, _ = invoke(case_options("listing3", STACK, format="json", mode=mode))
+        assert code == (1 if mode == "analyze" else 0)
+        inputs = (
+            [("stub", str(p), p.read_text(encoding="utf-8")) for p in case.stub_files]
+            + [("config", str(p), Path(p).read_text(encoding="utf-8")) for p in STACK]
+            + [("source", str(p), p.read_text(encoding="utf-8")) for p in case.java_files]
+        )
+        assert json.loads(out)["digest"] == input_digest(inputs)
 
 
 class TestMain:

@@ -12,6 +12,7 @@ from demeterlint.demeter import PotentialViolation, detect
 from demeterlint.javafront import AccessSite, ProvStep, ReceiverDesc
 from demeterlint.presets import GENERIC, STACK
 from demeterlint.report import (
+    CHAIN_LIMIT,
     AnalysisReport,
     ExecutableRow,
     build_report,
@@ -223,7 +224,7 @@ ints = st.integers()
 reports = st.builds(
     AnalysisReport,
     tool_version=labels,
-    digest=labels,
+    inputs=st.lists(st.tuples(labels, labels, labels), max_size=2).map(tuple),
     accesses=ints,
     potential_violations=ints,
     silenced_per_layer=st.lists(st.tuples(ints, ints), max_size=3).map(tuple),
@@ -285,6 +286,35 @@ class TestChains:
         doc = parse_report(render(report, "json"))
         g_entry = [v for v in doc["verdicts"] if v["member"] == "g"][0]
         assert len(g_entry["chain"]) == 7  # full chain survives in json
+
+    @pytest.mark.parametrize(
+        "links, shown",
+        [
+            (CHAIN_LIMIT, "r: R → .a(): R → .a(): R → .a(): R → .a(): R → .a(): R → .g()"),
+            (
+                CHAIN_LIMIT + 1,
+                "r: R → .a(): R → .a(): R → .a(): R → .a(): R → .a(): R"
+                " → … (+1 more) → .g()",
+            ),
+            (
+                3 * CHAIN_LIMIT,
+                "r: R → .a(): R → .a(): R → .a(): R → .a(): R → .a(): R"
+                " → … (+12 more) → .g()",
+            ),
+        ],
+    )
+    def test_elided_text_at_the_limit(self, links, shown):
+        """A chain of ``links`` steps: the local ``r`` and ``links - 1`` calls."""
+        assert CHAIN_LIMIT == 6
+        src = (
+            "package p;\n"
+            "class R { R a() { return null; } void g() { } }\n"
+            "class A { void m() { R r = null; r" + ".a()" * (links - 1) + ".g(); } }"
+        )
+        _, _, verdicts = run_snippet(src)
+        (site,) = [v.violation.site for v in verdicts if v.violation.site.member.name == "g"]
+        assert len(site.receiver.chain) == links
+        assert render_chain(site) == shown
 
     def test_field_write_token(self):
         src = (
