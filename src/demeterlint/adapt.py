@@ -431,10 +431,13 @@ Contribution = tuple[tuple[TypeRef, ...], int]
 
 _NOTHING: Contribution = ((), 0)
 
-#: The rules of one layer that can change one executable's friend set, each
-#: with its grant as (rule id, types) and that grant's mask; (None, 0) for
-#: the kinds ``Adapter.effective`` applies itself.
-_Active = tuple[tuple[Rule, Optional[tuple[str, tuple[TypeRef, ...]]], int], ...]
+#: A rule that can change one executable's friend set, with its grant as
+#: (rule id, types) and that grant's mask; (None, 0) for the kinds
+#: ``Adapter.effective`` applies itself.
+_Entry = tuple[Rule, Optional[tuple[str, tuple[TypeRef, ...]]], int]
+
+#: The entries of one layer's rules for one executable, in rule order.
+_Active = tuple[_Entry, ...]
 
 
 #: One friend-implication pair, ready for bit tests: rule id, the premise's
@@ -525,6 +528,14 @@ class Adapter:
         self._grants_at = {
             k: tuple((r, _KINDS[r.kind].grant) for r in config.rules_at(k))
             for k in config.layer_indices
+        }
+        # Each rule's last ``_active`` entry with the contribution it was
+        # built from, or the fixed (rule, None, 0) entry of a kind that
+        # ``effective`` applies itself.  A rule's grant is often one cached
+        # contribution for many executables (for every one, for
+        # universal-friend-types), so its entry is built once for them all.
+        self._entries: dict[str, tuple[Optional[Contribution], _Entry]] = {
+            r.rule_id: (None, (r, None, 0)) for r in config.rules if _KINDS[r.kind].grant is None
         }
         self._active_cache: dict[tuple[str, int], _Active] = {}
         self._prefix_cache: dict[tuple[str, int], _Prefix] = {}
@@ -630,9 +641,10 @@ class Adapter:
                 for other in self.by_owner[owner]
                 for site in other.body_accesses
                 if site.access_kind == "method-call"
-                and len(site.receiver.chain) == 1
-                and site.receiver.chain[0].kind == "field"
-                and site.receiver.chain[0].label in own_fields
+                and (last := site.receiver.last) is not None
+                and last.parent is None
+                and last.kind == "field"
+                and last.label in own_fields
             )
         return got
 
@@ -697,15 +709,20 @@ class Adapter:
         key = (ex.id, k)
         got = self._active_cache.get(key)
         if got is None:
+            entries = self._entries
             active = []
             for r, grant in self._grants_at[k]:
                 if grant is None:
                     if r.kind != "anon-inner-share" or ex.enclosing_executable is not None:
-                        active.append((r, None, 0))
+                        active.append(entries[r.rule_id][1])
                     continue
-                types, mask = grant(self, ex, r)
-                if types:
-                    active.append((r, (r.rule_id, types), mask))
+                granted = grant(self, ex, r)
+                if granted[0]:
+                    last = entries.get(r.rule_id)
+                    if last is None or last[0] is not granted:
+                        types, mask = granted
+                        last = entries[r.rule_id] = (granted, (r, (r.rule_id, types), mask))
+                    active.append(last[1])
             got = self._active_cache[key] = tuple(active)
         return got
 

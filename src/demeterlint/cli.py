@@ -251,6 +251,10 @@ def _run(options: RunOptions, out, err) -> int:
             _diag(err, exc)
             return 2
 
+    # The report reads neither the adapter's caches nor the type table, so
+    # both are freed before it is built.
+    del adapter
+    loaded.table = None
     report = build_report(
         loaded.executables, verdicts, loaded.config, inputs=loaded.inputs
     )

@@ -49,6 +49,7 @@ __all__ = [
 
 OBJECT = TypeRef("java.lang.Object")
 STRING = "java.lang.String"
+STRING_REF = TypeRef(STRING)
 
 _PRIM = {name: TypeRef(name, TypeKind.PRIMITIVE) for name in (
     "int", "boolean", "char", "byte", "short", "long", "float", "double", "void", "null"
@@ -220,30 +221,49 @@ class _Names:
     part in the ambiguity check.
 
     A type's supertypes resolve when first asked for, from the scope that
-    holds its declaration, so the order of the files does not matter.
+    holds its declaration in ``decls``, so the order of the files does not
+    matter.  Given ``table``, the resolver takes them from the table's
+    declarations instead and keeps no declaration, so it holds no unit.
     """
 
     def __init__(
-        self, units: list[ast.CompilationUnit], universe: set[str], mode: ResolutionMode
+        self,
+        envs: list[_UnitEnv],
+        universe: set[str],
+        mode: ResolutionMode,
+        table: Optional[TypeTable] = None,
     ):
         self.universe = universe
         self.mode = mode
-        self.envs = [_UnitEnv(unit) for unit in units]
         # Each source type's first declaration, with its unit.
-        self.decls: dict[str, tuple[ast.TypeDeclNode, _UnitEnv]] = {}
-        for env in self.envs:
+        decls: dict[str, tuple[ast.TypeDeclNode, _UnitEnv]] = {}
+        for env in envs:
             for n in env.unit.type_decls:
-                self.decls.setdefault(n.qualified_name, (n, env))
-        self.named = {q for q, (n, _) in self.decls.items() if not n.anonymous}
+                decls.setdefault(n.qualified_name, (n, env))
+        self.named = {q for q, (n, _) in decls.items() if not n.anonymous}
         # The simple names of the named member types: no other name needs
         # the scope chain.
         self.member_names = {
-            n.name for n, _ in self.decls.values() if n.outer and not n.anonymous
+            n.name for n, _ in decls.values() if n.outer and not n.anonymous
         }
         # Supertypes by type, None while they resolve; member types by
         # (type, name), None for none and while being found.
         self.supers: dict[str, Optional[tuple[TypeRef, ...]]] = {}
         self.members: dict[tuple[str, str], Optional[str]] = {}
+        if table is None:
+            self.decls = decls
+        else:
+            self.decls = {}
+            self.supers = {q: table.get(q).supertypes for q in decls}
+        # One reference per resolved type name.
+        self.refs: dict[str, TypeRef] = {}
+
+    def ref(self, q: str) -> TypeRef:
+        """The one reference to declared type ``q``."""
+        got = self.refs.get(q)
+        if got is None:
+            got = self.refs[q] = TypeRef(q)
+        return got
 
     def resolve(
         self, env: _UnitEnv, tn: ast.TypeName, scope: Optional[str], extra_dims: int = 0
@@ -258,7 +278,7 @@ class _Names:
             else:
                 q = self.resolve_simple(env, name, tn.pos, scope)
             if q is not None:
-                ref = TypeRef(q)
+                ref = self.ref(q)
             elif self.mode is ResolutionMode.LENIENT:
                 ref = unknown_type(name)
             else:
@@ -380,9 +400,10 @@ def build_type_table(
     for unit in units:
         universe.update(n.qualified_name for n in unit.type_decls)
 
-    names = _Names(units, universe, mode)
+    envs = [_UnitEnv(unit) for unit in units]
+    names = _Names(envs, universe, mode)
     source = TypeTable()
-    for env in names.envs:
+    for env in envs:
         try:
             for node in env.unit.type_decls:
                 if node.qualified_name in source:
@@ -472,19 +493,33 @@ def bind_and_extract(
     table: TypeTable,
     mode: ResolutionMode = ResolutionMode.STRICT,
 ) -> list[Executable]:
-    """Extract every executable with its access sites, sorted by position."""
-    names = _Names(units, {d.name for d in table}, mode)
+    """Extract every executable with its access sites, sorted by position.
+
+    Consumes ``units``: the list is empty on return.  Each unit's tree is
+    dropped as soon as it is bound, and source supertypes come from
+    ``table``, which ``build_type_table`` resolved them into, so no tree
+    outlives its own bind.
+    """
+    envs = [_UnitEnv(unit) for unit in units]
+    units.clear()
+    names = _Names(envs, {d.name for d in table}, mode, table)
+    envs.reverse()
     out: list[Executable] = []
-    for env in names.envs:
-        extractor = _Extractor(names, env, table)
-        try:
-            for node in env.unit.type_decls:
-                extractor.extract_type(node)
-        except RecursionError:
-            raise _too_deep(env.unit) from None
-        out.extend(extractor.executables)
+    while envs:
+        out.extend(_extract_unit(names, envs.pop(), table))
     out.sort(key=Executable.sort_key)
     return out
+
+
+def _extract_unit(names: _Names, env: _UnitEnv, table: TypeTable) -> list[Executable]:
+    """The executables of one unit; nothing here outlives the call but them."""
+    extractor = _Extractor(names, env, table)
+    try:
+        for node in env.unit.type_decls:
+            extractor.extract_type(node)
+    except RecursionError:
+        raise _too_deep(env.unit) from None
+    return extractor.executables
 
 
 class _Value(Struct):
@@ -522,11 +557,11 @@ class _Extractor:
         executable that creates an anonymous body has been walked already.
         """
         assert node.qualified_name is not None
-        owner = TypeRef(node.qualified_name)
+        owner = self.names.ref(node.qualified_name)
         instances = [owner]
         outer = node.outer
         while outer is not None:
-            instances.append(TypeRef(outer))
+            instances.append(self.names.ref(outer))
             outer = self.env.outer[outer]
         creator = self.creators.get(owner.name)
         init_blocks = 0
@@ -801,7 +836,7 @@ class _BodyWalker:
 
     def _visit_Literal(self, e: ast.Literal) -> _Value:
         if e.kind == "string":
-            t: TypeRef = TypeRef(STRING)
+            t: TypeRef = STRING_REF
         elif e.kind == "boolean":
             t = _PRIM["boolean"]
         elif e.kind == "null":
@@ -822,7 +857,7 @@ class _BodyWalker:
             return v
         resolved = self.x.names.resolve_simple(self.x.env, e.name, e.pos, self.owner.name)
         if resolved is not None:
-            return _Value(TypeRef(resolved), None, "type-name")
+            return _Value(self.x.names.ref(resolved), None, "type-name")
         return self.name_prefix(e.name, e.pos)
 
     def _visit_chain(self, e: ast.Expr) -> _Value:
@@ -874,7 +909,7 @@ class _BodyWalker:
             if access_kind == "field-read":
                 extended = f"{v.label}.{name}"
                 if extended in self.x.names.universe:
-                    return _Value(TypeRef(extended), None, "type-name")
+                    return _Value(self.x.names.ref(extended), None, "type-name")
                 return self.name_prefix(extended, pos)
             v = self.unresolved(v.label, pos)
         form = "this-explicit" if v.form == "this-explicit" else "expression"
@@ -946,7 +981,7 @@ class _BodyWalker:
     def _visit_NewObject(self, e: ast.NewObject) -> _Value:
         if e.body is not None:
             assert e.body.qualified_name is not None
-            t = TypeRef(e.body.qualified_name)
+            t = self.x.names.ref(e.body.qualified_name)
             self.x.creators[t.name] = self.ex.id
         else:
             t = self.type_of(e.type)
@@ -1045,7 +1080,7 @@ def _binary_type(op: str, left: TypeRef, right: TypeRef) -> TypeRef:
     if op in ("==", "!=", "<", ">", "<=", ">=", "&&", "||"):
         return _PRIM["boolean"]
     if op == "+" and (left.name == STRING or right.name == STRING):
-        return TypeRef(STRING)
+        return STRING_REF
     if op in ("&", "|", "^") and left.name == "boolean" and right.name == "boolean":
         return _PRIM["boolean"]
     if op in ("<<", ">>", ">>>"):

@@ -45,13 +45,17 @@ def input_digest(inputs: Iterable[tuple[str, str, str]]) -> str:
     bytes between inputs changes the digest.  Only the json writer shows
     it, so ``hashlib`` (and OpenSSL behind it) is imported here, not by a
     text or table run.
+
+    A file name that is not UTF-8 reaches here holding lone surrogates
+    (``\udcff`` for the byte 0xff); ``surrogatepass`` encodes them and
+    leaves every valid string's bytes, and so its digest, as they were.
     """
     import hashlib
 
     h = hashlib.sha256()
     for kind, name, text in sorted(inputs):
         for part in (kind, name, text):
-            data = part.encode("utf-8")
+            data = part.encode("utf-8", "surrogatepass")
             h.update(str(len(data)).encode("ascii"))
             h.update(b":")
             h.update(data)

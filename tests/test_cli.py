@@ -4,6 +4,7 @@ import importlib.util
 import io
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -212,6 +213,20 @@ class TestLoadErrors:
         code, out, err = invoke(RunOptions(source_paths=(src,)))
         assert (code, out) == (2, b"")
         assert err == f"E-PARSE: cannot decode {src} as UTF-8\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "table"])
+    def test_non_utf8_file_name(self, tmp_path, fmt):
+        try:
+            src = Path(os.fsdecode(os.path.join(os.fsencode(tmp_path), b"A\xff.java")))
+            src.write_text("package p;\nclass A { void m(A a) { a.m(null); } }\n")
+        except (OSError, UnicodeError):
+            pytest.skip("the filesystem refuses a non-UTF-8 file name")
+        code, out, err = invoke(
+            RunOptions(source_paths=(tmp_path,), stub_paths=(OBJECT_STUB,), format=fmt)
+        )
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            assert json.loads(out)["totals"]["accesses"] == 1
 
 
 class TestDuplicateInputs:

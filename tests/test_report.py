@@ -1,5 +1,6 @@
 """Report assembly, rendering, and the json round-trip."""
 
+import hashlib
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
@@ -96,6 +97,28 @@ class TestDigest:
         a = [("s", "ab", "c")]
         b = [("s", "a", "bc")]
         assert input_digest(a) != input_digest(b)
+
+    def test_valid_text_digest_is_pinned(self):
+        inputs = [
+            ("source", "p/A.java", "class A { /* caf\u00e9 \U0001F600 */ }"),
+            ("stub", "jdk.json", "{}"),
+        ]
+        assert input_digest(inputs) == (
+            "7cb6b7ae7dee5ecd5a8b26f238df275b806a0f64c32ad5ff8289a8e2cf6ef41b"
+        )
+
+    @pytest.mark.parametrize(
+        "name, encoded",
+        [("A\udcff.java", b"A\xed\xb3\xbf.java"), ("\ud800", b"\xed\xa0\x80")],
+        ids=["escaped-byte", "high-surrogate"],
+    )
+    def test_lone_surrogates_hash_as_their_surrogatepass_bytes(self, name, encoded):
+        # A file name that is not UTF-8 reaches the digest holding lone
+        # surrogates, as os.fsdecode gives it.
+        expected = hashlib.sha256(
+            b"6:source" + str(len(encoded)).encode() + b":" + encoded + b"10:class A {}"
+        ).hexdigest()
+        assert input_digest([("source", name, "class A {}")]) == expected
 
 
 class TestBuildReport:

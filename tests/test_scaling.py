@@ -1,17 +1,24 @@
-"""The front end's work and memory grow linearly with its input.
+"""The analysis's work and memory grow linearly with its input.
 
 Each shape is built at size n and 4n, and the larger one may take at most
 4.5 times the work, or the memory, of the smaller.  Work is the number of
 function calls cProfile counts while parsing, declaring and binding the
-sources, so the test reads no clock and does not depend on the machine or
-its load.  Memory is the peak that tracemalloc sees over the same calls.
+sources, or while classifying their violations, so the test reads no clock
+and does not depend on the machine or its load.  Memory is the peak that
+tracemalloc sees over the same calls.
 """
 
 import cProfile
+import json
 import pstats
 import tracemalloc
 
 import pytest
+
+from demeterlint.adapt import Adapter, load_config
+from demeterlint.codemodel import TypeTable
+from demeterlint.demeter import detect
+from demeterlint.javafront import bind_and_extract, build_type_table, parse_unit
 
 from conftest import build_front
 
@@ -88,3 +95,82 @@ def call_chain(n: int) -> list[tuple[str, str]]:
 def test_call_chain_memory_grows_linearly():
     small, large = _peak(call_chain(N)), _peak(call_chain(4 * N))
     assert large <= BOUND * small, f"call_chain: {small} -> {large} bytes"
+
+
+def non_friend_chain(n: int) -> list[tuple[str, str]]:
+    """One statement calling n methods in a row, each after the first on a
+    type that is no friend of the caller's: n - 1 violations."""
+    return [(
+        "A.java",
+        "class C { C c() { return this; } } class B { C c() { return null; } } "
+        "class A { void m(B x) { x" + ".c()" * n + "; } }",
+    )]
+
+
+#: An aggregation rule that infers element types from calls on own fields,
+#: so classifying a violation of A scans the method calls of A's sites.
+AGGREGATION = load_config([json.dumps({
+    "schema": "demeterlint-config/1",
+    "layer": 0,
+    "rules": [{"id": "R1", "kind": "aggregation-elements", "infer_via": ["add"]}],
+})])
+
+
+def _classify_work(sources: list[tuple[str, str]]) -> int:
+    table, executables = build_front(sources)
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        adapter = Adapter(executables, table, AGGREGATION)
+        violations = [v for ex in executables for v in detect(ex, adapter.base[ex.id])]
+        adapter.classify(violations)
+    finally:
+        profile.disable()
+    return pstats.Stats(profile).total_calls
+
+
+def test_classify_work_grows_linearly_on_a_call_chain():
+    small, large = _classify_work(non_friend_chain(N)), _classify_work(non_friend_chain(4 * N))
+    assert large <= BOUND * small, f"non_friend_chain: {small} -> {large} calls"
+
+
+def many_units(n: int) -> list[tuple[str, str]]:
+    """n small units in a ring, each class naming the one before it."""
+    files = []
+    for i in range(n):
+        j = (i - 1) % n
+        files.append((f"C{i}.java", (
+            f"package p;\nclass C{i} {{\n"
+            f"  C{j} prev; C{i} self; int v;\n"
+            f"  C{i}(C{j} p, int v) {{ this.prev = p; this.v = v; }}\n"
+            f"  C{j} back() {{ return prev; }}\n"
+            f"  int get(int k) {{ if (k > v) {{ return prev.back().get(k - 1); }} "
+            f"return self.get(k + v) * 2; }}\n"
+            f"  void m(C{j} x) {{ x.back().back(); prev.get(v); "
+            f"C{i} c = new C{i}(x, 3); c.back().get(1); }}\n"
+            "}\n"
+        )))
+    return files
+
+
+#: The front end's peak over what it holds once the table is declared.  A
+#: unit's tree is freed as soon as it is bound, so the peak is about the
+#: declared project (a ratio near 1.1); one that kept every tree through
+#: the bind would be near 2.
+PEAK_OVER_DECLARED = 1.4
+
+
+def test_many_units_peak_is_the_declared_project():
+    sources = many_units(N)
+    tracemalloc.start()
+    try:
+        units = [parse_unit(text, name) for name, text in sources]
+        table = build_type_table(units, TypeTable())
+        declared = tracemalloc.get_traced_memory()[0]
+        executables = bind_and_extract(units, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(executables) == 4 * N
+    assert peak <= PEAK_OVER_DECLARED * declared, f"{declared} -> {peak} bytes"
+    assert units == []
