@@ -463,28 +463,28 @@ _Call = tuple[int, str, TypeRef]
 class _BaseSets(dict):
     """Executable id -> its base friend set, built on first access.
 
-    Detection skips an executable with no access site, and most have none,
-    so most sets are never built.  The closure of each class and its field
-    types is shared by the sets of its executables.
+    Only classify and explain read these: detection builds each set it
+    tests for that call alone.  Classify asks only for executables with a
+    potential violation, so most sets are never built.
     """
 
-    __slots__ = ("by_id", "table", "class_masks")
+    __slots__ = ("by_id", "table")
 
     def __init__(self, by_id: dict[str, Executable], table: TypeTable) -> None:
         super().__init__()
         self.by_id = by_id
         self.table = table
-        self.class_masks: dict[str, int] = {}
 
     def __missing__(self, exec_id: str) -> FriendSet:
-        got = self[exec_id] = base_friend_set(self.by_id[exec_id], self.table, self.class_masks)
+        got = self[exec_id] = base_friend_set(self.by_id[exec_id], self.table)
         return got
 
 
 class Adapter:
     """Computes effective friend sets and verdicts for one analysis run.
 
-    Holds the caches that make classification cheap: base sets, each rule's
+    Holds the caches that make classification cheap: the base sets that
+    classify and explain read (detection does not keep its own), each rule's
     parsed payload and its contribution to each executable, per-class
     constructor parameters, aggregation inference, and (executable, layer)
     effective sets, including ablated variants used for attribution.

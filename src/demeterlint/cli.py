@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .adapt import Adapter, Verdict, load_config, config_warnings
 from .codemodel import LoadError, ResolutionMode, TypeTable, load_stubs
-from .demeter import FriendSet, detect
+from .demeter import FriendSet, base_friend_set, detect
 from .javafront import SourceError, bind_and_extract, build_type_table, parse_unit
 from .records import Struct
 from .report import build_report, render, render_chain, render_stats
@@ -236,11 +236,13 @@ def _run(options: RunOptions, out, err) -> int:
         return 2
 
     adapter = Adapter(loaded.executables, loaded.table, loaded.config)
+    # Each base set is built for its detect call and not kept; classify and
+    # explain build the sets they read in ``adapter.base``.
     violations = [
         v
         for ex in loaded.executables
         if ex.body_accesses
-        for v in detect(ex, adapter.base[ex.id])
+        for v in detect(ex, base_friend_set(ex, loaded.table))
     ]
     verdicts = adapter.classify(violations)
 

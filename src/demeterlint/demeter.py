@@ -140,28 +140,19 @@ def _field_types(owner: TypeRef, table: TypeTable) -> list[TypeRef]:
     return [m.declared_type for m in decl.members if m.member_kind is MemberKind.FIELD]
 
 
-def base_friend_set(
-    executable: Executable, table: TypeTable, class_masks: Optional[dict[str, int]] = None
-) -> FriendSet:
+def base_friend_set(executable: Executable, table: TypeTable) -> FriendSet:
     """Friends before any adaptation: C, declared-field types, params, news.
 
     Field types come from fields declared in C itself; inherited fields
-    contribute nothing.  Primitive types never become friends.  The closure
-    of C and its field types is the same for every executable of C, so
-    ``class_masks``, when given, memoizes it by class name across calls.
+    contribute nothing.  Primitive types never become friends.  Nothing is
+    memoized here beyond ``table``'s closure of each type, so a caller that
+    drops the set holds no memory for it.
     """
-    if class_masks is None:
-        class_masks = {}
     owner = executable.owner_type
-    mask = class_masks.get(owner.name)
-    if mask is None:
-        fields = [t for t in _field_types(owner, table) if not t.is_primitive]
-        mask = class_masks[owner.name] = table.closure_mask([owner, *fields])
-    seeds = [t for _, t in executable.params if not t.is_primitive]
+    seeds = [owner, *(t for t in _field_types(owner, table) if not t.is_primitive)]
+    seeds += [t for _, t in executable.params if not t.is_primitive]
     seeds += [t for t in executable.instantiated_types if not t.is_primitive]
-    if seeds:
-        mask |= table.closure_mask(seeds)
-    return FriendSet(table, executable, mask)
+    return FriendSet(table, executable, table.closure_mask(seeds))
 
 
 class PotentialViolation(Value):

@@ -17,7 +17,7 @@ recorded but marked by form so detection can skip them.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Optional, Sequence
 
 from ..codemodel import (
     DeclKind,
@@ -138,6 +138,11 @@ class AccessSite(Struct):
 
 
 class Executable(Struct):
+    """One executable body and the facts bound from it.  ``params``, and
+    ``body_accesses`` until the walker emits the first site, are tuples, the
+    one shared ``()`` when empty: most executables hold no container of
+    their own for either."""
+
     __slots__ = (
         "id",
         "owner_type",
@@ -157,11 +162,8 @@ class Executable(Struct):
         id: str,
         owner_type: TypeRef,
         exec_kind: str,
-        params: list[tuple[str, TypeRef]],
-        instantiated_types: AbstractSet[TypeRef] = _NO_TYPES,
-        downcast_param_types: AbstractSet[TypeRef] = _NO_TYPES,
+        params: tuple[tuple[str, TypeRef], ...],
         enclosing_executable: Optional[str] = None,
-        body_accesses: Optional[list[AccessSite]] = None,
         file: str = "",
         line: int = 0,
         col: int = 0,
@@ -171,10 +173,10 @@ class Executable(Struct):
         # method constructor instance-initializer static-initializer field-initializer
         self.exec_kind = exec_kind
         self.params = params
-        self.instantiated_types = instantiated_types
-        self.downcast_param_types = downcast_param_types
+        self.instantiated_types: AbstractSet[TypeRef] = _NO_TYPES
+        self.downcast_param_types: AbstractSet[TypeRef] = _NO_TYPES
         self.enclosing_executable = enclosing_executable
-        self.body_accesses = [] if body_accesses is None else body_accesses
+        self.body_accesses: Sequence[AccessSite] = ()
         self.file = file
         self.line = line
         self.col = col
@@ -573,7 +575,7 @@ class _Extractor:
                         continue
                     ex = self._new_executable(
                         f"{owner.name}#<field:{d.name}>",
-                        owner, "field-initializer", [], d.pos, creator,
+                        owner, "field-initializer", (), d.pos, creator,
                     )
                     _BodyWalker(self, ex, instances).visit_expr_or_init(d.init)
             elif isinstance(m, ast.InitBlock):
@@ -585,15 +587,15 @@ class _Extractor:
                     init_blocks += 1
                     ident = f"{owner.name}#<init-block>[{init_blocks}]"
                     kind = "instance-initializer"
-                ex = self._new_executable(ident, owner, kind, [], m.pos, creator)
+                ex = self._new_executable(ident, owner, kind, (), m.pos, creator)
                 _BodyWalker(self, ex, instances).visit_stmt(m.body)
             elif isinstance(m, ast.MethodDecl) and m.body is not None:
                 sig = ",".join(p.written_type for p in m.params)
                 name = "<init>" if m.is_ctor else m.name
-                params = [
+                params = tuple(
                     (p.name, self.names.resolve(self.env, p.type, owner.name, p.extra_dims))
                     for p in m.params
-                ]
+                )
                 ex = self._new_executable(
                     f"{owner.name}#{name}({sig})",
                     owner,
@@ -609,7 +611,7 @@ class _Extractor:
         ident: str,
         owner: TypeRef,
         kind: str,
-        params: list[tuple[str, TypeRef]],
+        params: tuple[tuple[str, TypeRef], ...],
         pos: int,
         enclosing_exec: Optional[str],
     ) -> Executable:
@@ -685,7 +687,10 @@ class _BodyWalker:
             line=line,
             col=col,
         )
-        self.ex.body_accesses.append(site)
+        if self.ex.body_accesses:
+            self.ex.body_accesses.append(site)
+        else:
+            self.ex.body_accesses = [site]
         return site
 
     def lookup_param(self, name: str) -> TypeRef | None:
@@ -801,7 +806,7 @@ class _BodyWalker:
             self.visit_stmt(s.body)
             for c in s.catches:
                 # Caught variables count as parameters of this executable.
-                self.ex.params.append((c.param.name, self.type_of(c.param.type)))
+                self.ex.params += ((c.param.name, self.type_of(c.param.type)),)
                 self.visit_stmt(c.body)
             if s.final is not None:
                 self.visit_stmt(s.final)

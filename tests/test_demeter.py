@@ -322,14 +322,13 @@ class TestCorpusBase:
         assert per_exec == oracle["violations_by_executable"]
 
     def test_mask_is_the_closure_of_the_seeds(self, corpus_case):
-        # The mask is built from one memoized closure per class; the seeds
-        # are derived on demand.  Both must describe the same set.
+        # The mask is closed from the executable's seeds in one call; the
+        # seeds with their roles are derived on demand.  Both must describe
+        # the same set.
         table, exes = build_case_front(corpus_case)
-        class_masks = {}
         for ex in exes:
-            fs = base_friend_set(ex, table, class_masks)
+            fs = base_friend_set(ex, table)
             assert fs.mask == table.closure_mask(t for t, _ in fs.base)
-            assert fs.mask == base_friend_set(ex, table).mask
 
     def test_soundness_on_corpus(self, corpus_case):
         table, exes = build_case_front(corpus_case)

@@ -219,7 +219,7 @@ class TestExecutables:
         )
         _, exes = front(src)
         ex = exes[0]
-        assert ex.params == [("e", TypeRef("p.E"))]
+        assert ex.params == (("e", TypeRef("p.E")),)
 
     def test_instantiated_types(self):
         src = "package p;\nclass A { void m() { B b = new B(); int[] a = new int[3]; } }\nclass B { }"
@@ -244,6 +244,55 @@ class TestExecutables:
         table, exes = front(src, stubs=[], mode=LENIENT)
         ex = by_id(exes)["p.A#m(Object,Object)"]
         assert ex.downcast_param_types == {TypeRef("p.B")}
+
+
+class TestSharedEmptyContainers:
+    """An executable with no site or no parameter holds no container of its
+    own: all such executables share the one empty tuple."""
+
+    SRC = (
+        "package p;\n"
+        "class A {\n"
+        "  B b; int f = 1; static { } A() { }\n"
+        "  void m() { b.g(); b.g(); } void n(B x) { x.g(); } void q(int i) { }\n"
+        "  void t() { try { } catch (E e) { } catch (F f) { try { } catch (E g) { } } }\n"
+        "}\n"
+        "class B { void g() { } }\n"
+        "class E { }\n"
+        "class F { }"
+    )
+
+    def test_siteless_executables_share_one_empty_tuple(self):
+        _, exes = front(self.SRC)
+        siteless = [ex.body_accesses for ex in exes if not ex.body_accesses]
+        assert len(siteless) == 6  # all but m() and n(B)
+        assert all(type(sites) is tuple for sites in siteless)
+        assert len({id(sites) for sites in siteless}) == 1
+
+    def test_parameterless_executables_share_one_empty_tuple(self):
+        _, exes = front(self.SRC)
+        empty = [ex.params for ex in exes if not ex.params]
+        assert len(empty) == 5  # the field initializer, the static block, A(), m(), g()
+        assert all(type(params) is tuple for params in empty)
+        assert len({id(params) for params in empty}) == 1
+        assert by_id(exes)["p.A#n(B)"].params == (("x", TypeRef("p.B")),)
+
+    def test_catch_params_extend_params_in_source_order(self):
+        _, exes = front(self.SRC)
+        params = by_id(exes)["p.A#t()"].params
+        assert type(params) is tuple
+        assert params == (
+            ("e", TypeRef("p.E")), ("f", TypeRef("p.F")), ("g", TypeRef("p.E"))
+        )
+        assert by_id(exes)["p.A#m()"].params == ()
+
+    def test_first_site_makes_a_list_of_its_own(self):
+        _, exes = front(self.SRC)
+        m, n = by_id(exes)["p.A#m()"], by_id(exes)["p.A#n(B)"]
+        assert type(m.body_accesses) is list and type(n.body_accesses) is list
+        assert m.body_accesses is not n.body_accesses
+        assert [s.access_kind for s in m.body_accesses] == ["field-read", "method-call"] * 2
+        assert [s.site_id for s in n.body_accesses] == ["p.A#n(B)@0001"]
 
 
 class TestSites:
@@ -568,7 +617,7 @@ class TestSites:
     def test_new_emits_no_site(self):
         src = "package p;\nclass A { void m() { B b = new B(1); } }\nclass B { B(int x) { } }"
         _, exes = front(src)
-        assert by_id(exes)["p.A#m()"].body_accesses == []
+        assert by_id(exes)["p.A#m()"].body_accesses == ()
 
     def test_explicit_ctor_calls_no_site(self):
         src = (
@@ -578,7 +627,7 @@ class TestSites:
         )
         _, exes = front(src)
         for ex in exes:
-            assert ex.body_accesses == []
+            assert ex.body_accesses == ()
 
     def test_arg_types_recorded(self):
         src = (
@@ -912,4 +961,4 @@ class TestCorpus:
         can = by_id(exes)[
             "CH.ifa.draw.samples.pert.PertDependency#canConnect(Figure,Figure)"
         ]
-        assert can.body_accesses == [] and can.downcast_param_types == set()
+        assert can.body_accesses == () and can.downcast_param_types == set()

@@ -17,7 +17,7 @@ import pytest
 
 from demeterlint.adapt import Adapter, load_config
 from demeterlint.codemodel import TypeTable
-from demeterlint.demeter import detect
+from demeterlint.demeter import base_friend_set, detect
 from demeterlint.javafront import bind_and_extract, build_type_table, parse_unit
 
 from conftest import build_front
@@ -116,13 +116,13 @@ AGGREGATION = load_config([json.dumps({
 })])
 
 
-def _classify_work(sources: list[tuple[str, str]]) -> int:
+def _classify_work(sources: list[tuple[str, str]], config=AGGREGATION) -> int:
     table, executables = build_front(sources)
     profile = cProfile.Profile()
     profile.enable()
     try:
-        adapter = Adapter(executables, table, AGGREGATION)
-        violations = [v for ex in executables for v in detect(ex, adapter.base[ex.id])]
+        adapter = Adapter(executables, table, config)
+        violations = [v for ex in executables for v in detect(ex, base_friend_set(ex, table))]
         adapter.classify(violations)
     finally:
         profile.disable()
@@ -132,6 +132,45 @@ def _classify_work(sources: list[tuple[str, str]]) -> int:
 def test_classify_work_grows_linearly_on_a_call_chain():
     small, large = _classify_work(non_friend_chain(N)), _classify_work(non_friend_chain(4 * N))
     assert large <= BOUND * small, f"non_friend_chain: {small} -> {large} calls"
+
+
+#: One violation in each of 200 executables: ``p.T.f`` called on a
+#: non-friend receiver.
+MANY_VIOLATIONS = [(
+    "A.java",
+    "package p;\nclass T { void f() { } }\nclass H { T t() { return null; } }\nclass A {\n"
+    + "".join(f"  void m{i}(H h) {{ h.t().f(); }}\n" for i in range(200))
+    + "}\n",
+)]
+
+
+def many_rules(n: int):
+    """One layer of n rules: the first exempts ``p.T.f`` and so silences
+    every violation; the rest, exemptions of other members and grants to
+    executables of another class, touch none, so every verdict is the same
+    at any n."""
+    rules = [{
+        "id": "M0", "kind": "universal-friend-members",
+        "member_pattern": {"type": "p.T", "name": "f"},
+    }]
+    for j in range(1, n):
+        if j % 2:
+            rules.append({
+                "id": f"M{j}", "kind": "universal-friend-members",
+                "member_pattern": {"type": "p.T", "name": f"g{j}"},
+            })
+        else:
+            rules.append({
+                "id": f"G{j}", "kind": "executable-grant", "executables": [f"p.B#m{j}()"],
+                "grants": ["p.T"], "status": "accepted",
+            })
+    return load_config([json.dumps({"schema": "demeterlint-config/1", "layer": 0, "rules": rules})])
+
+
+def test_classify_work_grows_linearly_in_rules_per_layer():
+    small = _classify_work(MANY_VIOLATIONS, many_rules(200))
+    large = _classify_work(MANY_VIOLATIONS, many_rules(800))
+    assert large <= BOUND * small, f"many_rules: {small} -> {large} calls"
 
 
 def many_units(n: int) -> list[tuple[str, str]]:
