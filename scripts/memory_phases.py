@@ -21,7 +21,8 @@ one, the script prints
 tracemalloc's own bookkeeping adds to the resident size, so ``--top 0``
 turns it off for resident sizes that an untraced pass would show.  The pass
 writes its report (json) nowhere; the script prints the exit code and the
-report's size at the end and exits with the pass's code.
+report's size at the end and exits with the pass's code.  ``hashlib`` is
+imported before the pass, as a long-lived process has it.
 """
 
 from __future__ import annotations
@@ -137,6 +138,12 @@ def main(argv=None) -> int:
         "--top", type=int, default=5, help="traced lines per boundary; 0 turns tracemalloc off"
     )
     args = parser.parse_args(argv)
+
+    # The json writer hashes the inputs, and the first import of hashlib
+    # loads OpenSSL, megabytes of resident memory.  A process that serves
+    # many passes (``bench/probe.py serve``) has it loaded before its first
+    # pass, so it is loaded here too, not counted at ``report.render``.
+    import hashlib  # noqa: F401
 
     phases = Phases(args.top, sys.stdout)
     phases.install()

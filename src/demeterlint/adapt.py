@@ -17,14 +17,21 @@ grants with a review status.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left, bisect_right
 from fnmatch import fnmatchcase, translate
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
-from .codemodel import LoadError, MemberKind, TypeRef, TypeTable, parse_type_name
+from .codemodel import (
+    Document,
+    LoadError,
+    MemberKind,
+    TypeRef,
+    TypeTable,
+    json_document,
+    parse_type_name,
+)
 from .demeter import (
     FriendSet,
     MemberExemption,
@@ -171,10 +178,18 @@ EMPTY_CONFIG = LayeredConfig(rules=(), layer_names=())
 # -- loading -------------------------------------------------------------------
 
 
-def _string(raw: dict, key: str, where: str, default: str = "") -> str:
+class _BadRule(Exception):
+    """A malformed rule; ``_parse_rule`` prefixes the document and rule id."""
+
+
+#: The value of a list field a rule leaves out.
+_NO_ITEMS: list = []
+
+
+def _string(raw: dict, key: str, default: str = "") -> str:
     value = raw.get(key, default)
     if not isinstance(value, str):
-        raise ConfigError(f"{where}: {key} must be a string")
+        raise _BadRule(f"{key} must be a string")
     return value
 
 
@@ -183,145 +198,155 @@ def _is_layer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _str_tuple(raw, context: str) -> tuple[str, ...]:
-    if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
-        raise ConfigError(f"{context}: expected a list of strings")
-    return tuple(raw)
+def _str_tuple(raw: dict, key: str, rule_id: str) -> tuple[str, ...]:
+    value = raw.get(key, _NO_ITEMS)
+    if isinstance(value, list):
+        for x in value:
+            if not isinstance(x, str):
+                break
+        else:
+            return tuple(value)
+    raise ConfigError(f"{rule_id}.{key}: expected a list of strings")
 
 
-def _type_names(names: Iterable[str], context: str) -> None:
-    """Check that every name parses as a type reference."""
+def _type_names(names: Iterable[str], key: str, rule_id: str, parsed: set[str]) -> None:
+    """Check that every name parses as a type reference.  ``parsed`` holds
+    the names of the document checked so far, so each is parsed once."""
     for name in names:
-        try:
-            parse_type_name(name)
-        except LoadError:
-            raise ConfigError(f"{context}: empty type name") from None
+        if name not in parsed:
+            try:
+                parse_type_name(name)
+            except LoadError:
+                raise ConfigError(f"{rule_id}.{key}: empty type name") from None
+            parsed.add(name)
 
 
-def _type_tuple(raw, context: str) -> tuple[str, ...]:
-    names = _str_tuple(raw, context)
-    _type_names(names, context)
+def _type_tuple(raw: dict, key: str, rule_id: str, parsed: set[str]) -> tuple[str, ...]:
+    names = _str_tuple(raw, key, rule_id)
+    _type_names(names, key, rule_id, parsed)
     return names
 
 
 def _records(raw, keys: tuple[str, ...], error: str) -> tuple[tuple[str, ...], ...]:
     if not isinstance(raw, list):
-        raise ConfigError(error)
+        raise _BadRule(error)
     out = []
     for entry in raw:
         if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in keys):
-            raise ConfigError(error)
+            raise _BadRule(error)
         out.append(tuple(entry[key] for key in keys))
     return tuple(out)
 
 
 # Each loader checks one raw rule of its kind and returns the Rule payload
-# fields; ``where`` prefixes its error messages.
+# fields.  ``parsed`` is the document's set of checked type names.
 
 
-def _load_friend_types(raw: dict, rule_id: str, where: str) -> dict:
+def _load_friend_types(raw: dict, rule_id: str, parsed: set[str]) -> dict:
     kw = {
-        "types": _type_tuple(raw.get("types", []), f"{rule_id}.types"),
-        "package_glob": _string(raw, "package_glob", where),
-        "implementors_of": _type_tuple(
-            raw.get("implementors_of", []), f"{rule_id}.implementors_of"
-        ),
+        "types": _type_tuple(raw, "types", rule_id, parsed),
+        "package_glob": _string(raw, "package_glob"),
+        "implementors_of": _type_tuple(raw, "implementors_of", rule_id, parsed),
     }
     if not any(kw.values()):
-        raise ConfigError(f"{where}: no types, glob, or implementors")
+        raise _BadRule("no types, glob, or implementors")
     return kw
 
 
-def _load_friend_members(raw: dict, rule_id: str, where: str) -> dict:
-    predicate = _string(raw, "member_predicate", where)
+def _load_friend_members(raw: dict, rule_id: str, parsed: set[str]) -> dict:
+    predicate = _string(raw, "member_predicate")
     pattern = raw.get("member_pattern")
     if predicate:
         if predicate not in MEMBER_PREDICATES:
-            raise ConfigError(f"{where}: unknown member predicate '{predicate}'")
+            raise _BadRule(f"unknown member predicate '{predicate}'")
         return {"member_predicate": predicate}
     if pattern is None:
-        raise ConfigError(f"{where}: needs member_predicate or member_pattern")
+        raise _BadRule("needs member_predicate or member_pattern")
     (member_pattern,) = _records(
-        [pattern], ("type", "name"), f"{where}: member_pattern needs string 'type' and 'name'"
+        [pattern], ("type", "name"), "member_pattern needs string 'type' and 'name'"
     )
     return {"member_pattern": member_pattern}
 
 
-def _load_call_grant(raw: dict, rule_id: str, where: str) -> dict:
+def _load_call_grant(raw: dict, rule_id: str, parsed: set[str]) -> dict:
     matchers = raw.get("matcher")
     if not isinstance(matchers, list) or not matchers:
-        raise ConfigError(f"{where}: call-grant needs a matcher list")
+        raise _BadRule("call-grant needs a matcher list")
     return {
         "matcher": _records(
-            matchers, ("type", "name"), f"{where}: matcher entries need string 'type' and 'name'"
+            matchers, ("type", "name"), "matcher entries need string 'type' and 'name'"
         ),
-        "grants": _type_tuple(raw.get("grants", []), f"{rule_id}.grants"),
+        "grants": _type_tuple(raw, "grants", rule_id, parsed),
     }
 
 
-def _load_switch(raw: dict, rule_id: str, where: str) -> dict:
+def _load_switch(raw: dict, rule_id: str, parsed: set[str]) -> dict:
     return {"enabled": bool(raw.get("enabled", True))}
 
 
-def _load_aggregation(raw: dict, rule_id: str, where: str) -> dict:
+def _load_aggregation(raw: dict, rule_id: str, parsed: set[str]) -> dict:
     kw = {
         "field_map": _records(
-            raw.get("field_map", []),
+            raw.get("field_map", _NO_ITEMS),
             ("type", "field", "element"),
-            f"{where}: field_map entries need string type/field/element",
+            "field_map entries need string type/field/element",
         ),
-        "infer_via": _str_tuple(raw.get("infer_via", []), f"{rule_id}.infer_via"),
+        "infer_via": _str_tuple(raw, "infer_via", rule_id),
     }
-    _type_names((element for _, _, element in kw["field_map"]), f"{rule_id}.field_map")
+    _type_names((element for _, _, element in kw["field_map"]), "field_map", rule_id, parsed)
     if not any(kw.values()):
-        raise ConfigError(f"{where}: empty aggregation rule")
+        raise _BadRule("empty aggregation rule")
     return kw
 
 
-def _load_implication(raw: dict, rule_id: str, where: str) -> dict:
+def _load_implication(raw: dict, rule_id: str, parsed: set[str]) -> dict:
     pairs = raw.get("pairs")
     if not isinstance(pairs, list) or not pairs:
-        raise ConfigError(f"{where}: needs implication pairs")
+        raise _BadRule("needs implication pairs")
     if not all(
         isinstance(p, list) and len(p) == 2 and all(isinstance(u, str) for u in p)
         for p in pairs
     ):
-        raise ConfigError(f"{where}: pairs are [from, to] type names")
-    _type_names((u for pair in pairs for u in pair), f"{rule_id}.pairs")
+        raise _BadRule("pairs are [from, to] type names")
+    _type_names((u for pair in pairs for u in pair), "pairs", rule_id, parsed)
     return {"pairs": tuple((a, b) for a, b in pairs)}
 
 
-def _load_executable_grant(raw: dict, rule_id: str, where: str) -> dict:
-    executables = _str_tuple(raw.get("executables", []), f"{rule_id}.executables")
+def _load_executable_grant(raw: dict, rule_id: str, parsed: set[str]) -> dict:
+    executables = _str_tuple(raw, "executables", rule_id)
     if not executables:
-        raise ConfigError(f"{where}: needs executable ids or globs")
-    grants = _type_tuple(raw.get("grants", []), f"{rule_id}.grants")
-    status = _string(raw, "status", where, "accepted")
+        raise _BadRule("needs executable ids or globs")
+    grants = _type_tuple(raw, "grants", rule_id, parsed)
+    status = _string(raw, "status", "accepted")
     if status not in STATUSES:
-        raise ConfigError(f"{where}: unknown status '{status}'")
-    hint = _string(raw, "hint", where)
+        raise _BadRule(f"unknown status '{status}'")
+    hint = _string(raw, "hint")
     return {"executables": executables, "grants": grants, "status": status, "hint": hint}
 
 
-def _parse_rule(raw: dict, default_layer: int, order: int, context: str) -> Rule:
+def _parse_rule(raw, default_layer: int, order: int, context: str, parsed: set[str]) -> Rule:
     if not isinstance(raw, dict):
         raise ConfigError(f"{context}: rule must be an object")
     rule_id = raw.get("id")
-    kind = raw.get("kind")
     if not rule_id or not isinstance(rule_id, str):
         raise ConfigError(f"{context}: rule without an id")
-    if not isinstance(kind, str) or kind not in RULE_KINDS:
-        raise ConfigError(f"{context}: rule {rule_id}: unknown kind '{kind}'")
-    layer = raw.get("layer", default_layer)
-    if not _is_layer(layer):
-        raise ConfigError(f"{context}: rule {rule_id}: layer must be a non-negative integer")
-    where = f"{context}: rule {rule_id}"
-    payload = _KINDS[kind].load(raw, rule_id, where)
-    return Rule(rule_id, kind, layer, tag=_string(raw, "tag", where), order=order, **payload)
+    kind = raw.get("kind")
+    try:
+        if not isinstance(kind, str) or kind not in RULE_KINDS:
+            raise _BadRule(f"unknown kind '{kind}'")
+        layer = raw.get("layer", default_layer)
+        if not _is_layer(layer):
+            raise _BadRule("layer must be a non-negative integer")
+        payload = _KINDS[kind].load(raw, rule_id, parsed)
+        tag = _string(raw, "tag")
+    except _BadRule as exc:
+        raise ConfigError(f"{context}: rule {rule_id}: {exc}") from None
+    return Rule(rule_id, kind, layer, tag, order, **payload)
 
 
-def load_config(documents: Sequence[str | Path]) -> LayeredConfig:
-    """Parse configuration documents in the given (ascending-layer) order.
+def load_config(documents: Sequence[str | Path | Document]) -> LayeredConfig:
+    """Parse configuration documents (paths, read documents or raw JSON
+    text) in the given (ascending-layer) order.
 
     A document missing an explicit ``layer`` takes the previous document's
     layer plus one (the first defaults to 0).  Rules may override the
@@ -335,22 +360,7 @@ def load_config(documents: Sequence[str | Path]) -> LayeredConfig:
     next_layer = 0
     order = 0
     for doc_source in documents:
-        if isinstance(doc_source, Path) or not str(doc_source).lstrip().startswith("{"):
-            path = Path(doc_source)
-            context = str(path)
-            try:
-                text = path.read_text(encoding="utf-8")
-            except OSError as exc:
-                raise ConfigError(f"cannot read {path}: {exc}") from exc
-        else:
-            text = str(doc_source)
-            context = "<inline>"
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{context}: not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("schema") != CONFIG_SCHEMA:
-            raise ConfigError(f"{context}: expected schema {CONFIG_SCHEMA}")
+        context, doc = json_document(doc_source, CONFIG_SCHEMA, ConfigError)
         doc_layer = doc.get("layer", next_layer)
         if not _is_layer(doc_layer):
             raise ConfigError(f"{context}: layer must be a non-negative integer")
@@ -359,11 +369,12 @@ def load_config(documents: Sequence[str | Path]) -> LayeredConfig:
         seen_layers.add(doc_layer)
         next_layer = doc_layer + 1
         layer_names.append((doc_layer, doc.get("name", f"layer-{doc_layer}")))
-        raw_rules = doc.get("rules", [])
+        raw_rules = doc.get("rules", _NO_ITEMS)
         if not isinstance(raw_rules, list):
             raise ConfigError(f"{context}: rules must be a list")
+        parsed: set[str] = set()
         for raw in raw_rules:
-            rule = _parse_rule(raw, doc_layer, order, context)
+            rule = _parse_rule(raw, doc_layer, order, context, parsed)
             order += 1
             if rule.rule_id in seen_ids:
                 raise ConfigError(f"{context}: duplicate rule id '{rule.rule_id}'")
@@ -543,6 +554,7 @@ class Adapter:
         self._effective_cache: dict[tuple[str, int, frozenset[str]], FriendSet] = {}
         self._universal_cache: dict[str, Contribution] = {}
         self._implementors_cache: dict[str, tuple[str, ...]] = {}
+        self._subtypes: Optional[dict[TypeRef, list[TypeRef]]] = None
         self._package_cache: dict[str, tuple[str, ...]] = {}
         self._ctor_param_cache: dict[str, Contribution] = {}
         self._agg_cache: dict[tuple[str, str], Contribution] = {}
@@ -575,15 +587,27 @@ class Adapter:
         return got
 
     def _implementors(self, interface: str) -> tuple[str, ...]:
+        """The declared types whose closure holds ``interface``, by name:
+        those the subtype index reaches from it, itself included."""
         got = self._implementors_cache.get(interface)
         if got is None:
+            if self._subtypes is None:
+                self._subtypes = self.table.subtypes()
+            subtypes = self._subtypes
             target = parse_type_name(interface)
+            reached = {target}
+            work = [target]
+            while work:
+                for sub in subtypes.get(work.pop(), ()):
+                    if sub not in reached:
+                        reached.add(sub)
+                        work.append(sub)
             table = self.table
             got = tuple(
                 sorted(
-                    decl.name
-                    for decl in table
-                    if table.in_mask(table.closure_mask([decl.ref]), target)
+                    ref.name
+                    for ref in reached
+                    if (decl := table.get(ref.name)) is not None and decl.ref == ref
                 )
             )
             self._implementors_cache[interface] = got
@@ -952,7 +976,7 @@ class _Kind(Struct):
 
     def __init__(
         self,
-        load: Callable[[dict, str, str], dict],
+        load: Callable[[dict, str, set[str]], dict],
         grant: Optional[Callable[[Adapter, Executable, Rule], Contribution]] = None,
     ) -> None:
         self.load = load

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .adapt import Adapter, Verdict, load_config, config_warnings
-from .codemodel import LoadError, ResolutionMode, TypeTable, load_stubs
+from .codemodel import Document, LoadError, ResolutionMode, TypeTable, load_stubs, read_document
 from .demeter import FriendSet, base_friend_set, detect
 from .javafront import SourceError, bind_and_extract, build_type_table, parse_unit
 from .records import Struct
@@ -113,17 +113,28 @@ class _Loaded:
         self.inputs = inputs
 
 
+def _read(path: Path) -> Document | Path:
+    """A stub or config file, read once for its loader and for the digest.
+    A file that cannot be read stays a path, for its loader to report in
+    document order."""
+    try:
+        return read_document(Path(path))
+    except (OSError, UnicodeDecodeError):
+        return path
+
+
 def _load(options: RunOptions, err) -> _Loaded:
     inputs: list[tuple[str, str, str]] = []
 
     stubs = TypeTable()
     for p in options.stub_paths:
-        stubs = stubs.merge(load_stubs(p))
-        inputs.append(("stub", str(p), Path(p).read_text(encoding="utf-8")))
+        doc = _read(p)
+        stubs = stubs.merge(load_stubs(doc))
+        inputs.append(("stub", str(p), doc.text))
 
-    config = load_config(list(options.config_paths))
-    for p in options.config_paths:
-        inputs.append(("config", str(p), Path(p).read_text(encoding="utf-8")))
+    docs = [_read(p) for p in options.config_paths]
+    config = load_config(docs)
+    inputs.extend(("config", str(p), doc.text) for p, doc in zip(options.config_paths, docs))
 
     units = []
     for path in _collect_sources(options.source_paths):

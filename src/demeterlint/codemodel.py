@@ -23,13 +23,14 @@ from __future__ import annotations
 import json
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .records import Struct, Value
 
 __all__ = [
     "ARRAYS",
     "DeclKind",
+    "Document",
     "LoadError",
     "MemberDecl",
     "MemberKind",
@@ -41,8 +42,10 @@ __all__ = [
     "TypeKind",
     "TypeRef",
     "TypeTable",
+    "json_document",
     "load_stubs",
     "parse_type_name",
+    "read_document",
 ]
 
 STUB_SCHEMA = "demeterlint-stubs/1"
@@ -441,20 +444,39 @@ class TypeTable(Struct):
                 mask |= done
                 continue
             mask |= 1 << self.bit(ref)
-            if ref.kind is TypeKind.ARRAY:
-                mask |= 1 << self.bit(ARRAYS)
-                assert ref.element is not None
-                if not ref.element.is_primitive:
-                    work.append(ref.element)
-                continue
-            if ref.kind is not TypeKind.DECLARED or ref == ARRAYS:
-                continue
-            decl = self._decls.get(ref.name)
-            if decl is not None:
-                work.extend(decl.supertypes)
-            if ref.name != OBJECT_NAME:
-                work.append(_OBJECT)
+            work += self._steps(ref)
         return mask
+
+    def _steps(self, ref: TypeRef) -> list[TypeRef]:
+        """The types one step of a closure walk leads to from ``ref``: an
+        array's element and the array pseudo-type; a declared type's
+        supertypes and ``java.lang.Object``."""
+        if ref.kind is TypeKind.ARRAY:
+            assert ref.element is not None
+            return [ARRAYS] if ref.element.is_primitive else [ref.element, ARRAYS]
+        if ref.kind is not TypeKind.DECLARED or ref == ARRAYS:
+            return []
+        decl = self._decls.get(ref.name)
+        steps = list(decl.supertypes) if decl is not None else []
+        if ref.name != OBJECT_NAME:
+            steps.append(_OBJECT)
+        return steps
+
+    def subtypes(self) -> dict[TypeRef, list[TypeRef]]:
+        """Every type the declarations' closures reach, mapped to the types
+        one closure step below it: the closure walk read backwards."""
+        below: dict[TypeRef, list[TypeRef]] = {}
+        seen: set[TypeRef] = set()
+        work = [decl.ref for decl in self._decls.values()]
+        while work:
+            ref = work.pop()
+            if ref in seen:
+                continue
+            seen.add(ref)
+            for sup in self._steps(ref):
+                below.setdefault(sup, []).append(ref)
+                work.append(sup)
+        return below
 
     def types_in(self, mask: int) -> frozenset[TypeRef]:
         """The references a closure mask holds."""
@@ -580,94 +602,152 @@ class TypeTable(Struct):
         return memo[key]
 
 
+# -- documents ---------------------------------------------------------------
+
+
+class Document(Struct):
+    """A JSON document's text and the name its messages give it: the path
+    it was read from, or ``<inline>``."""
+
+    __slots__ = ("name", "text")
+
+    def __init__(self, name: str, text: str) -> None:
+        self.name = name
+        self.text = text
+
+
+def read_document(path: Path) -> Document:
+    """The document in the file ``path``; raises ``OSError`` or
+    ``UnicodeDecodeError``."""
+    return Document(str(path), path.read_text(encoding="utf-8"))
+
+
+def json_document(
+    source: str | Path | Document, schema: str, error: Callable[[str], LoadError]
+) -> tuple[str, dict]:
+    """The name and parsed object of a document of ``schema``: ``source`` is
+    a path, a read document, or raw JSON text (a string that begins with
+    ``{``).  Whatever is wrong raises ``error(message)``."""
+    if not isinstance(source, Document):
+        if isinstance(source, Path) or not str(source).lstrip().startswith("{"):
+            path = Path(source)
+            try:
+                source = read_document(path)
+            except OSError as exc:
+                raise error(f"cannot read {path}: {exc}") from exc
+            except UnicodeDecodeError:
+                raise error(f"cannot decode {path} as UTF-8") from None
+        else:
+            source = Document("<inline>", str(source))
+    try:
+        doc = json.loads(source.text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{source.name}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise error(f"{source.name}: nesting too deep to parse") from None
+    if not isinstance(doc, dict) or doc.get("schema") != schema:
+        raise error(f"{source.name}: expected schema {schema}")
+    return source.name, doc
+
+
 # -- stub loading -----------------------------------------------------------
 
 
-#: What a stub field of each Python type must be, as its JSON reader sees it.
-_JSON_TYPES = {str: "a string", bool: "true or false", list: "a list"}
+_DECL_KINDS = {k.value: k for k in DeclKind}
+_MEMBER_KINDS = {k.value: k for k in MemberKind}
+
+#: The value of a list field a stub leaves out.
+_NO_ITEMS: list = []
 
 
-def _stub_field(raw: dict, key: str, expected: type, default, where: str):
-    """``raw[key]``, or ``default`` when absent; it must be of type ``expected``."""
-    value = raw.get(key, default)
-    if not isinstance(value, expected):
-        raise LoadError("E-STUB", f"{where}: '{key}' must be {_JSON_TYPES[expected]}")
-    return value
+class _BadField(Exception):
+    """A malformed stub field; the caller prefixes where it is."""
 
 
-def _stub_types(raw: dict, key: str, where: str) -> tuple[TypeRef, ...]:
-    """``raw[key]``, a list of type names, as references."""
-    names = _stub_field(raw, key, list, [], where)
-    if not all(isinstance(n, str) for n in names):
-        raise LoadError("E-STUB", f"{where}: '{key}' must be a list of strings")
-    return tuple(parse_type_name(n) for n in names)
+def _stub_error(message: str) -> LoadError:
+    return LoadError("E-STUB", message)
 
 
-def _load_member(owner: str, raw) -> MemberDecl:
-    if not (
-        isinstance(raw, dict) and isinstance(raw.get("name"), str) and "kind" in raw
-    ):
-        raise LoadError("E-STUB", f"bad member in {owner}: needs a string 'name' and a 'kind'")
+class _Refs(dict):
+    """A document's type names, each parsed on first use."""
+
+    def __missing__(self, name: str) -> TypeRef:
+        ref = self[name] = parse_type_name(name)
+        return ref
+
+
+def _stub_refs(names, key: str, refs: _Refs) -> tuple[TypeRef, ...]:
+    """``names``, a stub's ``key`` field, as references."""
+    if not isinstance(names, list):
+        raise _BadField(f"'{key}' must be a list")
+    for name in names:
+        if not isinstance(name, str):
+            raise _BadField(f"'{key}' must be a list of strings")
+    return tuple([refs[name] for name in names])
+
+
+def _stub_member(owner: str, raw, refs: _Refs) -> MemberDecl:
+    if not (isinstance(raw, dict) and isinstance(raw.get("name"), str) and "kind" in raw):
+        raise _stub_error(f"bad member in {owner}: needs a string 'name' and a 'kind'")
     name = raw["name"]
+    value = raw["kind"]
+    kind = _MEMBER_KINDS.get(value) if isinstance(value, str) else None
+    if kind is None:
+        raise _stub_error(f"bad member in {owner}: {value!r} is not a valid MemberKind")
+    get = raw.get
     try:
-        kind = MemberKind(raw["kind"])
-    except ValueError as exc:
-        raise LoadError("E-STUB", f"bad member in {owner}: {exc}") from exc
-    where = f"{owner}.{name}"
-    declared = parse_type_name(_stub_field(raw, "type", str, "void", where))
-    params = _stub_types(raw, "params", where)
-    if kind is MemberKind.FIELD and params:
-        raise LoadError("E-STUB", f"field {owner}.{name} must not list params")
-    return MemberDecl(
-        name=name,
-        member_kind=kind,
-        is_static=_stub_field(raw, "static", bool, False, where),
-        visibility=_stub_field(raw, "visibility", str, "public", where),
-        declared_type=declared,
-        param_types=params,
-        declaring_type=owner,
-    )
+        declared = get("type", "void")
+        if not isinstance(declared, str):
+            raise _BadField("'type' must be a string")
+        declared = refs[declared]
+        params = _stub_refs(raw["params"], "params", refs) if "params" in raw else ()
+        if params and kind is MemberKind.FIELD:
+            raise _stub_error(f"field {owner}.{name} must not list params")
+        is_static = get("static", False)
+        if not isinstance(is_static, bool):
+            raise _BadField("'static' must be true or false")
+        visibility = get("visibility", "public")
+        if not isinstance(visibility, str):
+            raise _BadField("'visibility' must be a string")
+    except _BadField as exc:
+        raise _stub_error(f"{owner}.{name}: {exc}") from None
+    return MemberDecl(name, kind, is_static, visibility, declared, params, owner)
 
 
-def load_stubs(source: str | Path) -> TypeTable:
-    """Load one stub document (path or raw JSON text) into a table."""
-    if isinstance(source, Path) or (
-        isinstance(source, str) and not source.lstrip().startswith("{")
-    ):
-        path = Path(source)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise LoadError("E-STUB", f"cannot read {path}: {exc}") from exc
-        origin_name = str(path)
-    else:
-        text = str(source)
-        origin_name = "<inline>"
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LoadError("E-STUB", f"{origin_name}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != STUB_SCHEMA:
-        raise LoadError("E-STUB", f"{origin_name}: expected schema {STUB_SCHEMA}")
+def load_stubs(source: str | Path | Document) -> TypeTable:
+    """Load one stub document (a path, a read document or raw JSON text)
+    into a table.
+
+    Each field is checked where it is read, in document order, and each
+    distinct type-name string is parsed once per document.
+    """
+    origin, doc = json_document(source, STUB_SCHEMA, _stub_error)
+    raw_types = doc.get("types", _NO_ITEMS)
+    if not isinstance(raw_types, list):
+        raise _stub_error(f"{origin}: 'types' must be a list")
+    refs = _Refs()
     table = TypeTable()
-    for raw in _stub_field(doc, "types", list, [], origin_name):
+    decls = table._decls
+    for raw in raw_types:
         name = raw.get("name") if isinstance(raw, dict) else None
         if not name or not isinstance(name, str):
-            raise LoadError("E-STUB", f"{origin_name}: a type needs a non-empty string 'name'")
-        where = f"{origin_name}: {name}"
+            raise _stub_error(f"{origin}: a type needs a non-empty string 'name'")
         try:
-            kind = DeclKind(raw.get("kind", "class"))
-        except ValueError as exc:
-            raise LoadError("E-STUB", f"{where}: {exc}") from exc
-        supers = _stub_types(raw, "supertypes", where)
-        members = tuple(_load_member(name, m) for m in _stub_field(raw, "members", list, [], where))
-        table.add(
-            TypeDecl(
-                ref=TypeRef(name),
-                decl_kind=kind,
-                supertypes=supers,
-                members=members,
-                origin=Origin.STUB,
-            )
-        )
+            value = raw.get("kind", "class")
+            kind = _DECL_KINDS.get(value) if isinstance(value, str) else None
+            if kind is None:
+                raise _BadField(f"{value!r} is not a valid DeclKind")
+            supers = _stub_refs(raw["supertypes"], "supertypes", refs) if "supertypes" in raw else ()
+            raw_members = raw.get("members", _NO_ITEMS)
+            if not isinstance(raw_members, list):
+                raise _BadField("'members' must be a list")
+        except _BadField as exc:
+            raise _stub_error(f"{origin}: {name}: {exc}") from None
+        members = tuple([_stub_member(name, m, refs) for m in raw_members])
+        decl = TypeDecl(TypeRef(name), kind, supers, members, Origin.STUB)
+        if name in decls:
+            table._put(decl)  # kept once if equal, else a conflict
+        else:
+            _check_members(name, members)
+            decls[name] = decl
     return table

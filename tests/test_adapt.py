@@ -13,11 +13,20 @@ from demeterlint.adapt import (
     config_warnings,
     load_config,
 )
-from demeterlint.codemodel import ResolutionMode, TypeRef
+from demeterlint.codemodel import (
+    DeclKind,
+    Origin,
+    ResolutionMode,
+    TypeDecl,
+    TypeRef,
+    parse_type_name,
+    unknown_type,
+)
 from demeterlint.demeter import detect
 from demeterlint.presets import GENERIC, JHOTDRAW, STACK
 
-from conftest import INITIALIZERS, STUBS, build_case_front, build_front
+from bruteforce import naive_closure
+from conftest import INITIALIZERS, OBJECT_STUB, STUBS, build_case_front, build_front
 
 
 def front(*sources: str, stubs=(), mode=ResolutionMode.STRICT):
@@ -707,6 +716,87 @@ class TestWaterfall:
         ]
         with pytest.raises(KeyError):
             attribute_waterfall(broken, config)
+
+
+def naive_implementors(table, name: str) -> tuple[str, ...]:
+    """Every declared type whose closure holds ``name``, by a scan of the table."""
+    target = parse_type_name(name)
+    return tuple(sorted(d.name for d in table if target in naive_closure([d.ref], table)))
+
+
+class TestImplementors:
+    """``Adapter._implementors`` walks a subtype index; a naive scan of every
+    declaration's closure must give the same names."""
+
+    SOURCE = (
+        "package p;\n"
+        "interface I { }\n"
+        "interface J extends I { }\n"
+        "class C implements J { }\n"
+        "class D extends C { }\n"
+        "class E { }\n"
+        "class S extends q.Shim { }\n"
+    )
+    STUB = json.dumps({
+        "schema": "demeterlint-stubs/1",
+        "types": [
+            {"name": "q.Shim", "supertypes": ["q.Missing"]},
+            {"name": "q.Odd", "supertypes": ["q.Shim[]", "int"]},
+        ],
+    })
+
+    def implementors(self, names):
+        table, exes = front(self.SOURCE, stubs=(OBJECT_STUB, self.STUB))
+        adapter = Adapter(exes, table, EMPTY_CONFIG)
+        got = {name: adapter._implementors(name) for name in names}
+        assert got == {name: naive_implementors(table, name) for name in names}
+        return got, table
+
+    def test_interface_extending_an_interface(self):
+        got, _ = self.implementors(["p.I", "p.J"])
+        assert got == {"p.I": ("p.C", "p.D", "p.I", "p.J"), "p.J": ("p.C", "p.D", "p.J")}
+
+    def test_the_target_itself(self):
+        got, _ = self.implementors(["p.E", "p.D"])
+        assert got == {"p.E": ("p.E",), "p.D": ("p.D",)}
+
+    def test_object_is_every_declared_type(self):
+        got, table = self.implementors(["java.lang.Object"])
+        assert got["java.lang.Object"] == tuple(sorted(d.name for d in table))
+
+    def test_stub_supertype_missing_from_the_table(self):
+        got, table = self.implementors(["q.Missing"])
+        assert "q.Missing" not in table
+        assert got["q.Missing"] == ("p.S", "q.Odd", "q.Shim")
+
+    def test_array_target(self):
+        got, _ = self.implementors(["p.I[]", "java.lang.Object[]"])
+        assert got == {"p.I[]": (), "java.lang.Object[]": ()}
+
+    def test_array_and_primitive_stub_supertypes(self):
+        got, _ = self.implementors(["q.Shim[]", "int", "<arrays>", "q.Shim"])
+        assert got["q.Shim[]"] == ("q.Odd",)
+        assert got["q.Shim"] == ("p.S", "q.Odd", "q.Shim")
+
+    def test_lenient_unknown_supertype(self):
+        """Lenient resolution types an unresolved name as unknown.  The
+        binder still rejects an unresolved supertype of a source type, so
+        the declaration holding one is entered by hand: no declared name
+        reaches the unknown type, though it shares its name."""
+        source = "package p;\nclass A { Gone g; }\nclass B extends A { }\n"
+        table, exes = front(source, stubs=(OBJECT_STUB,), mode=ResolutionMode.LENIENT)
+        table.add(TypeDecl(TypeRef("p.U"), DeclKind.CLASS, (unknown_type("Gone"),), (), Origin.STUB))
+        adapter = Adapter(exes, table, EMPTY_CONFIG)
+        names = ["Gone", "p.U", "p.A"]
+        got = {name: adapter._implementors(name) for name in names}
+        assert got == {name: naive_implementors(table, name) for name in names}
+        assert got == {"Gone": (), "p.U": ("p.U",), "p.A": ("p.A", "p.B")}
+
+    def test_every_corpus_type(self, corpus_case):
+        table, exes = build_case_front(corpus_case)
+        adapter = Adapter(exes, table, EMPTY_CONFIG)
+        for decl in table:
+            assert adapter._implementors(decl.name) == naive_implementors(table, decl.name)
 
 
 class TestCorpusCascades:

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, stream purity, explain."""
 
+import collections
 import importlib.util
 import io
 import itertools
@@ -213,6 +214,26 @@ class TestLoadErrors:
         code, out, err = invoke(RunOptions(source_paths=(src,)))
         assert (code, out) == (2, b"")
         assert err == f"E-PARSE: cannot decode {src} as UTF-8\n"
+
+    @pytest.mark.parametrize("key, prefix", [("stub_paths", "E-STUB"), ("config_paths", "E-CONFIG")])
+    def test_non_utf8_document(self, tmp_path, key, prefix):
+        src = tmp_path / "A.java"
+        src.write_text("class A { }")
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        code, out, err = invoke(RunOptions(source_paths=(src,), **{key: (bad,)}))
+        assert (code, out) == (2, b"")
+        assert err == f"{prefix}: cannot decode {bad} as UTF-8\n"
+
+    @pytest.mark.parametrize("key, prefix", [("stub_paths", "E-STUB"), ("config_paths", "E-CONFIG")])
+    def test_document_nested_too_deep(self, tmp_path, key, prefix):
+        src = tmp_path / "A.java"
+        src.write_text("class A { }")
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"rules": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = invoke(RunOptions(source_paths=(src,), **{key: (deep,)}))
+        assert (code, out) == (2, b"")
+        assert err == f"{prefix}: {deep}: nesting too deep to parse\n"
 
     @pytest.mark.parametrize("fmt", ["json", "text", "table"])
     def test_non_utf8_file_name(self, tmp_path, fmt):
@@ -910,6 +931,24 @@ class TestImportGraph:
         )
         assert proc.stderr.splitlines()[-1] == "1 []"
         assert proc.stdout.startswith("accesses: ")
+
+    def test_each_input_file_is_opened_once(self, monkeypatch):
+        """Each stub and config file is read once, for its loader and for
+        the digest alike."""
+        case = load_case("listing3")
+        opened = collections.Counter()
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened[str(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        code, out, _ = invoke(case_options("listing3", STACK, format="json"))
+        monkeypatch.undo()
+        assert code == 1 and json.loads(out)["digest"]
+        files = [str(p) for p in (*case.stub_files, *STACK, *case.java_files)]
+        assert {f: opened[f] for f in files} == dict.fromkeys(files, 1)
 
     @pytest.mark.parametrize("mode", ["analyze", "stats"])
     def test_json_digest_is_the_input_digest(self, mode):
