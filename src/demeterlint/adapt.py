@@ -182,10 +182,6 @@ class _BadRule(Exception):
     """A malformed rule; ``_parse_rule`` prefixes the document and rule id."""
 
 
-#: The value of a list field a rule leaves out.
-_NO_ITEMS: list = []
-
-
 def _string(raw: dict, key: str, default: str = "") -> str:
     value = raw.get(key, default)
     if not isinstance(value, str):
@@ -199,14 +195,10 @@ def _is_layer(value) -> bool:
 
 
 def _str_tuple(raw: dict, key: str, rule_id: str) -> tuple[str, ...]:
-    value = raw.get(key, _NO_ITEMS)
-    if isinstance(value, list):
-        for x in value:
-            if not isinstance(x, str):
-                break
-        else:
-            return tuple(value)
-    raise ConfigError(f"{rule_id}.{key}: expected a list of strings")
+    value = raw.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ConfigError(f"{rule_id}.{key}: expected a list of strings")
+    return tuple(value)
 
 
 def _type_names(names: Iterable[str], key: str, rule_id: str, parsed: set[str]) -> None:
@@ -287,7 +279,7 @@ def _load_switch(raw: dict, rule_id: str, parsed: set[str]) -> dict:
 def _load_aggregation(raw: dict, rule_id: str, parsed: set[str]) -> dict:
     kw = {
         "field_map": _records(
-            raw.get("field_map", _NO_ITEMS),
+            raw.get("field_map", []),
             ("type", "field", "element"),
             "field_map entries need string type/field/element",
         ),
@@ -369,7 +361,7 @@ def load_config(documents: Sequence[str | Path | Document]) -> LayeredConfig:
         seen_layers.add(doc_layer)
         next_layer = doc_layer + 1
         layer_names.append((doc_layer, doc.get("name", f"layer-{doc_layer}")))
-        raw_rules = doc.get("rules", _NO_ITEMS)
+        raw_rules = doc.get("rules", [])
         if not isinstance(raw_rules, list):
             raise ConfigError(f"{context}: rules must be a list")
         parsed: set[str] = set()

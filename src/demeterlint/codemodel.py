@@ -656,9 +656,6 @@ def json_document(
 _DECL_KINDS = {k.value: k for k in DeclKind}
 _MEMBER_KINDS = {k.value: k for k in MemberKind}
 
-#: The value of a list field a stub leaves out.
-_NO_ITEMS: list = []
-
 
 class _BadField(Exception):
     """A malformed stub field; the caller prefixes where it is."""
@@ -694,19 +691,20 @@ def _stub_member(owner: str, raw, refs: _Refs) -> MemberDecl:
     kind = _MEMBER_KINDS.get(value) if isinstance(value, str) else None
     if kind is None:
         raise _stub_error(f"bad member in {owner}: {value!r} is not a valid MemberKind")
-    get = raw.get
     try:
-        declared = get("type", "void")
+        declared = raw.get("type", "void")
         if not isinstance(declared, str):
             raise _BadField("'type' must be a string")
         declared = refs[declared]
-        params = _stub_refs(raw["params"], "params", refs) if "params" in raw else ()
+        params = ()
+        if "params" in raw:
+            params = _stub_refs(raw["params"], "params", refs)
         if params and kind is MemberKind.FIELD:
             raise _stub_error(f"field {owner}.{name} must not list params")
-        is_static = get("static", False)
+        is_static = raw.get("static", False)
         if not isinstance(is_static, bool):
             raise _BadField("'static' must be true or false")
-        visibility = get("visibility", "public")
+        visibility = raw.get("visibility", "public")
         if not isinstance(visibility, str):
             raise _BadField("'visibility' must be a string")
     except _BadField as exc:
@@ -722,7 +720,7 @@ def load_stubs(source: str | Path | Document) -> TypeTable:
     distinct type-name string is parsed once per document.
     """
     origin, doc = json_document(source, STUB_SCHEMA, _stub_error)
-    raw_types = doc.get("types", _NO_ITEMS)
+    raw_types = doc.get("types", [])
     if not isinstance(raw_types, list):
         raise _stub_error(f"{origin}: 'types' must be a list")
     refs = _Refs()
@@ -737,8 +735,10 @@ def load_stubs(source: str | Path | Document) -> TypeTable:
             kind = _DECL_KINDS.get(value) if isinstance(value, str) else None
             if kind is None:
                 raise _BadField(f"{value!r} is not a valid DeclKind")
-            supers = _stub_refs(raw["supertypes"], "supertypes", refs) if "supertypes" in raw else ()
-            raw_members = raw.get("members", _NO_ITEMS)
+            supers = ()
+            if "supertypes" in raw:
+                supers = _stub_refs(raw["supertypes"], "supertypes", refs)
+            raw_members = raw.get("members", [])
             if not isinstance(raw_members, list):
                 raise _BadField("'members' must be a list")
         except _BadField as exc:

@@ -785,7 +785,8 @@ class TestImplementors:
         reaches the unknown type, though it shares its name."""
         source = "package p;\nclass A { Gone g; }\nclass B extends A { }\n"
         table, exes = front(source, stubs=(OBJECT_STUB,), mode=ResolutionMode.LENIENT)
-        table.add(TypeDecl(TypeRef("p.U"), DeclKind.CLASS, (unknown_type("Gone"),), (), Origin.STUB))
+        gone = (unknown_type("Gone"),)
+        table.add(TypeDecl(TypeRef("p.U"), DeclKind.CLASS, gone, (), Origin.STUB))
         adapter = Adapter(exes, table, EMPTY_CONFIG)
         names = ["Gone", "p.U", "p.A"]
         got = {name: adapter._implementors(name) for name in names}

@@ -109,6 +109,10 @@ class TestExitCodes:
         assert code == 0
 
 
+#: The CLI option of each kind of JSON document, and its diagnostic code.
+DOCUMENT_KINDS = [("stub_paths", "E-STUB"), ("config_paths", "E-CONFIG")]
+
+
 class TestLoadErrors:
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "Bad.java"
@@ -215,7 +219,7 @@ class TestLoadErrors:
         assert (code, out) == (2, b"")
         assert err == f"E-PARSE: cannot decode {src} as UTF-8\n"
 
-    @pytest.mark.parametrize("key, prefix", [("stub_paths", "E-STUB"), ("config_paths", "E-CONFIG")])
+    @pytest.mark.parametrize("key, prefix", DOCUMENT_KINDS)
     def test_non_utf8_document(self, tmp_path, key, prefix):
         src = tmp_path / "A.java"
         src.write_text("class A { }")
@@ -225,7 +229,7 @@ class TestLoadErrors:
         assert (code, out) == (2, b"")
         assert err == f"{prefix}: cannot decode {bad} as UTF-8\n"
 
-    @pytest.mark.parametrize("key, prefix", [("stub_paths", "E-STUB"), ("config_paths", "E-CONFIG")])
+    @pytest.mark.parametrize("key, prefix", DOCUMENT_KINDS)
     def test_document_nested_too_deep(self, tmp_path, key, prefix):
         src = tmp_path / "A.java"
         src.write_text("class A { }")

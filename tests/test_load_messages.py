@@ -206,7 +206,8 @@ def test_a_repeated_equal_type_is_kept_once(tmp_path):
     src.write_text("package p;\nclass A { void f(B b) { b.g(); } }")
     stub = tmp_path / "stubs.json"
     method = {"name": "g", "kind": "method"}
-    stub.write_text(_types({"name": "p.B", "members": [method]}, {"name": "p.B", "members": [method]}))
+    twice = {"name": "p.B", "members": [method]}
+    stub.write_text(_types(twice, twice))
     out, err = io.BytesIO(), io.StringIO()
     code = run(RunOptions(source_paths=(src,), stub_paths=(stub,), format="json"), out, err)
     assert (code, err.getvalue()) == (0, "")
@@ -223,7 +224,10 @@ CONFIG_CASES = {
         "E-CONFIG: {p}: not valid JSON: Expecting property name enclosed in double quotes: "
         "line 1 column 2 (char 1)",
     ),
-    "wrong-schema": (['{"schema": "wrong"}'], "E-CONFIG: {p}: expected schema demeterlint-config/1"),
+    "wrong-schema": (
+        ['{"schema": "wrong"}'],
+        "E-CONFIG: {p}: expected schema demeterlint-config/1",
+    ),
     "not-an-object": (["[1]"], "E-CONFIG: {p}: expected schema demeterlint-config/1"),
     "layer-negative": (
         [json.dumps({**CONFIG, "layer": -1})],
