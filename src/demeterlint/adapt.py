@@ -546,7 +546,6 @@ class Adapter:
         self._effective_cache: dict[tuple[str, int, frozenset[str]], FriendSet] = {}
         self._universal_cache: dict[str, Contribution] = {}
         self._implementors_cache: dict[str, tuple[str, ...]] = {}
-        self._subtypes: Optional[dict[TypeRef, list[TypeRef]]] = None
         self._package_cache: dict[str, tuple[str, ...]] = {}
         self._ctor_param_cache: dict[str, Contribution] = {}
         self._agg_cache: dict[tuple[str, str], Contribution] = {}
@@ -579,29 +578,9 @@ class Adapter:
         return got
 
     def _implementors(self, interface: str) -> tuple[str, ...]:
-        """The declared types whose closure holds ``interface``, by name:
-        those the subtype index reaches from it, itself included."""
         got = self._implementors_cache.get(interface)
         if got is None:
-            if self._subtypes is None:
-                self._subtypes = self.table.subtypes()
-            subtypes = self._subtypes
-            target = parse_type_name(interface)
-            reached = {target}
-            work = [target]
-            while work:
-                for sub in subtypes.get(work.pop(), ()):
-                    if sub not in reached:
-                        reached.add(sub)
-                        work.append(sub)
-            table = self.table
-            got = tuple(
-                sorted(
-                    ref.name
-                    for ref in reached
-                    if (decl := table.get(ref.name)) is not None and decl.ref == ref
-                )
-            )
+            got = self.table.declared_subtypes(parse_type_name(interface))
             self._implementors_cache[interface] = got
         return got
 

@@ -295,10 +295,11 @@ class TypeTable(Struct):
     Also the interning of closures: ``_bits`` gives each type met a bit
     position (``_types`` is the reverse), and ``_masks`` memoizes each type's
     closure mask until the next ``add``.  ``_members`` memoizes, the same
-    way, the member each type offers its subtypes (see ``_inherited``).
+    way, the member each type offers its subtypes (see ``_inherited``), and
+    ``_below`` the closure's steps read backwards (see ``declared_subtypes``).
     """
 
-    __slots__ = ("_decls", "_bits", "_types", "_masks", "_members")
+    __slots__ = ("_decls", "_bits", "_types", "_masks", "_members", "_below")
     _fields = ("_decls",)
 
     def __init__(self, _decls: dict[str, TypeDecl] | None = None) -> None:
@@ -307,6 +308,7 @@ class TypeTable(Struct):
         self._types: list[TypeRef] = []
         self._masks: dict[TypeRef, int] = {}
         self._members: dict[tuple[str, str, int | None], MemberDecl | None] = {}
+        self._below: dict[TypeRef, list[TypeRef]] | None = None
 
     def __contains__(self, name: str) -> bool:
         return name in self._decls
@@ -329,6 +331,7 @@ class TypeTable(Struct):
         """Add a declaration whose members are already checked."""
         self._masks.clear()
         self._members.clear()
+        self._below = None
         existing = self._decls.get(decl.name)
         if existing is not None:
             if existing.structurally_equal(decl):
@@ -444,38 +447,72 @@ class TypeTable(Struct):
                 mask |= done
                 continue
             mask |= 1 << self.bit(ref)
-            work += self._steps(ref)
+            if ref.kind is TypeKind.ARRAY:
+                mask |= 1 << self.bit(ARRAYS)
+                assert ref.element is not None
+                if not ref.element.is_primitive:
+                    work.append(ref.element)
+                continue
+            if ref.kind is not TypeKind.DECLARED or ref == ARRAYS:
+                continue
+            decl = self._decls.get(ref.name)
+            if decl is not None:
+                work.extend(decl.supertypes)
+            if ref.name != OBJECT_NAME:
+                work.append(_OBJECT)
         return mask
 
-    def _steps(self, ref: TypeRef) -> list[TypeRef]:
-        """The types one step of a closure walk leads to from ``ref``: an
-        array's element and the array pseudo-type; a declared type's
-        supertypes and ``java.lang.Object``."""
-        if ref.kind is TypeKind.ARRAY:
-            assert ref.element is not None
-            return [ARRAYS] if ref.element.is_primitive else [ref.element, ARRAYS]
-        if ref.kind is not TypeKind.DECLARED or ref == ARRAYS:
-            return []
-        decl = self._decls.get(ref.name)
-        steps = list(decl.supertypes) if decl is not None else []
-        if ref.name != OBJECT_NAME:
-            steps.append(_OBJECT)
-        return steps
-
-    def subtypes(self) -> dict[TypeRef, list[TypeRef]]:
-        """Every type the declarations' closures reach, mapped to the types
-        one closure step below it: the closure walk read backwards."""
-        below: dict[TypeRef, list[TypeRef]] = {}
-        seen: set[TypeRef] = set()
-        work = [decl.ref for decl in self._decls.values()]
+    def declared_subtypes(self, target: TypeRef) -> tuple[str, ...]:
+        """The names, sorted, of the declared types whose closure holds
+        ``target``: those the steps of ``_close``'s walk lead from to it,
+        found by walking them backwards from it."""
+        if self._below is None:
+            self._below = self._steps_below()
+        below = self._below
+        reached = {target}
+        work = [target]
         while work:
-            ref = work.pop()
+            for sub in below.get(work.pop(), ()):
+                if sub not in reached:
+                    reached.add(sub)
+                    work.append(sub)
+        # Every declaration's closure holds java.lang.Object, but for one
+        # named like the array pseudo-type.
+        everything = _OBJECT in reached
+        return tuple(
+            sorted(
+                decl.name
+                for decl in self._decls.values()
+                if decl.ref in reached or (everything and decl.ref != ARRAYS)
+            )
+        )
+
+    def _steps_below(self) -> dict[TypeRef, list[TypeRef]]:
+        """Each type a step of ``_close``'s walk from a declaration reaches,
+        mapped to the types the step is taken from.  The steps to
+        ``java.lang.Object`` are left out: every declared type takes one."""
+        below: dict[TypeRef, list[TypeRef]] = {}
+        arrays = []
+        for decl in self._decls.values():
+            if decl.ref == ARRAYS:
+                continue  # the walk takes no step from the pseudo-type
+            for sup in decl.supertypes:
+                below.setdefault(sup, []).append(decl.ref)
+                if sup.kind is TypeKind.ARRAY:
+                    arrays.append(sup)
+        seen: set[TypeRef] = set()
+        while arrays:
+            ref = arrays.pop()
             if ref in seen:
                 continue
             seen.add(ref)
-            for sup in self._steps(ref):
-                below.setdefault(sup, []).append(ref)
-                work.append(sup)
+            below.setdefault(ARRAYS, []).append(ref)
+            element = ref.element
+            assert element is not None
+            if not element.is_primitive:
+                below.setdefault(element, []).append(ref)
+                if element.kind is TypeKind.ARRAY:
+                    arrays.append(element)
         return below
 
     def types_in(self, mask: int) -> frozenset[TypeRef]:

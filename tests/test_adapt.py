@@ -793,6 +793,26 @@ class TestImplementors:
         assert got == {name: naive_implementors(table, name) for name in names}
         assert got == {"Gone": (), "p.U": ("p.U",), "p.A": ("p.A", "p.B")}
 
+    def test_a_stub_may_declare_anything(self):
+        """Names the analyzed dialect never declares: the array pseudo-type,
+        a type listing it, and a ``java.lang.Object`` with a supertype."""
+        stub = json.dumps({
+            "schema": "demeterlint-stubs/1",
+            "types": [
+                {"name": "<arrays>", "supertypes": ["q.X"]},
+                {"name": "q.Arr", "supertypes": ["<arrays>"]},
+                {"name": "java.lang.Object", "supertypes": ["q.Top"]},
+                {"name": "q.Top"},
+            ],
+        })
+        table, exes = front("package p;\nclass A { }\n", stubs=(stub,))
+        adapter = Adapter(exes, table, EMPTY_CONFIG)
+        names = [d.name for d in table] + ["q.X", "q.Missing"]
+        got = {name: adapter._implementors(name) for name in names}
+        assert got == {name: naive_implementors(table, name) for name in names}
+        assert got["q.Top"] == ("java.lang.Object", "p.A", "q.Arr", "q.Top")
+        assert got["<arrays>"] == ("<arrays>", "q.Arr")
+
     def test_every_corpus_type(self, corpus_case):
         table, exes = build_case_front(corpus_case)
         adapter = Adapter(exes, table, EMPTY_CONFIG)
