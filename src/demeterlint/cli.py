@@ -1,17 +1,19 @@
 """Command line front end: the only process boundary.
 
 Exit codes: 0 when remaining candidate true positives fit under the
-threshold, 1 when they exceed it, 2 when anything failed to load (each such
-failure printed to standard error as one greppable ``E-XXX:`` line).
-Standard output carries nothing but the requested artifact.
+threshold, 1 when they exceed it, 2 when anything failed to load or the
+artifact could not be written (each such failure printed to standard error
+as one greppable ``E-XXX:`` line).  Standard output carries nothing but the
+requested artifact.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import __version__
 from .adapt import Adapter, Verdict, load_config, config_warnings
@@ -21,7 +23,7 @@ from .javafront import SourceError, bind_and_extract, build_type_table, parse_un
 from .records import Struct
 from .report import build_report, render, render_chain, render_stats
 
-__all__ = ["RunOptions", "main", "read_source", "run"]
+__all__ = ["RunOptions", "entry", "main", "read_source", "run"]
 
 
 class RunOptions(Struct):
@@ -161,7 +163,7 @@ def _seed_lines(fs: FriendSet) -> list[str]:
     return [f"  {t.name}  [{', '.join(roles)}]" for t, roles in fs.seeds]
 
 
-def _explain(loaded: _Loaded, adapter: Adapter, verdicts, site_id: str, out) -> int:
+def _explain(loaded: _Loaded, adapter: Adapter, verdicts, site_id: str) -> bytes:
     by_site = {v.violation.site.site_id: v for v in verdicts}
     site = None
     owner = None
@@ -215,8 +217,22 @@ def _explain(loaded: _Loaded, adapter: Adapter, verdicts, site_id: str, out) -> 
     else:
         hint = f" (hint: {verdict.hint})" if verdict.hint else ""
         lines.append(f"verdict: remaining: {verdict.status}{hint}")
-    out.write(("\n".join(lines) + "\n").encode("utf-8"))
-    return 0
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _cannot_write(err, exc: OSError) -> int:
+    err.write(_line(f"E-OUTPUT: cannot write standard output: {exc}"))
+    return 2
+
+
+def _emit(out, err, artifact: bytes, code: int) -> int:
+    """Write the artifact and return ``code``; a stream that cannot be
+    written, such as a pipe whose reader has gone, gives exit 2."""
+    try:
+        out.write(artifact)
+    except OSError as exc:
+        return _cannot_write(err, exc)
+    return code
 
 
 def run(options: RunOptions, out=None, err=None) -> int:
@@ -259,10 +275,11 @@ def _run(options: RunOptions, out, err) -> int:
 
     if options.mode == "explain":
         try:
-            return _explain(loaded, adapter, verdicts, options.site, out)
+            artifact = _explain(loaded, adapter, verdicts, options.site)
         except LoadError as exc:
             _diag(err, exc)
             return 2
+        return _emit(out, err, artifact, 0)
 
     # The report reads neither the adapter's caches nor the type table, so
     # both are freed before it is built.
@@ -272,11 +289,10 @@ def _run(options: RunOptions, out, err) -> int:
         loaded.executables, verdicts, loaded.config, inputs=loaded.inputs
     )
     if options.mode == "stats":
-        out.write(render_stats(report, options.format))
-        return 0
+        return _emit(out, err, render_stats(report, options.format), 0)
 
-    out.write(render(report, options.format))
-    return 0 if _tp_count(verdicts) <= options.fail_threshold else 1
+    code = 0 if _tp_count(verdicts) <= options.fail_threshold else 1
+    return _emit(out, err, render(report, options.format), code)
 
 
 def _build_parser():
@@ -330,5 +346,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return run(options)
 
 
+def entry() -> NoReturn:
+    """The process: ``main``, then flush both streams and end at once.
+
+    ``os._exit`` skips interpreter finalization, which would free every
+    object and module one by one after the work is done.  Nothing else
+    needs it: a pass leaves no file open (sources, stubs and configs are
+    read whole), starts no thread or process and registers no ``atexit``
+    handler.  An exception out of ``main``, argparse's ``SystemExit``
+    included, takes the interpreter's usual exit.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = _cannot_write(sys.stderr, exc)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -2,7 +2,8 @@
 
 Each run's exit code, stdout bytes and stderr bytes must equal what
 ``main`` gives for the same argv in-process, whatever the mode, the format
-or the size of the report.
+or the size of the report.  Standard output that cannot be written is one
+``E-OUTPUT`` line and exit 2.
 """
 
 import importlib.util
@@ -22,11 +23,11 @@ from conftest import OBJECT_STUB, load_case
 SRC = str(Path(importlib.util.find_spec("demeterlint").origin).parents[1])
 
 
-def child(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+def child(argv: list[str], environ=os.environ, **kwargs) -> subprocess.CompletedProcess:
     """Run the command line in a fresh interpreter that imports this
-    package from source."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    package from source, with ``environ`` as its environment otherwise."""
+    path = environ.get("PYTHONPATH")
+    env = dict(environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.run(
         [sys.executable, "-m", "demeterlint.cli", *argv],
@@ -137,3 +138,27 @@ class TestSameAsInProcess:
         assert len(out) > 1 << 20
         assert json.loads(out)["totals"]["potential_violations"] == 2500
 
+
+class TestClosedStdout:
+    """Standard output is a pipe whose reader has gone, so the report cannot
+    be written; CI must be able to tell that from findings.  Buffered, the
+    json report is larger than the buffer and fails at the write, the text
+    report at the final flush; unbuffered, both fail at the write."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_one_output_error(self, fmt, unbuffered):
+        environ = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            environ["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = child(listing3_argv("--format", fmt), environ, stdout=write)
+        finally:
+            os.close(write)
+        lines = proc.stderr.decode().splitlines()
+        assert proc.returncode == 2
+        assert [line for line in lines if not line.startswith("W-CONFIG: ")] == [
+            "E-OUTPUT: cannot write standard output: [Errno 32] Broken pipe"
+        ]
