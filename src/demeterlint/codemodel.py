@@ -358,20 +358,23 @@ class TypeTable(Struct):
     def validate(self) -> None:
         """Check supertype sanity: acyclic everywhere, resolvable for source.
 
-        Stub declarations may name supertypes that are not in the table;
-        such references simply close to themselves.
+        Stub declarations may name supertypes that are not in the table, and
+        lenient binding types a source supertype it cannot resolve as
+        unknown; such references simply close to themselves.
         """
         for decl in self:
             if decl.origin is Origin.SOURCE:
                 for sup in decl.supertypes:
-                    if sup.name not in self._decls:
+                    if sup.kind is not TypeKind.UNKNOWN and sup.name not in self._decls:
                         raise LoadError(
                             "E-BIND",
                             f"{decl.name}: supertype {sup.name} is not declared",
                         )
         # Depth-first over supertype edges with an explicit stack: ``trail``
         # holds the names being visited (state 1), ``pending`` each one's
-        # supertypes not yet visited; finished names get state 2.
+        # supertypes not yet visited; finished names get state 2.  An
+        # unknown type is no edge, though a declaration may share its name:
+        # closures do not walk past it either.
         state: dict[str, int] = {}
         for root in self._decls:
             if root in state:
@@ -384,6 +387,8 @@ class TypeTable(Struct):
                 if sup is None:
                     pending.pop()
                     state[trail.pop()] = 2
+                    continue
+                if sup.kind is TypeKind.UNKNOWN:
                     continue
                 mark = state.get(sup.name)
                 if mark == 1:

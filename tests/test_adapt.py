@@ -14,10 +14,7 @@ from demeterlint.adapt import (
     load_config,
 )
 from demeterlint.codemodel import (
-    DeclKind,
-    Origin,
     ResolutionMode,
-    TypeDecl,
     TypeRef,
     parse_type_name,
     unknown_type,
@@ -779,14 +776,12 @@ class TestImplementors:
         assert got["q.Shim"] == ("p.S", "q.Odd", "q.Shim")
 
     def test_lenient_unknown_supertype(self):
-        """Lenient resolution types an unresolved name as unknown.  The
-        binder still rejects an unresolved supertype of a source type, so
-        the declaration holding one is entered by hand: no declared name
-        reaches the unknown type, though it shares its name."""
-        source = "package p;\nclass A { Gone g; }\nclass B extends A { }\n"
+        """Lenient resolution types an unresolved name as unknown, a
+        supertype too: no declared name reaches the unknown type, though it
+        shares its name."""
+        source = "package p;\nclass A { Gone g; }\nclass B extends A { }\nclass U extends Gone { }\n"
         table, exes = front(source, stubs=(OBJECT_STUB,), mode=ResolutionMode.LENIENT)
-        gone = (unknown_type("Gone"),)
-        table.add(TypeDecl(TypeRef("p.U"), DeclKind.CLASS, gone, (), Origin.STUB))
+        assert table.get("p.U").supertypes == (unknown_type("Gone"),)
         adapter = Adapter(exes, table, EMPTY_CONFIG)
         names = ["Gone", "p.U", "p.A"]
         got = {name: adapter._implementors(name) for name in names}

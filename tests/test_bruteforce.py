@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from demeterlint.adapt import Adapter, load_config
+from demeterlint.codemodel import ResolutionMode, unknown_type
 from demeterlint.demeter import check_site, detect
 from demeterlint.presets import STACK
 
@@ -87,6 +88,40 @@ class TestRandomEquivalence:
         config = load_config([str(p) for p in STACK])
         problems = compare_project(executables, table, config)
         assert problems == []
+
+
+#: Lenient binding of supertypes that resolve to nothing: ``Gone`` and
+#: ``Nope`` are unknown types that close to themselves.
+UNKNOWN_SUPERTYPE_SOURCE = (
+    "package p; interface I { C c(); } class C { void f() { } } "
+    "class G extends Gone implements I { public C c() { return null; } } "
+    "class H extends G implements Nope { void m(G g, Gone x) { g.c().f(); x.y().z(); } } "
+    "class D { G g() { return null; } void n() { g().c().f(); new H().c().f(); } }"
+)
+UNKNOWN_SUPERTYPE_CONFIG = [
+    json.dumps({"schema": "demeterlint-config/1", "layer": layer, "rules": rules})
+    for layer, rules in enumerate([
+        [{"id": "T1", "kind": "universal-friend-types", "implementors_of": ["p.I"]}],
+        [
+            {"id": "T2", "kind": "universal-friend-types", "types": ["Gone"]},
+            {"id": "I1", "kind": "friend-implication", "pairs": [["p.G", "p.C"]]},
+        ],
+    ])
+]
+
+
+class TestLenientUnknownSupertypes:
+    def test_engine_agrees_with_the_oracle(self):
+        table, executables = build_front(
+            [("A.java", UNKNOWN_SUPERTYPE_SOURCE)], [OBJECT_STUB], ResolutionMode.LENIENT
+        )
+        assert table.get("p.G").supertypes[0] == unknown_type("Gone")
+        config = load_config(UNKNOWN_SUPERTYPE_CONFIG)
+        adapter = Adapter(executables, table, config)
+        violations = [v for ex in executables for v in detect(ex, adapter.base[ex.id])]
+        assert len(violations) >= 3
+        assert {v.outcome for v in adapter.classify(violations)} == {"silenced", "remaining"}
+        assert compare_project(executables, table, config) == []
 
 
 #: A violation in an anonymous body that only grants to the enclosing

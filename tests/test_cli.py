@@ -138,6 +138,31 @@ class TestLoadErrors:
         assert (code, err) == (0, "")
 
     @pytest.mark.parametrize(
+        "decl",
+        ["class A extends Gone { }", "class A implements Nope { }", "interface A extends Gone { }"],
+    )
+    def test_lenient_tolerates_unresolved_supertypes(self, tmp_path, decl):
+        """An unresolved supertype is unknown under --lenient, and a
+        positioned E-BIND error under --strict."""
+        src = tmp_path / "A.java"
+        src.write_text(f"package p;\n{decl}\n")
+        lenient = RunOptions(source_paths=(src,), resolution=ResolutionMode.LENIENT)
+        assert invoke(lenient)[0::2] == (0, "")
+        code, out, err = invoke(RunOptions(source_paths=(src,)))
+        name = decl.split()[-3]
+        column = decl.index(name) + 1
+        assert (code, out, err) == (2, b"", f"E-BIND: {src}:2:{column}: unknown type '{name}'\n")
+
+    def test_lenient_unknown_supertype_named_like_a_declaration(self, tmp_path):
+        """``Gone`` of the unnamed package is not in scope in ``p``, so
+        lenient binding types p.A's supertype as unknown: no edge, and so
+        no cycle through the declaration that shares its name."""
+        (tmp_path / "Gone.java").write_text("class Gone extends p.A { }\n")
+        (tmp_path / "A.java").write_text("package p;\npublic class A extends Gone { }\n")
+        lenient = RunOptions(source_paths=(tmp_path,), resolution=ResolutionMode.LENIENT)
+        assert invoke(lenient)[0::2] == (0, "")
+
+    @pytest.mark.parametrize(
         "rule",
         [
             {"kind": "universal-friend-members", "member_predicate": ["public-static"]},
