@@ -851,12 +851,27 @@ class Adapter:
         exemption does not match the site, and an implication none of whose
         premises is in the undisabled set at k: disabling rules only shrinks
         the mask, so it never fires.
+
+        When the undisabled set at k holds no implication pair, a granting
+        rule whose grant to each of those executables lacks the receiver is
+        left out as well.  Disabled, it leaves the receiver's bit and the
+        exemptions as they were, so the site stays silenced; alone at k, it
+        adds no bit that silences, so the site stays as at the previous
+        layer, where it is not silenced.
         """
         ex = self.by_id[v.executable_id]
-        share = self._prefix(ex, bisect_right(self.config.layer_indices, k))[4]
+        _, _, implications, _, share = self._prefix(
+            ex, bisect_right(self.config.layer_indices, k)
+        )
+        in_mask = self.table.in_mask
+        receiver = v.receiver_type
         relevant = set()
         while True:
-            relevant.update(r.rule_id for r, _, _ in self._active(ex, k))
+            relevant.update(
+                r.rule_id
+                for r, granted, granted_mask in self._active(ex, k)
+                if granted is None or implications or in_mask(granted_mask, receiver)
+            )
             if share is None or ex.enclosing_executable is None:
                 break
             ex = self.by_id[ex.enclosing_executable]

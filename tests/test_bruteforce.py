@@ -124,6 +124,62 @@ class TestLenientUnknownSupertypes:
         assert compare_project(executables, table, config) == []
 
 
+#: Violations of ``p.T.f`` in an executable and in an anonymous body inside
+#: it, under layers of universal-friend-types rules, most of which grant
+#: types other than the receiver.
+FRIEND_TYPES_SOURCE = (
+    "package p; interface R { void go(); } class T { void f() { } } class X { } "
+    "class H { T t() { return null; } } "
+    "class A { void m(H h) { h.t().f(); R r = new R() { public void go() { H g = null; g.t().f(); } }; } }"
+)
+
+
+def friend_types_config(*layers):
+    return load_config([
+        json.dumps({"schema": "demeterlint-config/1", "layer": layer, "rules": rules})
+        for layer, rules in enumerate(layers)
+    ])
+
+
+def friend_types(prefix: str, *types: str) -> list[dict]:
+    return [
+        {"id": f"{prefix}{j}", "kind": "universal-friend-types", "types": [t]}
+        for j, t in enumerate(types)
+    ]
+
+
+class TestFriendTypesThatMissTheReceiver:
+    """Attribution leaves out a granting rule whose grants lack the
+    receiver only while no implication can turn a grant into it."""
+
+    @pytest.mark.parametrize("layers, credits", [
+        # Only the last rule grants p.T.
+        ([friend_types("U", "p.H", "p.X", "p.H", "p.T")],
+         [("U3", ()), ("U0", ("U2",)), ("U3", ())]),
+        # Two rules grant p.T: neither is necessary, each suffices alone.
+        ([friend_types("U", "p.T", "p.H", "p.T")],
+         [("U0", ("U2",)), ("U1", ()), ("U0", ("U2",))]),
+        # An implication through layer k: granting p.X implies p.T.
+        ([[{"id": "I", "kind": "friend-implication", "pairs": [["p.X", "p.T"]]}],
+          friend_types("U", "p.H", "p.X", "p.H")],
+         [("U1", ()), ("U0", ("U2",)), ("U1", ())]),
+        # The enclosing executable's grant carried into the anonymous body.
+        ([[{"id": "S", "kind": "anon-inner-share"}],
+          friend_types("U", "p.H", "p.X")
+          + [{"id": "G", "kind": "executable-grant", "executables": ["p.A#m(H)"],
+              "grants": ["p.T"]}]],
+         [("G", ()), ("S", ()), ("G", ())]),
+    ])
+    def test_engine_agrees_with_the_oracle(self, layers, credits):
+        table, executables = build_front([("A.java", FRIEND_TYPES_SOURCE)], [OBJECT_STUB])
+        config = friend_types_config(*layers)
+        adapter = Adapter(executables, table, config)
+        violations = [v for ex in executables for v in detect(ex, adapter.base[ex.id])]
+        verdicts = adapter.classify(violations)
+        assert [(v.rule_id, v.also_matched) for v in verdicts] == credits
+        assert compare_project(executables, table, config) == []
+
+
 #: A violation in an anonymous body that only grants to the enclosing
 #: ``p.A#m()`` silence, through an enabled anon-inner-share of layer 0.  G1
 #: and G2 each suffice alone; U grants the anonymous body itself.

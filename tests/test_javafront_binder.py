@@ -811,6 +811,96 @@ def _chain_sites(chain, sites: list) -> tuple:
     return form, steps
 
 
+def site_rows(ex) -> list[tuple]:
+    """Each site of ``ex`` as (id, access kind, member, receiver type,
+    argument types)."""
+    return [
+        (
+            s.site_id,
+            s.access_kind,
+            s.member.name,
+            s.receiver.static_type.name,
+            tuple(t.name for t in s.arg_types),
+        )
+        for s in ex.body_accesses
+    ]
+
+
+class TestStatementAndOperatorForms:
+    """Valid forms that no corpus listing holds, pinned site by site."""
+
+    def test_unary_operators(self):
+        src = (
+            "package p;\n"
+            "class B { boolean ok() { return true; } int n() { return 1; } byte y; }\n"
+            "class C { void i(int v) { } void z(boolean v) { } }\n"
+            "class A { void m(B b, C c) { c.z(!b.ok()); c.i(~b.y); c.i(+b.n()); c.i(-b.y); } }"
+        )
+        _, exes = front(src)
+        # ``!`` types boolean; ``~``, ``+`` and ``-`` promote byte to int.
+        assert site_rows(by_id(exes)["p.A#m(B,C)"]) == [
+            ("p.A#m(B,C)@0001", "method-call", "z", "p.C", ("boolean",)),
+            ("p.A#m(B,C)@0002", "method-call", "ok", "p.B", ()),
+            ("p.A#m(B,C)@0003", "method-call", "i", "p.C", ("int",)),
+            ("p.A#m(B,C)@0004", "field-read", "y", "p.B", ()),
+            ("p.A#m(B,C)@0005", "method-call", "i", "p.C", ("int",)),
+            ("p.A#m(B,C)@0006", "method-call", "n", "p.B", ()),
+            ("p.A#m(B,C)@0007", "method-call", "i", "p.C", ("int",)),
+            ("p.A#m(B,C)@0008", "field-read", "y", "p.B", ()),
+        ]
+
+    def test_array_initializers(self):
+        src = (
+            "package p;\n"
+            "class B { C c() { return null; } }\n"
+            "class C { }\n"
+            "class A { void m(B b) {\n"
+            "  C[] cs = { b.c(), null };\n"
+            "  C[] ds = new C[] { b.c() };\n"
+            "  C[][] d = new C[][] { { b.c() }, cs };\n"
+            "} }"
+        )
+        _, exes = front(src)
+        ex = by_id(exes)["p.A#m(B)"]
+        assert site_rows(ex) == [
+            (f"p.A#m(B)@000{i}", "method-call", "c", "p.B", ()) for i in (1, 2, 3)
+        ]
+        assert [[(st.kind, st.label) for st in s.receiver.chain] for s in ex.body_accesses] == [
+            [("parameter", "b")]
+        ] * 3
+
+    def test_finally_block(self):
+        src = (
+            "package p;\n"
+            "class B { void f() { } void g() { } }\n"
+            "class A { void m(B b) { try { b.f(); } finally { b.g(); } } }"
+        )
+        _, exes = front(src)
+        assert site_rows(by_id(exes)["p.A#m(B)"]) == [
+            ("p.A#m(B)@0001", "method-call", "f", "p.B", ()),
+            ("p.A#m(B)@0002", "method-call", "g", "p.B", ()),
+        ]
+
+    def test_continue_in_loops(self):
+        src = (
+            "package p;\n"
+            "class B { boolean ok() { return true; } int n() { return 1; } }\n"
+            "class A { void m(B b) {\n"
+            "  while (b.ok()) { if (b.ok()) continue; b.n(); }\n"
+            "  for (int i = 0; i < b.n(); i++) { if (b.ok()) continue; b.n(); }\n"
+            "} }"
+        )
+        _, exes = front(src)
+        assert [row[:3] for row in site_rows(by_id(exes)["p.A#m(B)"])] == [
+            ("p.A#m(B)@0001", "method-call", "ok"),
+            ("p.A#m(B)@0002", "method-call", "ok"),
+            ("p.A#m(B)@0003", "method-call", "n"),
+            ("p.A#m(B)@0004", "method-call", "n"),
+            ("p.A#m(B)@0005", "method-call", "ok"),
+            ("p.A#m(B)@0006", "method-call", "n"),
+        ]
+
+
 class TestChainOrder:
     @settings(max_examples=150, deadline=None)
     @given(target=_chains, value=_chains, parens=st.booleans())

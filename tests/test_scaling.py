@@ -173,6 +173,24 @@ def test_classify_work_grows_linearly_in_rules_per_layer():
     assert large <= BOUND * small, f"many_rules: {small} -> {large} calls"
 
 
+def many_friend_types(n: int):
+    """One layer of n universal-friend-types rules, active in every
+    executable; only the last befriends ``p.T``, so it alone silences every
+    violation at any n."""
+    rules = [
+        {"id": f"U{j}", "kind": "universal-friend-types", "types": ["p.H"]}
+        for j in range(n - 1)
+    ]
+    rules.append({"id": "UT", "kind": "universal-friend-types", "types": ["p.T"]})
+    return load_config([json.dumps({"schema": "demeterlint-config/1", "layer": 0, "rules": rules})])
+
+
+def test_classify_work_grows_linearly_in_friend_type_rules():
+    small = _classify_work(MANY_VIOLATIONS, many_friend_types(50))
+    large = _classify_work(MANY_VIOLATIONS, many_friend_types(200))
+    assert large <= BOUND * small, f"many_friend_types: {small} -> {large} calls"
+
+
 def many_units(n: int) -> list[tuple[str, str]]:
     """n small units in a ring, each class naming the one before it."""
     files = []
