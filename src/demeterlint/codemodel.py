@@ -365,7 +365,7 @@ class TypeTable(Struct):
         for decl in self:
             if decl.origin is Origin.SOURCE:
                 for sup in decl.supertypes:
-                    if sup.kind is not TypeKind.UNKNOWN and sup.name not in self._decls:
+                    if sup.name not in self._decls and sup.kind is not TypeKind.UNKNOWN:
                         raise LoadError(
                             "E-BIND",
                             f"{decl.name}: supertype {sup.name} is not declared",
@@ -388,16 +388,15 @@ class TypeTable(Struct):
                     pending.pop()
                     state[trail.pop()] = 2
                     continue
-                if sup.kind is TypeKind.UNKNOWN:
-                    continue
                 mark = state.get(sup.name)
+                if mark == 2 or sup.kind is TypeKind.UNKNOWN:
+                    continue
                 if mark == 1:
                     cycle = " -> ".join(trail + [sup.name])
                     raise LoadError("E-STUB", f"cyclic supertypes: {cycle}")
-                if mark is None:
-                    state[sup.name] = 1
-                    trail.append(sup.name)
-                    pending.append(iter(self._supertypes_of(sup.name)))
+                state[sup.name] = 1
+                trail.append(sup.name)
+                pending.append(iter(self._supertypes_of(sup.name)))
 
     def _supertypes_of(self, name: str) -> tuple[TypeRef, ...]:
         decl = self._decls.get(name)
