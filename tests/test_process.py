@@ -71,8 +71,8 @@ def remaining_site(capfdbinary) -> str:
     return next(v["site"] for v in json.loads(out)["verdicts"] if v["outcome"] == "remaining")
 
 
-#: One class with many methods, each with one chain violation.
 def many_violations(n: int) -> str:
+    """One class of n methods, each with one chain violation."""
     methods = "".join(f"  void m{i}(B b) {{ b.c().f(); }}\n" for i in range(n))
     return (
         "package p;\n"
