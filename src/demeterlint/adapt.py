@@ -143,7 +143,7 @@ class LayeredConfig(Value):
     derived from them.
     """
 
-    __slots__ = ("rules", "layer_names", "layer_indices", "_at", "_through")
+    __slots__ = ("rules", "layer_names", "layer_indices", "_at")
     _fields = ("rules", "layer_names")
 
     def __init__(
@@ -155,12 +155,6 @@ class LayeredConfig(Value):
         layers = tuple(sorted({r.layer for r in rules}))
         self.layer_indices = layers
         self._at = {k: tuple(r for r in rules if r.layer == k) for k in layers}
-        # parallel to layer_indices
-        self._through = tuple(tuple(r for r in rules if r.layer <= k) for k in layers)
-
-    def rules_through(self, k: int) -> tuple[Rule, ...]:
-        i = bisect_right(self.layer_indices, k)
-        return self._through[i - 1] if i else ()
 
     def rules_at(self, k: int) -> tuple[Rule, ...]:
         return self._at.get(k, ())
@@ -489,7 +483,7 @@ class Adapter:
     Holds the caches that make classification cheap: the base sets that
     classify and explain read (detection does not keep its own), each rule's
     parsed payload and its contribution to each executable, per-class
-    constructor parameters, aggregation inference, and (executable, layer)
+    constructor parameters and field calls, and (executable, layer)
     effective sets, including ablated variants used for attribution.
     """
 
@@ -545,10 +539,7 @@ class Adapter:
         self._calls_cache: dict[str, dict[str, list[_Call]]] = {}
         self._effective_cache: dict[tuple[str, int, frozenset[str]], FriendSet] = {}
         self._universal_cache: dict[str, Contribution] = {}
-        self._implementors_cache: dict[str, tuple[str, ...]] = {}
-        self._package_cache: dict[str, tuple[str, ...]] = {}
         self._ctor_param_cache: dict[str, Contribution] = {}
-        self._agg_cache: dict[tuple[str, str], Contribution] = {}
         self._field_calls_cache: dict[str, tuple[tuple[str, tuple[TypeRef, ...]], ...]] = {}
         self._base_seeds_cache: dict[str, tuple[TypeRef, ...]] = {}
         self._executable_grant_rules = tuple(
@@ -570,27 +561,16 @@ class Adapter:
         got = self._universal_cache.get(rule.rule_id)
         if got is None:
             types = list(self._listed[rule.rule_id][0])
-            if rule.package_glob:
-                types += map(TypeRef, self._package_types(rule.package_glob))
+            glob = rule.package_glob
+            if glob:
+                # "java.lang.*" means direct members of java.lang, not subpackages.
+                pkg = glob[:-2] if glob.endswith(".*") else glob
+                types += map(
+                    TypeRef, sorted(d.name for d in self.table if _package_of(d.name) == pkg)
+                )
             for interface in rule.implementors_of:
-                types += map(TypeRef, self._implementors(interface))
+                types += map(TypeRef, self.table.declared_subtypes(parse_type_name(interface)))
             got = self._universal_cache[rule.rule_id] = self._close(types)
-        return got
-
-    def _implementors(self, interface: str) -> tuple[str, ...]:
-        got = self._implementors_cache.get(interface)
-        if got is None:
-            got = self.table.declared_subtypes(parse_type_name(interface))
-            self._implementors_cache[interface] = got
-        return got
-
-    def _package_types(self, glob: str) -> tuple[str, ...]:
-        got = self._package_cache.get(glob)
-        if got is None:
-            # "java.lang.*" means direct members of java.lang, not subpackages.
-            pkg = glob[:-2] if glob.endswith(".*") else glob
-            got = tuple(sorted(decl.name for decl in self.table if _package_of(decl.name) == pkg))
-            self._package_cache[glob] = got
         return got
 
     def _grant_ctor_params(self, ex: Executable, rule: Rule) -> Contribution:
@@ -609,18 +589,12 @@ class Adapter:
 
     def _grant_aggregation(self, ex: Executable, rule: Rule) -> Contribution:
         owner = ex.owner_type.name
-        got = self._agg_cache.get((owner, rule.rule_id))
-        if got is not None:
-            return got
         elements = [parse_type_name(element) for cls, _, element in rule.field_map if cls == owner]
         if rule.infer_via:
             for name, arg_types in self._field_calls(owner):
                 if name in rule.infer_via:
                     elements += arg_types
-        got = self._agg_cache[(owner, rule.rule_id)] = (
-            self._close(elements) if elements else _NOTHING
-        )
-        return got
+        return self._close(elements) if elements else _NOTHING
 
     def _field_calls(self, owner: str) -> tuple[tuple[str, tuple[TypeRef, ...]], ...]:
         """(method name, argument types) of every method call in ``owner``'s
@@ -767,8 +741,9 @@ class Adapter:
     ) -> FriendSet:
         """Cumulative friend set of one executable through layer k.
 
-        k = -1 is the base set.  ``disabled`` removes whole rules, which is
-        how attribution tests single-rule necessity.
+        Through a k below every configured layer (k = -1, say) it is the
+        base set itself.  ``disabled`` removes whole rules, which is how
+        attribution tests single-rule necessity.
 
         The set starts from the cached undisabled prefix through the layer
         before the first one that holds a disabled rule, and applies the
@@ -780,18 +755,15 @@ class Adapter:
         grants, their order and the implied grants are what one walk over
         every rule through k would give.
         """
-        if k < 0:
+        layers = self.config.layer_indices
+        if not layers or k < layers[0]:
             return self.base[exec_id]
         key = (exec_id, k, disabled)
         got = self._effective_cache.get(key)
         if got is not None:
             return got
 
-        rules = self.config.rules_through(k)
-        if len(disabled) >= len(rules) and disabled.issuperset(r.rule_id for r in rules):
-            return self.base[exec_id]
         ex = self.by_id[exec_id]
-        layers = self.config.layer_indices
         n = bisect_right(layers, k)
         position = self._position
         first = min((position[i] for i in disabled if i in position), default=n)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NoReturn, Optional, Sequence
 
 from . import __version__
-from .adapt import Adapter, Verdict, load_config, config_warnings
+from .adapt import Adapter, load_config, config_warnings
 from .codemodel import Document, LoadError, ResolutionMode, TypeTable, load_stubs, read_document
 from .demeter import FriendSet, base_friend_set, detect
 from .javafront import SourceError, bind_and_extract, build_type_table, parse_unit
@@ -151,14 +151,6 @@ def _load(options: RunOptions, err) -> _Loaded:
     return _Loaded(table, executables, config, inputs)
 
 
-def _tp_count(verdicts: Sequence[Verdict]) -> int:
-    return sum(
-        1
-        for v in verdicts
-        if v.outcome == "remaining" and v.status == "candidate-true-positive"
-    )
-
-
 def _seed_lines(fs: FriendSet) -> list[str]:
     return [f"  {t.name}  [{', '.join(roles)}]" for t, roles in fs.seeds]
 
@@ -291,7 +283,8 @@ def _run(options: RunOptions, out, err) -> int:
     if options.mode == "stats":
         return _emit(out, err, render_stats(report, options.format), 0)
 
-    code = 0 if _tp_count(verdicts) <= options.fail_threshold else 1
+    tp = sum(r.tp_candidates for r in report.rows)
+    code = 0 if tp <= options.fail_threshold else 1
     return _emit(out, err, render(report, options.format), code)
 
 

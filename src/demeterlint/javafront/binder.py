@@ -1010,20 +1010,12 @@ class _BodyWalker:
             self.visit_expr_or_init(e.init)
         return _Value(t, ProvStep("new", t.name, t), "expression")
 
-    def _visit_ArrayInit(self, e: ast.ArrayInit) -> _Value:
-        self.visit_expr_or_init(e)
-        return _Value(unknown_type("<array-init>"), None, "expression")
-
     def _visit_Unary(self, e: ast.Unary) -> _Value:
         if e.op in ("++", "--"):
             return self._write_target(e.expr)
         v = self.visit_expr(e.expr)
-        if e.op == "!":
-            t: TypeRef = _PRIM["boolean"]
-        elif e.op in ("~", "+", "-"):
-            t = _promote_unary(v.type)
-        else:  # pragma: no cover
-            t = v.type
+        # The parser builds a Unary only for + - ! ~ ++ --.
+        t = _PRIM["boolean"] if e.op == "!" else _promote_unary(v.type)
         return _Value(t, ProvStep("literal", e.op, t), "expression")
 
     def _visit_Binary(self, e: ast.Binary) -> _Value:
@@ -1096,8 +1088,5 @@ def _binary_type(op: str, left: TypeRef, right: TypeRef) -> TypeRef:
         return right
     lrank = _NUMERIC_RANK.get(left.name, 0) if left.is_primitive else 0
     rrank = _NUMERIC_RANK.get(right.name, 0) if right.is_primitive else 0
-    best = max(lrank, rrank, 1)
-    for name, rank in _NUMERIC_RANK.items():
-        if rank == best and name in ("double", "float", "long", "int"):
-            return _PRIM[name]
-    return _PRIM["int"]
+    # byte, short and char promote to int at least
+    return _PRIM[("int", "long", "float", "double")[max(lrank, rrank, 1) - 1]]

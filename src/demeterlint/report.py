@@ -382,16 +382,9 @@ def _render_table(report: AnalysisReport) -> str:
         for j in report.layer_indices
     ]
     body.append(
-        ["total", str(report.potential_violations)] + totals_after + [
-            str(
-                sum(
-                    1
-                    for v in report.verdicts
-                    if v.outcome == "remaining"
-                    and v.status == "candidate-true-positive"
-                )
-            )
-        ]
+        ["total", str(report.potential_violations)]
+        + totals_after
+        + [str(sum(r.tp_candidates for r in report.rows))]
     )
     widths = [
         max(len(headers[i]), *(len(row[i]) for row in body)) if body else len(headers[i])

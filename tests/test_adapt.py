@@ -597,6 +597,81 @@ class TestEffectiveFriendSet:
             prev = closure
 
 
+class TestEveryRuleDisabled:
+    """A set with every rule through k disabled is the base set, built like
+    any other.  The necessity probe of a verdict credited at the first
+    layer, when that layer holds one rule, asks for such a set."""
+
+    SOURCE = (
+        "package p;\n"
+        "class A { B b;\n"
+        "  void m(D d) { b.mk().g(); d.e().f(); d.e().x(); b.mk().k();\n"
+        "    d.e().ff.z(); d.h().w(); }\n"
+        "  void n() { I r = new I() { public void run() { b.mk().g(); } }; }\n"
+        "}\n"
+        "class B { C mk() { return null; } }\n"
+        "class C { void g() { } void k() { } }\n"
+        "class D { E e() { return null; } H h() { return null; } }\n"
+        "class E { F ff; void f() { } void x() { } }\n"
+        "class F { void z() { } }\n"
+        "class H { void w() { } }\n"
+        "interface I { void run(); }\n"
+    )
+    # Layers 1 and 3: k = -1 and k = 0 lie below the first one.
+    CONFIG = (
+        doc(1, {"id": "R1", "kind": "call-grant", "matcher": [{"type": "p.B", "name": "mk"}]}),
+        doc(
+            3,
+            {"id": "R2", "kind": "universal-friend-types", "types": ["p.E"]},
+            {"id": "R3", "kind": "executable-grant", "executables": ["p.A#m(D)"],
+             "grants": ["p.E"]},
+            {"id": "R4", "kind": "universal-friend-members",
+             "member_pattern": {"type": "p.C", "name": "k"}},
+            {"id": "R5", "kind": "anon-inner-share"},
+            {"id": "R6", "kind": "friend-implication", "pairs": [["p.E", "p.F"]]},
+        ),
+    )
+
+    def test_equals_the_base_set(self):
+        config = cfg(*self.CONFIG)
+        adapter, _ = analyze([self.SOURCE], config)
+        for exec_id in adapter.by_id:
+            base = adapter.base[exec_id]
+            for k in (1, 2, 3, 9):
+                disabled = frozenset(r.rule_id for r in config.rules if r.layer <= k)
+                got = adapter.effective(exec_id, k, disabled)
+                assert (got.mask, got.grants, got.member_exemptions) == (base.mask, (), ())
+                assert got == base
+
+    def test_verdicts(self):
+        _, verdicts = analyze([self.SOURCE], cfg(*self.CONFIG))
+        got = [
+            (v.violation.site.site_id, v.outcome, v.layer, v.rule_id, v.also_matched)
+            for v in verdicts
+        ]
+        assert got == [
+            ("p.A#m(D)@0003", "silenced", 1, "R1", ()),
+            ("p.A#m(D)@0005", "silenced", 3, "R2", ("R3",)),
+            ("p.A#m(D)@0007", "silenced", 3, "R2", ("R3",)),
+            ("p.A#m(D)@0010", "silenced", 1, "R1", ()),
+            ("p.A#m(D)@0012", "silenced", 3, "R2", ("R3",)),
+            ("p.A#m(D)@0013", "silenced", 3, "R6", ()),
+            ("p.A#m(D)@0015", "remaining", None, None, ()),
+            ("p.A$anon1#run()@0001", "silenced", 3, "R5", ()),
+            ("p.A$anon1#run()@0002", "silenced", 3, "R5", ()),
+            ("p.A$anon1#run()@0003", "silenced", 1, "R1", ()),
+        ]
+
+    def test_below_the_first_layer_is_the_base_object(self):
+        table, exes = front(self.SOURCE)
+        adapter = Adapter(exes, table, cfg(*self.CONFIG))
+        base = adapter.base["p.A#m(D)"]
+        for k in (-1, 0):
+            assert adapter.effective("p.A#m(D)", k) is base
+            assert adapter.effective("p.A#m(D)", k, frozenset({"R1"})) is base
+        assert adapter.effective("p.A#m(D)", 1) != base
+
+
 class TestClassification:
     def test_smallest_layer_wins(self):
         config = cfg(
@@ -722,7 +797,8 @@ def naive_implementors(table, name: str) -> tuple[str, ...]:
 
 
 class TestImplementors:
-    """``Adapter._implementors`` walks a subtype index; a naive scan of every
+    """``TypeTable.declared_subtypes``, which gives the implementors of an
+    ``implementors_of`` rule, walks a subtype index; a naive scan of every
     declaration's closure must give the same names."""
 
     SOURCE = (
@@ -743,9 +819,8 @@ class TestImplementors:
     })
 
     def implementors(self, names):
-        table, exes = front(self.SOURCE, stubs=(OBJECT_STUB, self.STUB))
-        adapter = Adapter(exes, table, EMPTY_CONFIG)
-        got = {name: adapter._implementors(name) for name in names}
+        table, _ = front(self.SOURCE, stubs=(OBJECT_STUB, self.STUB))
+        got = {name: table.declared_subtypes(parse_type_name(name)) for name in names}
         assert got == {name: naive_implementors(table, name) for name in names}
         return got, table
 
@@ -780,11 +855,10 @@ class TestImplementors:
         supertype too: no declared name reaches the unknown type, though it
         shares its name."""
         source = "package p;\nclass A { Gone g; }\nclass B extends A { }\nclass U extends Gone { }\n"
-        table, exes = front(source, stubs=(OBJECT_STUB,), mode=ResolutionMode.LENIENT)
+        table, _ = front(source, stubs=(OBJECT_STUB,), mode=ResolutionMode.LENIENT)
         assert table.get("p.U").supertypes == (unknown_type("Gone"),)
-        adapter = Adapter(exes, table, EMPTY_CONFIG)
         names = ["Gone", "p.U", "p.A"]
-        got = {name: adapter._implementors(name) for name in names}
+        got = {name: table.declared_subtypes(parse_type_name(name)) for name in names}
         assert got == {name: naive_implementors(table, name) for name in names}
         assert got == {"Gone": (), "p.U": ("p.U",), "p.A": ("p.A", "p.B")}
 
@@ -800,19 +874,18 @@ class TestImplementors:
                 {"name": "q.Top"},
             ],
         })
-        table, exes = front("package p;\nclass A { }\n", stubs=(stub,))
-        adapter = Adapter(exes, table, EMPTY_CONFIG)
+        table, _ = front("package p;\nclass A { }\n", stubs=(stub,))
         names = [d.name for d in table] + ["q.X", "q.Missing"]
-        got = {name: adapter._implementors(name) for name in names}
+        got = {name: table.declared_subtypes(parse_type_name(name)) for name in names}
         assert got == {name: naive_implementors(table, name) for name in names}
         assert got["q.Top"] == ("java.lang.Object", "p.A", "q.Arr", "q.Top")
         assert got["<arrays>"] == ("<arrays>", "q.Arr")
 
     def test_every_corpus_type(self, corpus_case):
-        table, exes = build_case_front(corpus_case)
-        adapter = Adapter(exes, table, EMPTY_CONFIG)
+        table, _ = build_case_front(corpus_case)
         for decl in table:
-            assert adapter._implementors(decl.name) == naive_implementors(table, decl.name)
+            got = table.declared_subtypes(parse_type_name(decl.name))
+            assert got == naive_implementors(table, decl.name)
 
 
 class TestCorpusCascades:

@@ -849,6 +849,63 @@ class TestStatementAndOperatorForms:
             ("p.A#m(B,C)@0008", "field-read", "y", "p.B", ()),
         ]
 
+    def test_shifts_type_as_the_promoted_left_operand(self):
+        src = (
+            "package p;\n"
+            "class C { void i(int v) { } void l(long v) { } }\n"
+            "class A { void m(C c, int a, byte y, long w) {\n"
+            "  c.i(a << 2L); c.i(y >> 1); c.l(w >>> a);\n"
+            "} }"
+        )
+        _, exes = front(src)
+        assert [row[4] for row in site_rows(by_id(exes)["p.A#m(C,int,byte,long)"])] == [
+            ("int",), ("int",), ("long",),
+        ]
+
+    def test_bitwise_operators_on_booleans(self):
+        src = (
+            "package p;\n"
+            "class B { boolean ok() { return true; } }\n"
+            "class C { void i(int v) { } void z(boolean v) { } }\n"
+            "class A { void m(B b, C c, boolean t, int a) {\n"
+            "  c.z(b.ok() & t); c.z(t | false); c.z(t ^ b.ok()); c.i(a & 1);\n"
+            "} }"
+        )
+        _, exes = front(src)
+        assert site_rows(by_id(exes)["p.A#m(B,C,boolean,int)"]) == [
+            ("p.A#m(B,C,boolean,int)@0001", "method-call", "z", "p.C", ("boolean",)),
+            ("p.A#m(B,C,boolean,int)@0002", "method-call", "ok", "p.B", ()),
+            ("p.A#m(B,C,boolean,int)@0003", "method-call", "z", "p.C", ("boolean",)),
+            ("p.A#m(B,C,boolean,int)@0004", "method-call", "z", "p.C", ("boolean",)),
+            ("p.A#m(B,C,boolean,int)@0005", "method-call", "ok", "p.B", ()),
+            ("p.A#m(B,C,boolean,int)@0006", "method-call", "i", "p.C", ("int",)),
+        ]
+
+    def test_minus_on_a_reference_operand(self):
+        """javac rejects ``-b`` for a class type; the binder types it int."""
+        src = (
+            "package p;\n"
+            "class B { }\n"
+            "class C { void i(int v) { } }\n"
+            "class A { void m(B b, C c) { c.i(-b); } }"
+        )
+        _, exes = front(src)
+        assert site_rows(by_id(exes)["p.A#m(B,C)"]) == [
+            ("p.A#m(B,C)@0001", "method-call", "i", "p.C", ("int",)),
+        ]
+
+    def test_lenient_unknown_operand_stays_unknown(self):
+        src = (
+            "package p;\n"
+            "class C { void i(int v) { } }\n"
+            "class A { void m(C c, int a) { c.i(g + 1); c.i(a * g); c.i(-g); c.i(g << 1); } }"
+        )
+        _, exes = front(src, mode=LENIENT)
+        args = [s.arg_types for s in by_id(exes)["p.A#m(C,int)"].body_accesses]
+        assert [[(t.name, t.kind) for t in types] for types in args] == [
+            [("g", TypeKind.UNKNOWN)]
+        ] * 4
+
     def test_array_initializers(self):
         src = (
             "package p;\n"

@@ -25,7 +25,7 @@ from demeterlint.report import (
     render_stats,
 )
 
-from conftest import build_case_front, build_front, load_case
+from conftest import STUBS, build_case_front, build_front, load_case
 from json_reference import reference_json, to_json_doc
 
 
@@ -38,8 +38,8 @@ def run_case(name, presets=STACK):
     return exes, config, adapter.classify(violations)
 
 
-def run_snippet(src, config=EMPTY_CONFIG):
-    table, exes = build_front([("S0.java", src)], [], ResolutionMode.STRICT)
+def run_snippet(src, config=EMPTY_CONFIG, stubs=()):
+    table, exes = build_front([("S0.java", src)], list(stubs), ResolutionMode.STRICT)
     adapter = Adapter(exes, table, config)
     violations = [v for ex in exes for v in detect(ex, adapter.base[ex.id])]
     return exes, config, adapter.classify(violations)
@@ -338,6 +338,48 @@ class TestChains:
         (site,) = [v.violation.site for v in verdicts if v.violation.site.member.name == "g"]
         assert len(site.receiver.chain) == links
         assert render_chain(site) == shown
+
+    def test_cast_of_a_promoted_operation(self):
+        """Numeric promotion reaches the report bytes through a cast: with
+        ``int a``, ``a + 1L`` is long in the json chain and in the text.
+        javac rejects the unit (a long does not convert to Rectangle), but
+        it analyzes."""
+        src = (
+            "package p;\n"
+            "class A { int m(int a) { return ((java.awt.Rectangle) (a + 1L)).x; } }"
+        )
+        exes, config, verdicts = run_snippet(src, stubs=[STUBS / "jdk.json"])
+        (v,) = verdicts
+        assert render_chain(v.violation.site) == "+: long → (Rectangle) → .x"
+        doc = parse_report(render(build_report(exes, verdicts, config), "json"))
+        (entry,) = doc["verdicts"]
+        assert entry["chain"] == [
+            {"kind": "literal", "label": "+", "type": "long"},
+            {"kind": "cast", "label": "java.awt.Rectangle", "type": "java.awt.Rectangle"},
+        ]
+
+    def test_cast_new_and_later_field_steps(self):
+        src = (
+            "package p;\n"
+            "class E { void f() { } }\n"
+            "class B { E e; }\n"
+            "class D { }\n"
+            "class C { D d; }\n"
+            "class A { void m() { ((B) new C().d).e.f(); } }"
+        )
+        exes, config, verdicts = run_snippet(src)
+        assert render(build_report(exes, verdicts, config), "text").decode() == (
+            "accesses: 3\n"
+            "potential violations: 2 (66.7 % of accesses)\n"
+            "remaining: 2 (100.0 % of potential)\n"
+            "most-affected executables:\n"
+            "  p.A#m(): 2 (tp 2)\n"
+            "remaining violations:\n"
+            "  p.A#m()@0002 [candidate-true-positive]\n"
+            "    new C → .d: D → (B) → .e\n"
+            "  p.A#m()@0003 [candidate-true-positive]\n"
+            "    new C → .d: D → (B) → .e: E → .f()\n"
+        )
 
     def test_field_write_token(self):
         src = (
