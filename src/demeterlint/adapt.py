@@ -428,29 +428,24 @@ Contribution = tuple[tuple[TypeRef, ...], int]
 
 _NOTHING: Contribution = ((), 0)
 
-#: A rule that can change one executable's friend set, with its grant as
-#: (rule id, types) and that grant's mask; (None, 0) for the kinds
-#: ``Adapter.effective`` applies itself.
-_Entry = tuple[Rule, Optional[tuple[str, tuple[TypeRef, ...]]], int]
+#: A rule's grant to one executable: (rule id, types).
+_Grant = tuple[str, tuple[TypeRef, ...]]
 
-#: The entries of one layer's rules for one executable, in rule order.
-_Active = tuple[_Entry, ...]
-
+#: One executable's ladder: the (grant, mask) of each rule that grants it
+#: something, by layer, in rule order; and its (mask, grants) through each
+#: layer prefix, base first.
+_Ladder = tuple[
+    tuple[tuple[tuple[_Grant, int], ...], ...], tuple[tuple[int, tuple[_Grant, ...]], ...]
+]
 
 #: One friend-implication pair, ready for bit tests: rule id, the premise's
 #: bit position, the conclusion, its bit position and its closure mask.
 _Implication = tuple[str, int, TypeRef, int, int]
 
-#: One executable's set through some layers before anon-inner-share and the
-#: implication fixpoint: the mask, the grants in rule order, the implication
-#: pairs, the member exemptions and the first enabled anon-inner-share rule.
-_Prefix = tuple[
-    int,
-    tuple[tuple[str, tuple[TypeRef, ...]], ...],
-    tuple[_Implication, ...],
-    tuple[MemberExemption, ...],
-    Optional[Rule],
-]
+#: What the rules of a layer prefix add whatever the executable: the
+#: implication pairs, the member exemptions and the first enabled
+#: anon-inner-share rule.
+_Fixed = tuple[tuple[_Implication, ...], tuple[MemberExemption, ...], Optional[Rule]]
 
 #: A method call of one executable: its site's position, the method's name
 #: and its declared type.
@@ -480,11 +475,13 @@ class _BaseSets(dict):
 class Adapter:
     """Computes effective friend sets and verdicts for one analysis run.
 
-    Holds the caches that make classification cheap: the base sets that
-    classify and explain read (detection does not keep its own), each rule's
-    parsed payload and its contribution to each executable, per-class
-    constructor parameters and field calls, and (executable, layer)
-    effective sets, including ablated variants used for attribution.
+    An effective set has two parts: the grants, which depend on the
+    executable and are kept per executable for every layer prefix at once,
+    and the implications, exemptions and anon-inner-share rule, which
+    depend only on the rules in the prefix.  The adapter also caches the
+    base sets that classify and explain read, each rule's parsed payload
+    and grant to each executable, per-class constructor parameters and
+    field calls, and every effective set asked for, ablated ones included.
     """
 
     def __init__(
@@ -518,24 +515,21 @@ class Adapter:
                     else MemberExemption(r.rule_id, "pattern", *r.member_pattern)
                 )
         # Each rule's layer as a position in layer_indices, and each layer's
-        # rules with their kinds' grant functions.
+        # granting rules with their kinds' grant functions.
         self._position = {
             r.rule_id: bisect_left(config.layer_indices, r.layer) for r in config.rules
         }
-        self._grants_at = {
-            k: tuple((r, _KINDS[r.kind].grant) for r in config.rules_at(k))
+        self._grants_at = tuple(
+            tuple((r, grant) for r in config.rules_at(k) if (grant := _KINDS[r.kind].grant))
             for k in config.layer_indices
-        }
-        # Each rule's last ``_active`` entry with the contribution it was
-        # built from, or the fixed (rule, None, 0) entry of a kind that
-        # ``effective`` applies itself.  A rule's grant is often one cached
-        # contribution for many executables (for every one, for
-        # universal-friend-types), so its entry is built once for them all.
-        self._entries: dict[str, tuple[Optional[Contribution], _Entry]] = {
-            r.rule_id: (None, (r, None, 0)) for r in config.rules if _KINDS[r.kind].grant is None
-        }
-        self._active_cache: dict[tuple[str, int], _Active] = {}
-        self._prefix_cache: dict[tuple[str, int], _Prefix] = {}
+        )
+        # Each granting rule's last ladder entry with the contribution it
+        # was built from.  A rule's grant is often one cached contribution
+        # for many executables (for every one, for universal-friend-types),
+        # so its entry is built once for them all.
+        self._entries: dict[str, tuple[Contribution, tuple[_Grant, int]]] = {}
+        self._ladder_cache: dict[str, _Ladder] = {}
+        self._fixed_cache: dict[tuple[int, frozenset[str]], _Fixed] = {}
         self._calls_cache: dict[str, dict[str, list[_Call]]] = {}
         self._effective_cache: dict[tuple[str, int, frozenset[str]], FriendSet] = {}
         self._universal_cache: dict[str, Contribution] = {}
@@ -669,69 +663,53 @@ class Adapter:
 
     # -- the effective set ---------------------------------------------------
 
-    def _active(self, ex: Executable, k: int) -> _Active:
-        """The rules at layer k that can change ``ex``'s friend set, in
-        order: the independent rules that grant ``ex`` something and every
-        rule of the other kinds, anon-inner-share only for an executable of
-        an anonymous body.  Each rule's contribution to ``ex`` is computed
-        once."""
-        key = (ex.id, k)
-        got = self._active_cache.get(key)
+    def _ladder(self, ex: Executable) -> _Ladder:
+        """``ex``'s granting entries at each layer and its mask and grants
+        through each layer prefix, built for every layer at once: classify
+        asks for the last layer first, and explain for every layer.  Each
+        rule's contribution to ``ex`` is computed once."""
+        got = self._ladder_cache.get(ex.id)
         if got is None:
             entries = self._entries
-            active = []
-            for r, grant in self._grants_at[k]:
-                if grant is None:
-                    if r.kind != "anon-inner-share" or ex.enclosing_executable is not None:
-                        active.append(entries[r.rule_id][1])
-                    continue
-                granted = grant(self, ex, r)
-                if granted[0]:
-                    last = entries.get(r.rule_id)
-                    if last is None or last[0] is not granted:
-                        types, mask = granted
-                        last = entries[r.rule_id] = (granted, (r, (r.rule_id, types), mask))
-                    active.append(last[1])
-            got = self._active_cache[key] = tuple(active)
+            mask, grants = self.base[ex.id].mask, ()
+            ladder, states = [], [(mask, grants)]
+            for granting in self._grants_at:
+                at = []
+                for r, grant in granting:
+                    granted = grant(self, ex, r)
+                    if granted[0]:
+                        last = entries.get(r.rule_id)
+                        if last is None or last[0] is not granted:
+                            entry = ((r.rule_id, granted[0]), granted[1])
+                            last = entries[r.rule_id] = (granted, entry)
+                        at.append(last[1])
+                        mask |= granted[1]
+                ladder.append(tuple(at))
+                grants += tuple(entry[0] for entry in at)
+                states.append((mask, grants))
+            got = self._ladder_cache[ex.id] = (tuple(ladder), tuple(states))
         return got
 
-    def _prefix(self, ex: Executable, n: int) -> _Prefix:
-        """``ex``'s undisabled set through the first n layers, before
-        anon-inner-share and the fixpoint; built layer on layer."""
-        cache = self._prefix_cache
-        state = cache.get((ex.id, n))
-        if state is not None:
-            return state
-        i = n
-        while i and state is None:
-            i -= 1
-            state = cache.get((ex.id, i))
-        if state is None:
-            state = (self.base[ex.id].mask, (), (), (), None)
-        layers = self.config.layer_indices
-        for i in range(i, n):
-            state = cache[(ex.id, i + 1)] = self._walk(ex, state, layers[i], frozenset())
-        return state
-
-    def _walk(
-        self, ex: Executable, state: _Prefix, k: int, disabled: frozenset[str]
-    ) -> _Prefix:
-        """``state`` with the rules at layer k not in ``disabled`` applied."""
-        mask, grants, implications, exemptions, share = state
-        added = []
-        for r, granted, granted_mask in self._active(ex, k):
-            if r.rule_id in disabled:
-                continue
-            if granted is not None:
-                added.append(granted)
-                mask |= granted_mask
-            elif r.kind == "friend-implication":
-                implications += self._implications[r.rule_id]
-            elif r.kind == "universal-friend-members":
-                exemptions += (self._exemptions[r.rule_id],)
-            elif share is None and r.enabled:  # the first enabled anon-inner-share
-                share = r
-        return mask, grants + tuple(added) if added else grants, implications, exemptions, share
+    def _fixed(self, n: int, disabled: frozenset[str]) -> _Fixed:
+        """The implication pairs, member exemptions and first enabled
+        anon-inner-share rule of the rules in the first n layers, less
+        ``disabled``, in rule order."""
+        key = (n, disabled)
+        got = self._fixed_cache.get(key)
+        if got is None:
+            implications, exemptions, share = [], [], None
+            for k in self.config.layer_indices[:n]:
+                for r in self.config.rules_at(k):
+                    if r.rule_id in disabled:
+                        continue
+                    if r.kind == "friend-implication":
+                        implications += self._implications[r.rule_id]
+                    elif r.kind == "universal-friend-members":
+                        exemptions.append(self._exemptions[r.rule_id])
+                    elif r.kind == "anon-inner-share" and share is None and r.enabled:
+                        share = r
+            got = self._fixed_cache[key] = (tuple(implications), tuple(exemptions), share)
+        return got
 
     def effective(
         self,
@@ -745,15 +723,14 @@ class Adapter:
         base set itself.  ``disabled`` removes whole rules, which is how
         attribution tests single-rule necessity.
 
-        The set starts from the cached undisabled prefix through the layer
-        before the first one that holds a disabled rule, and applies the
-        later layers' rules from there.  Every set that attribution asks
-        for disables rules of layer k only, so it starts from the prefix
-        through the previous layer and walks layer k alone; an undisabled
-        set is its cached prefix.  The prefix keeps grants in rule order,
-        and anon-inner-share and the implication fixpoint come after it, so
-        grants, their order and the implied grants are what one walk over
-        every rule through k would give.
+        The granting rules' part is the executable's ladder state through
+        the layer before the first one that holds a disabled rule, plus the
+        undisabled grants of the later layers through k, in rule order.
+        The implication pairs, exemptions and anon-inner-share rule come
+        from ``_fixed``, which depends on no executable.  Anon-inner-share
+        and the implication fixpoint apply after the grants, so grants,
+        their order and the implied grants are what one walk over every
+        rule through k would give.
         """
         layers = self.config.layer_indices
         if not layers or k < layers[0]:
@@ -767,11 +744,15 @@ class Adapter:
         n = bisect_right(layers, k)
         position = self._position
         first = min((position[i] for i in disabled if i in position), default=n)
-        state = self._prefix(ex, min(first, n))
-        for i in range(first, n):
-            state = self._walk(ex, state, layers[i], disabled)
-        mask, grants, implications, exemptions, share = state
+        ladder, states = self._ladder(ex)
+        mask, grants = states[min(first, n)]
         grants = list(grants)
+        for at in ladder[first:n]:
+            for granted, granted_mask in at:
+                if granted[0] not in disabled:
+                    grants.append(granted)
+                    mask |= granted_mask
+        implications, exemptions, share = self._fixed(n, disabled)
 
         if share is not None and ex.enclosing_executable is not None:
             enclosing = self.effective(ex.enclosing_executable, k, disabled)
@@ -817,12 +798,13 @@ class Adapter:
         """The rules at layer k, the first that silences ``v``, whose removal
         can change ``v``'s verdict, in order.
 
-        Those are the active rules at k of ``v``'s executable and, while an
-        enabled anon-inner-share carries the enclosing executable's set in,
-        those of each enclosing executable outward; less a member rule whose
-        exemption does not match the site, and an implication none of whose
-        premises is in the undisabled set at k: disabling rules only shrinks
-        the mask, so it never fires.
+        Those are the granting rules at k whose grant to ``v``'s executable
+        is not empty and, while an enabled anon-inner-share carries the
+        enclosing executable's set in, those of each enclosing executable
+        outward; anon-inner-share rules when ``v``'s executable is in an
+        anonymous body; a member rule whose exemption matches the site; and
+        an implication one of whose premises is in the undisabled set at k:
+        disabling rules only shrinks the mask, so another never fires.
 
         When the undisabled set at k holds no implication pair, a granting
         rule whose grant to each of those executables lacks the receiver is
@@ -832,17 +814,17 @@ class Adapter:
         layer, where it is not silenced.
         """
         ex = self.by_id[v.executable_id]
-        _, _, implications, _, share = self._prefix(
-            ex, bisect_right(self.config.layer_indices, k)
-        )
+        anonymous = ex.enclosing_executable is not None
+        n = bisect_right(self.config.layer_indices, k)
+        implications, _, share = self._fixed(n, frozenset())
         in_mask = self.table.in_mask
         receiver = v.receiver_type
         relevant = set()
         while True:
             relevant.update(
-                r.rule_id
-                for r, granted, granted_mask in self._active(ex, k)
-                if granted is None or implications or in_mask(granted_mask, receiver)
+                granted[0]
+                for granted, granted_mask in self._ladder(ex)[0][n - 1]
+                if implications or in_mask(granted_mask, receiver)
             )
             if share is None or ex.enclosing_executable is None:
                 break
@@ -850,14 +832,14 @@ class Adapter:
         mask = self.effective(v.executable_id, k).mask
         probed = []
         for r in self.config.rules_at(k):
-            if r.rule_id not in relevant:
-                continue
             if r.kind == "universal-friend-members":
                 if not self._exemptions[r.rule_id].matches(v.site):
                     continue
             elif r.kind == "friend-implication":
                 if not any(mask >> premise & 1 for _, premise, *_ in self._implications[r.rule_id]):
                     continue
+            elif r.rule_id not in relevant and not (anonymous and r.kind == "anon-inner-share"):
+                continue
             probed.append(r)
         return probed
 

@@ -212,8 +212,20 @@ def _explain(loaded: _Loaded, adapter: Adapter, verdicts, site_id: str) -> bytes
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _cannot_write(err, exc: OSError) -> int:
+def _cannot_write(err, exc: OSError, out) -> int:
+    """Report that ``out`` cannot be written and give exit code 2.
+
+    When ``out`` is this process's standard output, its descriptor is then
+    pointed at ``os.devnull``; otherwise the interpreter's flush at exit
+    would fail again and print a traceback.
+    """
     err.write(_line(f"E-OUTPUT: cannot write standard output: {exc}"))
+    if out is getattr(sys.stdout, "buffer", None):
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
     return 2
 
 
@@ -223,7 +235,7 @@ def _emit(out, err, artifact: bytes, code: int) -> int:
     try:
         out.write(artifact)
     except OSError as exc:
-        return _cannot_write(err, exc)
+        return _cannot_write(err, exc, out)
     return code
 
 
@@ -322,6 +334,8 @@ def _build_parser():
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """The command line's exit code for ``argv``, with standard output
+    flushed; output that cannot be written is an ``E-OUTPUT`` line and 2."""
     args = _build_parser().parse_args(argv)
     if args.mode == "explain" and not args.site:
         print("E-CONFIG: --mode explain requires --site", file=sys.stderr)
@@ -336,11 +350,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         resolution=args.resolution,
         fail_threshold=args.fail_threshold,
     )
-    return run(options)
+    code = run(options)
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = _cannot_write(sys.stderr, exc, sys.stdout.buffer)
+    return code
 
 
 def entry() -> NoReturn:
-    """The process: ``main``, then flush both streams and end at once.
+    """The process: ``main``, which flushes stdout, then flush stderr and
+    end at once.
 
     ``os._exit`` skips interpreter finalization, which would free every
     object and module one by one after the work is done.  Nothing else
@@ -350,10 +370,6 @@ def entry() -> NoReturn:
     included, takes the interpreter's usual exit.
     """
     code = main()
-    try:
-        sys.stdout.flush()
-    except OSError as exc:
-        code = _cannot_write(sys.stderr, exc)
     sys.stderr.flush()
     os._exit(code)
 

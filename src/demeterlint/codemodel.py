@@ -530,28 +530,6 @@ class TypeTable(Struct):
 
     # -- member resolution -------------------------------------------------
 
-    def _resolution_order(self, start: TypeRef) -> Iterator[TypeDecl]:
-        """Receiver first, then supertypes depth-first in declared order:
-        the order ``resolve_member`` searches in, walked type by type.  The
-        tests check the memoized search against it.
-
-        Preorder with an explicit stack: supertypes are pushed in reverse,
-        and ``java.lang.Object`` sits at the bottom, so it comes up only
-        after the whole walk from ``start`` unless that walk reached it.
-        """
-        decls = self._decls
-        visited: set[str] = set()
-        stack = [OBJECT_NAME, start.name]
-        while stack:
-            name = stack.pop()
-            if name in visited:
-                continue
-            visited.add(name)
-            decl = decls.get(name)
-            if decl is not None:
-                yield decl
-                stack.extend(sup.name for sup in reversed(decl.supertypes))
-
     def resolve_member(
         self,
         receiver: TypeRef,

@@ -37,6 +37,27 @@ def naive_closure(seed_types, table):
         current = grown
 
 
+def resolution_order(table, start):
+    """Receiver first, then supertypes depth-first in declared order: the
+    order ``TypeTable.resolve_member`` searches in, walked type by type.
+
+    Preorder with an explicit stack: supertypes are pushed in reverse, and
+    ``java.lang.Object`` sits at the bottom, so it comes up only after the
+    whole walk from ``start`` unless that walk reached it.
+    """
+    visited = set()
+    stack = [_OBJECT.name, start.name]
+    while stack:
+        name = stack.pop()
+        if name in visited:
+            continue
+        visited.add(name)
+        decl = table.get(name)
+        if decl is not None:
+            yield decl
+            stack.extend(sup.name for sup in reversed(decl.supertypes))
+
+
 def _id_matches(pattern: str, exec_id: str) -> bool:
     if pattern != exec_id and ("*" in pattern or "?" in pattern or "[" in pattern):
         return fnmatchcase(exec_id, pattern)

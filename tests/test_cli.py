@@ -553,6 +553,20 @@ class TestStats:
         assert code == 0
         assert "potential violations: 21 (80.8 % of accesses)" in out.decode()
 
+    def test_stats_text_names_a_layer_no_document_claims(self, tmp_path):
+        config = tmp_path / "own.json"
+        config.write_text(json.dumps({
+            "schema": "demeterlint-config/1",
+            "name": "own",
+            "rules": [{
+                "id": "R5", "kind": "universal-friend-types", "layer": 5,
+                "types": ["java.awt.Rectangle"],
+            }],
+        }))
+        code, out, _ = invoke(case_options("listing3", [config], mode="stats"))
+        assert code == 0
+        assert "\nlayer 5 (layer-5): 4\n" in out.decode()
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self):

@@ -24,7 +24,7 @@ from demeterlint.codemodel import (
     parse_type_name,
 )
 
-from bruteforce import naive_closure
+from bruteforce import naive_closure, resolution_order
 from conftest import STUBS, build_front
 from randprog import random_program
 
@@ -514,7 +514,7 @@ class TestResolveMember:
         t.add(decl("p.D", supers=["java.lang.Object", "p.J"]))
 
         def order(name):
-            return [d.name for d in t._resolution_order(TypeRef(name))]
+            return [d.name for d in resolution_order(t, TypeRef(name))]
 
         assert order("p.A") == ["p.A", "p.B", "p.C", "p.I", "p.K", "p.J", "java.lang.Object"]
         assert order("p.D") == ["p.D", "java.lang.Object", "p.J"]
@@ -542,7 +542,7 @@ class TestResolveMember:
             t.add(decl(name, supers=supers, members=members))
 
         def first_on_order(receiver, member, arity):
-            for d in t._resolution_order(receiver):
+            for d in resolution_order(t, receiver):
                 for m in d.members:
                     if (m.name, m.arity) == (member, arity) and (
                         m.visibility != "private" or d.name == receiver.name

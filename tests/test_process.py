@@ -7,6 +7,7 @@ or the size of the report.  Standard output that cannot be written is one
 """
 
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -23,14 +24,20 @@ from conftest import OBJECT_STUB, load_case
 SRC = str(Path(importlib.util.find_spec("demeterlint").origin).parents[1])
 
 
-def child(argv: list[str], environ=os.environ, **kwargs) -> subprocess.CompletedProcess:
+#: An embedder's process: ``main`` under the interpreter's usual exit.
+SYS_EXIT_MAIN = ("-c", "import sys; from demeterlint.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def child(
+    argv: list[str], environ=os.environ, command=("-m", "demeterlint.cli"), **kwargs
+) -> subprocess.CompletedProcess:
     """Run the command line in a fresh interpreter that imports this
     package from source, with ``environ`` as its environment otherwise."""
     path = environ.get("PYTHONPATH")
     env = dict(environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.run(
-        [sys.executable, "-m", "demeterlint.cli", *argv],
+        [sys.executable, *command, *argv],
         stderr=subprocess.PIPE, env=env, timeout=120, **kwargs,
     )
 
@@ -145,20 +152,54 @@ class TestClosedStdout:
     json report is larger than the buffer and fails at the write, the text
     report at the final flush; unbuffered, both fail at the write."""
 
-    @pytest.mark.parametrize("unbuffered", [False, True])
-    @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_one_output_error(self, fmt, unbuffered):
+    @staticmethod
+    def assert_one_output_error(fmt, unbuffered, command=("-m", "demeterlint.cli")):
         environ = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             environ["PYTHONUNBUFFERED"] = "1"
         read, write = os.pipe()
         os.close(read)
         try:
-            proc = child(listing3_argv("--format", fmt), environ, stdout=write)
+            proc = child(listing3_argv("--format", fmt), environ, command, stdout=write)
         finally:
             os.close(write)
         lines = proc.stderr.decode().splitlines()
         assert proc.returncode == 2
+        assert [line for line in lines if not line.startswith("W-CONFIG: ")] == [
+            "E-OUTPUT: cannot write standard output: [Errno 32] Broken pipe"
+        ]
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_one_output_error(self, fmt, unbuffered):
+        self.assert_one_output_error(fmt, unbuffered)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_one_output_error_under_sys_exit_main(self, fmt):
+        """``sys.exit(main(argv))``: ``main`` flushes the buffered report
+        and reports its failure, and the interpreter's flush at exit finds
+        nothing more to write (no ``Exception ignored`` traceback)."""
+        self.assert_one_output_error(fmt, False, SYS_EXIT_MAIN)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_in_process_stdout_ends_at_devnull(self, fmt, monkeypatch, capsys):
+        """``main`` in this process with ``sys.stdout`` on a broken pipe:
+        the json report fails at the write, the text report at ``main``'s
+        flush.  Either way the descriptor then points at ``os.devnull``, so
+        the next flush, like the interpreter's at exit, succeeds."""
+        read, write = os.pipe()
+        os.close(read)
+        stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(write, "w")))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            code = main(listing3_argv("--format", fmt))
+            assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+            stdout.write("after")
+            stdout.flush()
+        finally:
+            stdout.close()
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
         assert [line for line in lines if not line.startswith("W-CONFIG: ")] == [
             "E-OUTPUT: cannot write standard output: [Errno 32] Broken pipe"
         ]

@@ -231,3 +231,40 @@ def test_many_units_peak_is_the_declared_project():
     assert len(executables) == 4 * N
     assert peak <= PEAK_OVER_DECLARED * declared, f"{declared} -> {peak} bytes"
     assert units == []
+
+
+def many_member_rules(n: int):
+    """One layer of n member rules that match no site, then one that
+    exempts ``p.T.f`` and so silences every violation."""
+    rules = [
+        {"id": f"M{j}", "kind": "universal-friend-members",
+         "member_pattern": {"type": "p.T", "name": f"g{j}"}}
+        for j in range(n)
+    ]
+    rules.append({
+        "id": "MF", "kind": "universal-friend-members",
+        "member_pattern": {"type": "p.T", "name": "f"},
+    })
+    return load_config([json.dumps({"schema": "demeterlint-config/1", "layer": 0, "rules": rules})])
+
+
+def _classify_peak(sources: list[tuple[str, str]], config) -> tuple[int, list]:
+    table, executables = build_front(sources)
+    violations = [v for ex in executables for v in detect(ex, base_friend_set(ex, table))]
+    tracemalloc.start()
+    try:
+        verdicts = Adapter(executables, table, config).classify(violations)
+        return tracemalloc.get_traced_memory()[1], verdicts
+    finally:
+        tracemalloc.stop()
+
+
+def test_classify_memory_grows_linearly_in_member_rules():
+    """The member exemptions depend on the rules alone, so the executables
+    share them: 8 times the rules may cost at most BOUND times the memory."""
+    small, small_verdicts = _classify_peak(MANY_VIOLATIONS, many_member_rules(100))
+    large, large_verdicts = _classify_peak(MANY_VIOLATIONS, many_member_rules(800))
+    for verdicts in (small_verdicts, large_verdicts):
+        assert len(verdicts) == 200
+        assert {(v.outcome, v.rule_id) for v in verdicts} == {("silenced", "MF")}
+    assert large <= BOUND * small, f"many_member_rules: {small} -> {large} bytes"
