@@ -442,10 +442,12 @@ _Ladder = tuple[
 #: bit position, the conclusion, its bit position and its closure mask.
 _Implication = tuple[str, int, TypeRef, int, int]
 
-#: What the rules of a layer prefix add whatever the executable: the
-#: implication pairs, the member exemptions and the first enabled
-#: anon-inner-share rule.
+#: What rules add to every executable's set, whatever the executable:
+#: implication pairs, member exemptions and the rule that shares the
+#: enclosing executable's set.  One rule's part, or a layer prefix's.
 _Fixed = tuple[tuple[_Implication, ...], tuple[MemberExemption, ...], Optional[Rule]]
+
+_NO_PART: _Fixed = ((), (), None)
 
 #: A method call of one executable: its site's position, the method's name
 #: and its declared type.
@@ -475,13 +477,13 @@ class _BaseSets(dict):
 class Adapter:
     """Computes effective friend sets and verdicts for one analysis run.
 
-    An effective set has two parts: the grants, which depend on the
-    executable and are kept per executable for every layer prefix at once,
-    and the implications, exemptions and anon-inner-share rule, which
-    depend only on the rules in the prefix.  The adapter also caches the
-    base sets that classify and explain read, each rule's parsed payload
-    and grant to each executable, per-class constructor parameters and
-    field calls, and every effective set asked for, ablated ones included.
+    What a rule does comes from its kind's entry in ``_KINDS``: a grant,
+    which depends on the executable and is kept per executable for every
+    layer prefix at once, and a part, which does not.  A switch rule turned
+    off is inert: it has neither.  The adapter also caches the base sets
+    that classify and explain read, each rule's listed types, part and grant
+    to each executable, per-class constructor parameters and field calls,
+    and every effective set asked for, ablated ones included.
     """
 
     def __init__(
@@ -494,33 +496,20 @@ class Adapter:
         for ex in executables:
             self.by_owner.setdefault(ex.owner_type.name, []).append(ex)
         self.base = _BaseSets(self.by_id, table)
-        # Rule payloads parsed once: the types a rule lists (``types`` or
-        # ``grants``), implication pairs and member exemptions.
-        self._listed: dict[str, Contribution] = {}
-        self._implications: dict[str, tuple[_Implication, ...]] = {}
-        self._exemptions: dict[str, MemberExemption] = {}
-        for r in config.rules:
-            self._listed[r.rule_id] = self._close(map(parse_type_name, r.types + r.grants))
-            if r.kind == "friend-implication":
-                pairs = [(parse_type_name(a), parse_type_name(b)) for a, b in r.pairs]
-                self._implications[r.rule_id] = tuple(
-                    (r.rule_id, table.bit(a), b, table.bit(b), table.closure_mask([b]))
-                    for a, b in pairs
-                    if not b.is_primitive  # a primitive is never a friend, so never implied
-                )
-            elif r.kind == "universal-friend-members":
-                self._exemptions[r.rule_id] = (
-                    MemberExemption(r.rule_id, r.member_predicate)
-                    if r.member_predicate
-                    else MemberExemption(r.rule_id, "pattern", *r.member_pattern)
-                )
-        # Each rule's layer as a position in layer_indices, and each layer's
-        # granting rules with their kinds' grant functions.
+        # Per rule: the types it lists (``types`` or ``grants``), its part
+        # and its layer's position in layer_indices; per layer, the granting
+        # rules with their kinds' grant functions.
+        self._listed = {
+            r.rule_id: self._close(map(parse_type_name, r.types + r.grants)) for r in config.rules
+        }
+        live = [r for r in config.rules if r.enabled]
+        self._parts = dict.fromkeys(self._listed, _NO_PART)
+        self._parts.update((r.rule_id, _KINDS[r.kind].part(table, r)) for r in live)
         self._position = {
             r.rule_id: bisect_left(config.layer_indices, r.layer) for r in config.rules
         }
         self._grants_at = tuple(
-            tuple((r, grant) for r in config.rules_at(k) if (grant := _KINDS[r.kind].grant))
+            tuple((r, grant) for r in live if r.layer == k and (grant := _KINDS[r.kind].grant))
             for k in config.layer_indices
         )
         # Each granting rule's last ladder entry with the contribution it
@@ -537,9 +526,7 @@ class Adapter:
         self._field_calls_cache: dict[str, tuple[tuple[str, tuple[TypeRef, ...]], ...]] = {}
         self._base_seeds_cache: dict[str, tuple[TypeRef, ...]] = {}
         self._executable_grant_rules = tuple(
-            (r, _id_matcher(r.executables))
-            for r in config.rules
-            if r.kind == "executable-grant"
+            (r, _id_matcher(r.executables)) for r in config.rules if r.executables
         )
         self._executable_grants_cache: dict[str, dict[str, Rule]] = {}
 
@@ -568,8 +555,6 @@ class Adapter:
         return got
 
     def _grant_ctor_params(self, ex: Executable, rule: Rule) -> Contribution:
-        if not rule.enabled:
-            return _NOTHING
         owner = ex.owner_type.name
         got = self._ctor_param_cache.get(owner)
         if got is None:
@@ -642,7 +627,7 @@ class Adapter:
         return got
 
     def _grant_downcast(self, ex: Executable, rule: Rule) -> Contribution:
-        if rule.enabled and ex.downcast_param_types:
+        if ex.downcast_param_types:
             return self._close(ex.downcast_param_types)
         return _NOTHING
 
@@ -691,23 +676,19 @@ class Adapter:
         return got
 
     def _fixed(self, n: int, disabled: frozenset[str]) -> _Fixed:
-        """The implication pairs, member exemptions and first enabled
-        anon-inner-share rule of the rules in the first n layers, less
-        ``disabled``, in rule order."""
+        """The parts of the rules in the first n layers, less ``disabled``,
+        joined in rule order; the share rule is the first one's."""
         key = (n, disabled)
         got = self._fixed_cache.get(key)
         if got is None:
             implications, exemptions, share = [], [], None
             for k in self.config.layer_indices[:n]:
                 for r in self.config.rules_at(k):
-                    if r.rule_id in disabled:
-                        continue
-                    if r.kind == "friend-implication":
-                        implications += self._implications[r.rule_id]
-                    elif r.kind == "universal-friend-members":
-                        exemptions.append(self._exemptions[r.rule_id])
-                    elif r.kind == "anon-inner-share" and share is None and r.enabled:
-                        share = r
+                    if r.rule_id not in disabled:
+                        more, exempt, shares = self._parts[r.rule_id]
+                        implications += more
+                        exemptions += exempt
+                        share = shares if share is None else share
             got = self._fixed_cache[key] = (tuple(implications), tuple(exemptions), share)
         return got
 
@@ -798,20 +779,19 @@ class Adapter:
         """The rules at layer k, the first that silences ``v``, whose removal
         can change ``v``'s verdict, in order.
 
-        Those are the granting rules at k whose grant to ``v``'s executable
-        is not empty and, while an enabled anon-inner-share carries the
-        enclosing executable's set in, those of each enclosing executable
-        outward; anon-inner-share rules when ``v``'s executable is in an
-        anonymous body; a member rule whose exemption matches the site; and
-        an implication one of whose premises is in the undisabled set at k:
-        disabling rules only shrinks the mask, so another never fires.
+        A rule is kept when its grant to ``v``'s executable is not empty
+        (while a share rule carries the enclosing executable's set in, its
+        grant to each enclosing executable outward counts too), or when its
+        part can touch ``v``: an exemption matches the site, an implication
+        premise is in the undisabled mask at k (disabling rules only shrinks
+        the mask, so another premise never fires), or it shares and ``v``'s
+        executable is in an anonymous body.
 
-        When the undisabled set at k holds no implication pair, a granting
-        rule whose grant to each of those executables lacks the receiver is
-        left out as well.  Disabled, it leaves the receiver's bit and the
-        exemptions as they were, so the site stays silenced; alone at k, it
-        adds no bit that silences, so the site stays as at the previous
-        layer, where it is not silenced.
+        When the undisabled set at k holds no implication pair, a grant that
+        lacks the receiver does not keep its rule.  Disabled, that rule
+        leaves the receiver's bit and the exemptions as they were, so the
+        site stays silenced; alone at k, it adds no bit that silences, so
+        the site stays as at the previous layer, where it is not silenced.
         """
         ex = self.by_id[v.executable_id]
         anonymous = ex.enclosing_executable is not None
@@ -832,15 +812,14 @@ class Adapter:
         mask = self.effective(v.executable_id, k).mask
         probed = []
         for r in self.config.rules_at(k):
-            if r.kind == "universal-friend-members":
-                if not self._exemptions[r.rule_id].matches(v.site):
-                    continue
-            elif r.kind == "friend-implication":
-                if not any(mask >> premise & 1 for _, premise, *_ in self._implications[r.rule_id]):
-                    continue
-            elif r.rule_id not in relevant and not (anonymous and r.kind == "anon-inner-share"):
-                continue
-            probed.append(r)
+            more, exempt, shares = self._parts[r.rule_id]
+            if (
+                r.rule_id in relevant
+                or exempt and any(e.matches(v.site) for e in exempt)
+                or more and any(mask >> premise & 1 for _, premise, *_ in more)
+                or anonymous and shares is not None
+            ):
+                probed.append(r)
         return probed
 
     def _classify_one(self, v: PotentialViolation) -> "Verdict":
@@ -911,29 +890,48 @@ class Adapter:
 # -- the rule kind table ---------------------------------------------------------
 
 
+def _part_implication(table: TypeTable, rule: Rule) -> _Fixed:
+    implications = tuple(
+        (rule.rule_id, table.bit(a), b, table.bit(b), table.closure_mask([b]))
+        for a, b in (map(parse_type_name, pair) for pair in rule.pairs)
+        if not b.is_primitive  # a primitive is never a friend, so never implied
+    )
+    return implications, (), None
+
+
+def _part_members(table: TypeTable, rule: Rule) -> _Fixed:
+    how = (rule.member_predicate,) if rule.member_predicate else ("pattern", *rule.member_pattern)
+    return (), (MemberExemption(rule.rule_id, *how),), None
+
+
 class _Kind(Struct):
-    __slots__ = ("load", "grant")
+    __slots__ = ("load", "grant", "part")
 
     def __init__(
         self,
         load: Callable[[dict, str, set[str]], dict],
         grant: Optional[Callable[[Adapter, Executable, Rule], Contribution]] = None,
+        part: Callable[[TypeTable, Rule], _Fixed] = lambda table, rule: _NO_PART,
     ) -> None:
         self.load = load
-        # None for the kinds that read other rules or the sites; Adapter.effective
-        # applies those itself, after the independent grants.
+        # What a rule grants one executable, from the rule, the executable
+        # and the adapter's caches; None for a kind that grants nothing.
         self.grant = grant
+        # What a rule adds to every executable's set.  Adapter.effective
+        # applies the parts after the grants: a share reads the enclosing
+        # set, and an implication fires on the granted mask.
+        self.part = part
 
 
 _KINDS: dict[str, _Kind] = {
     "universal-friend-types": _Kind(_load_friend_types, Adapter._grant_friend_types),
-    "universal-friend-members": _Kind(_load_friend_members),
+    "universal-friend-members": _Kind(_load_friend_members, part=_part_members),
     "call-grant": _Kind(_load_call_grant, Adapter._grant_call),
     "ctor-params-as-fields": _Kind(_load_switch, Adapter._grant_ctor_params),
-    "anon-inner-share": _Kind(_load_switch),
+    "anon-inner-share": _Kind(_load_switch, part=lambda table, rule: ((), (), rule)),
     "downcast-param": _Kind(_load_switch, Adapter._grant_downcast),
     "aggregation-elements": _Kind(_load_aggregation, Adapter._grant_aggregation),
-    "friend-implication": _Kind(_load_implication),
+    "friend-implication": _Kind(_load_implication, part=_part_implication),
     "executable-grant": _Kind(_load_executable_grant, Adapter._grant_executable),
 }
 

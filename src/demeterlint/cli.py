@@ -215,12 +215,12 @@ def _explain(loaded: _Loaded, adapter: Adapter, verdicts, site_id: str) -> bytes
 def _cannot_write(err, exc: OSError, out) -> int:
     """Report that ``out`` cannot be written and give exit code 2.
 
-    When ``out`` is this process's standard output, its descriptor is then
-    pointed at ``os.devnull``; otherwise the interpreter's flush at exit
-    would fail again and print a traceback.
+    When ``out`` is None, this process's standard output, its descriptor is
+    then pointed at ``os.devnull``; otherwise the interpreter's flush at
+    exit would fail again and print a traceback.
     """
     err.write(_line(f"E-OUTPUT: cannot write standard output: {exc}"))
-    if out is getattr(sys.stdout, "buffer", None):
+    if out is None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         try:
             os.dup2(devnull, sys.stdout.fileno())
@@ -230,10 +230,17 @@ def _cannot_write(err, exc: OSError, out) -> int:
 
 
 def _emit(out, err, artifact: bytes, code: int) -> int:
-    """Write the artifact and return ``code``; a stream that cannot be
-    written, such as a pipe whose reader has gone, gives exit 2."""
+    """Write the artifact to ``out``, or to standard output when ``out`` is
+    None, and return ``code``; a stream that cannot be written, such as a
+    pipe whose reader has gone, gives exit 2."""
     try:
-        out.write(artifact)
+        if out is not None:
+            out.write(artifact)
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.buffer.write(artifact)
+        else:
+            # A text stream, as contextlib.redirect_stdout(io.StringIO()) installs.
+            sys.stdout.write(artifact.decode("utf-8"))
     except OSError as exc:
         return _cannot_write(err, exc, out)
     return code
@@ -258,7 +265,6 @@ def run(options: RunOptions, out=None, err=None) -> int:
 
 
 def _run(options: RunOptions, out, err) -> int:
-    out = out if out is not None else sys.stdout.buffer
     err = err if err is not None else sys.stderr
     try:
         loaded = _load(options, err)
@@ -354,7 +360,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         sys.stdout.flush()
     except OSError as exc:
-        code = _cannot_write(sys.stderr, exc, sys.stdout.buffer)
+        code = _cannot_write(sys.stderr, exc, None)
     return code
 
 

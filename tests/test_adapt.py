@@ -387,9 +387,10 @@ class TestEffectiveFriendSet:
             "class A { void m(Object o) { ((B) o).f(); } }\n"
             "class B { void f() { } }"
         )
-        config = cfg(doc(0, {"id": "R1", "kind": "downcast-param", "enabled": True}))
-        _, verdicts = analyze([src], config, mode=ResolutionMode.LENIENT)
-        assert [v.outcome for v in verdicts] == ["silenced"]
+        for enabled, outcome in ((True, "silenced"), (False, "remaining")):
+            config = cfg(doc(0, {"id": "R1", "kind": "downcast-param", "enabled": enabled}))
+            _, verdicts = analyze([src], config, mode=ResolutionMode.LENIENT)
+            assert [v.outcome for v in verdicts] == [outcome]
 
     def test_aggregation_field_map(self):
         src = (

@@ -216,6 +216,29 @@ class TestShareAttribution:
             "silenced", 1, "G1", ("G2",)
         )
 
+    def test_a_disabled_share_rule_is_not_probed(self):
+        """A disabled anon-inner-share rule is inert: at the layer where an
+        enabled one silences a site in an anonymous body, only the enabled
+        one is probed, and the verdict is the oracle's."""
+        table, executables = build_front([("A.java", SHARE_SOURCE)], [OBJECT_STUB])
+        config = load_config([
+            json.dumps({"schema": "demeterlint-config/1", "layer": layer, "rules": rules})
+            for layer, rules in enumerate([
+                [{"id": "G", "kind": "executable-grant", "executables": ["p.A#m()"],
+                  "grants": ["p.B"]}],
+                [{"id": "S0", "kind": "anon-inner-share", "enabled": False},
+                 {"id": "S1", "kind": "anon-inner-share"}],
+            ])
+        ])
+        adapter = Adapter(executables, table, config)
+        violations = [v for ex in executables for v in detect(ex, adapter.base[ex.id])]
+        verdicts = adapter.classify(violations)
+        (verdict,) = verdicts
+        assert (verdict.outcome, verdict.layer, verdict.rule_id) == ("silenced", 1, "S1")
+        probed = adapter._probed(verdict.violation, 1)
+        assert [r.rule_id for r in probed] == ["S1"]
+        assert engine_verdicts_as_dicts(verdicts) == oracle_verdicts(executables, table, config)
+
 
 class TestExecutableIds:
     def test_initializer_ids_and_globs_agree_with_the_oracle(self):

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, stream purity, explain."""
 
 import collections
+import contextlib
 import importlib.util
 import io
 import itertools
@@ -1018,6 +1019,23 @@ class TestMain:
         assert main(argv) == 0
         doc = json.loads(capfdbinary.readouterr().out)
         assert doc["totals"]["potential_violations"] == 10
+
+    @pytest.mark.parametrize("mode, fmt", [
+        ("analyze", "json"), ("analyze", "text"), ("explain", "text"),
+    ])
+    def test_report_captured_by_redirect_stdout(self, mode, fmt):
+        """``main`` under ``contextlib.redirect_stdout(io.StringIO())``, a
+        text stream with no ``buffer``, writes the decoded artifact there:
+        the exit code and text are those ``run`` gives into a byte stream."""
+        case = load_case("listing3")
+        _, report, _ = invoke(case_options("listing3", format="json"))
+        site = json.loads(report)["verdicts"][0]["site"]
+        code, out, _ = invoke(case_options("listing3", mode=mode, format=fmt, site=site))
+        argv = case.source_args + [a for p in case.stub_args for a in ("--stubs", p)]
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured):
+            assert main(argv + ["--mode", mode, "--format", fmt, "--site", site]) == code
+        assert captured.getvalue() == out.decode("utf-8")
 
     def test_explain_requires_site(self, tmp_path, capfd):
         src = tmp_path / "A.java"
