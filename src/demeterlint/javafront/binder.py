@@ -222,6 +222,11 @@ class _Names:
     error) and, last, a type of java.lang, which unlike in javac takes no
     part in the ambiguity check.
 
+    ``universe`` holds the stub types and the top-level source types, which
+    a qualified name, an import, the package and java.lang reach.  A member
+    or anonymous type is reached by the scope chain alone, by its enclosing
+    type and simple name, never by the ``Outer$Inner`` name it was given.
+
     A type's supertypes resolve when first asked for, from the scope that
     holds its declaration in ``decls``, so the order of the files does not
     matter.  Given ``table``, the resolver takes them from the table's
@@ -235,22 +240,21 @@ class _Names:
         mode: ResolutionMode,
         table: Optional[TypeTable] = None,
     ):
-        self.universe = universe
         self.mode = mode
         # Each source type's first declaration, with its unit.
         decls: dict[str, tuple[ast.TypeDeclNode, _UnitEnv]] = {}
         for env in envs:
             for n in env.unit.type_decls:
                 decls.setdefault(n.qualified_name, (n, env))
-        self.named = {q for q, (n, _) in decls.items() if not n.anonymous}
-        # The simple names of the named member types: no other name needs
-        # the scope chain.
-        self.member_names = {
-            n.name for n, _ in decls.values() if n.outer and not n.anonymous
-        }
-        # Supertypes by type, None while they resolve; member types by
-        # (type, name), None for none and while being found.
-        self.supers: dict[str, Optional[tuple[TypeRef, ...]]] = {}
+        universe.difference_update(q for q, (n, _) in decls.items() if n.outer)
+        self.universe = universe
+        # The named member types by (enclosing type, simple name), and
+        # their simple names: no other name needs the scope chain.
+        self.nested = {(n.outer, n.name): q for q, (n, _) in decls.items() if n.outer and n.name}
+        self.member_names = {name for _, name in self.nested}
+        # Supertypes by type; member types by (type, name), None for none
+        # and while being found.
+        self.supers: dict[str, tuple[TypeRef, ...]] = {}
         self.members: dict[tuple[str, str], Optional[str]] = {}
         if table is None:
             self.decls = decls
@@ -303,7 +307,8 @@ class _Names:
         if name in env.top:
             return env.top[name]
         if name in env.single:
-            return env.single[name]
+            q = env.single[name]
+            return q if q in self.universe else None
         q = f"{env.package}.{name}" if env.package else name
         if q in self.universe:
             return q
@@ -321,21 +326,18 @@ class _Names:
 
     def supertypes(self, name: str) -> tuple[TypeRef, ...]:
         """The supertypes of source type ``name``, resolved once; () for any
-        other type.  Meeting a type again while its own supertypes resolve
-        is a cycle, and an error."""
-        if name in self.supers:
-            supers = self.supers[name]
-            if supers is None:
-                node, env = self.decls[name]
-                raise env.error(node.pos, f"cyclic inheritance involving {name}")
-            return supers
-        if name not in self.decls:
-            return ()
-        node, env = self.decls[name]
-        self.supers[name] = None
-        written = [node.anon_supertype] if node.anonymous else node.extends + node.implements
-        supers = tuple(self.resolve(env, tn, node.outer) for tn in written)
-        self.supers[name] = supers
+        other type.  They are named in its enclosing type, as top-level types
+        or member types of an enclosing type or its supertypes, so no type
+        has a supertype nested deeper than itself, and this asks only for the
+        supertypes of types nested less deep than ``name``, never its own
+        again.  ``TypeTable.validate`` rejects a cycle of supertypes."""
+        supers = self.supers.get(name)
+        if supers is None:
+            if name not in self.decls:
+                return ()
+            node, env = self.decls[name]
+            written = [node.anon_supertype] if node.anonymous else node.extends + node.implements
+            supers = self.supers[name] = tuple(self.resolve(env, tn, node.outer) for tn in written)
         return supers
 
     def member_type(self, owner: str, name: str) -> Optional[str]:
@@ -355,9 +357,9 @@ class _Names:
         stack = [owner]
         while stack:
             t = stack[-1]
-            found: Optional[str] = f"{t}${name}"
-            if found not in self.named:
-                found = pending = None
+            found = self.nested.get((t, name))
+            if found is None:
+                pending = None
                 for sup in self.supertypes(t):
                     if (sup.name, name) not in memo:
                         pending = sup.name
@@ -420,9 +422,8 @@ def build_type_table(
 
 
 def _too_deep(unit: ast.CompilationUnit) -> BindError:
-    """A unit whose statements, expressions or type names nest deeper than
-    the recursive walks reach.  The parser rejects every such nesting of
-    statements and expressions first today; this is the safety net."""
+    """A unit whose expressions, or member types and their supertypes, nest
+    deeper than the binder's recursive walks reach; the parser's reach more."""
     return BindError(unit.file, 1, 1, "nesting too deep to analyze")
 
 
@@ -816,13 +817,11 @@ class _BodyWalker:
             raise AssertionError(f"unhandled statement {type(s).__name__}")
 
     def visit_local_decl(self, s: ast.LocalDecl) -> None:
+        # A block, a switch body or a for header holds it, and opened a scope.
         for d in s.declarators:
             if d.init is not None:
                 self.visit_expr_or_init(d.init)
-            t = self.type_of(s.type, d.extra_dims)
-            if not self.scopes:
-                self.scopes.append({})
-            self.scopes[-1][d.name] = t
+            self.scopes[-1][d.name] = self.type_of(s.type, d.extra_dims)
 
     def visit_expr_or_init(self, e) -> None:
         if isinstance(e, ast.ArrayInit):

@@ -11,11 +11,11 @@ Operator Precedence", 1973) over the level table ``_LEVELS``: one loop and
 one frame per operand, however many levels there are.  Input nested deeper
 than the interpreter's stack allows fails with a ``ParseError``.
 
-The parser names every type declaration as it meets it and lists it in
-``CompilationUnit.type_decls``, in preorder: a nested type is
-``Outer$Inner``, and an anonymous body is ``Outer$anonN``, numbered per
-nearest named type when its body opens, after its creation arguments.  A
-number whose ``anonN`` a member type of that named type takes is skipped.
+The parser lists every type declaration in ``CompilationUnit.type_decls``,
+in preorder, and names them all once the unit is parsed: a nested type is
+``Outer$Inner``, and an anonymous body ``Outer$anonN``, numbered per nearest
+named type in the order the bodies open, after their creation arguments,
+skipping each ``anonN`` that a member type of that named type takes.
 """
 
 from __future__ import annotations
@@ -92,14 +92,12 @@ class _Parser:
         self.i = 0
         self.starts = starts
         self.file = file_name
-        # Type declarations in preorder, the package prefix of their names,
-        # the innermost enclosing type's qualified name, and the nearest
-        # named type's (qualified name, anonymous bodies so far); a body is
-        # [node, index in ``types``, index past its last nested type].
+        # Type declarations in preorder, the index in ``types`` of each
+        # one's enclosing type (-1 for none), and that of the type whose
+        # body is open; ``unit`` names them all once the unit is parsed.
         self.types: list[ast.TypeDeclNode] = []
-        self.prefix = ""
-        self.outer: str | None = None
-        self.named: tuple[str, list] | None = None
+        self.enclosing: list[int] = []
+        self.open = -1
 
     # -- token plumbing ----------------------------------------------------
     # ``i`` never moves past the EOF token, so ``texts[i]`` is always the
@@ -158,7 +156,6 @@ class _Parser:
             self.next()
             package = self.qualified_name("in package declaration")
             self.expect(";", "after package declaration")
-            self.prefix = package + "."
         imports: list[ast.ImportDecl] = []
         while self.at("import"):
             start = self.next()
@@ -176,6 +173,7 @@ class _Parser:
             if self.accept(";"):
                 continue
             types.append(self.type_decl())
+        _name_types(package, self.types, self.enclosing)
         return ast.CompilationUnit(
             package, tuple(imports), tuple(types), self.file, tuple(self.types), self.starts
         )
@@ -246,54 +244,14 @@ class _Parser:
             members=(),
             pos=start,
         )
-        qualified_name = self.prefix + name if self.outer is None else f"{self.outer}${name}"
-        bodies: list = []
-        self.type_body(node, qualified_name, (qualified_name, bodies))
-        if bodies:
-            self.renumber_anonymous(node, bodies)
+        self.type_body(node)
         return node
 
-    def renumber_anonymous(self, node: ast.TypeDeclNode, bodies: list) -> None:
-        """Renumber the anonymous bodies of named type ``node`` in order,
-        skipping each N whose ``anonN`` one of its member types takes.
-
-        The member types are known only once the body is closed, so the
-        bodies were numbered 1, 2, ... as they opened.  When none skips a
-        number, that is their numbering.  Else each body and the types
-        nested in it are renamed, last body first: the new number of each
-        body already renamed exceeds the old number of the one at hand, so
-        no name is renamed twice.
-        """
-        taken = {m.name for m in node.members if isinstance(m, ast.TypeDeclNode)}
-        numbers = []
-        n = 0
-        for _ in bodies:
-            n += 1
-            while f"anon{n}" in taken:
-                n += 1
-            numbers.append(n)
-        if n == len(bodies):
-            return
-        for (body, start, end), n in reversed(list(zip(bodies, numbers))):
-            old, new = body.qualified_name, f"{node.qualified_name}$anon{n}"
-            for t in self.types[start:end]:
-                t.qualified_name = _renamed(t.qualified_name, old, new)
-                t.outer = _renamed(t.outer, old, new)
-
-    def type_body(
-        self, node: ast.TypeDeclNode, qualified_name: str, named: tuple[str, list]
-    ) -> None:
-        """Name and list ``node``, then parse its body into its members;
-        ``named`` is the nearest named type's entry (see ``__init__``)."""
-        node.qualified_name = qualified_name
-        node.outer = self.outer
+    def type_body(self, node: ast.TypeDeclNode) -> None:
+        """List ``node``, then parse its body into its members."""
+        outer, self.open = self.open, len(self.types)
         self.types.append(node)
-        outer, outer_named = self.outer, self.named
-        self.outer, self.named = qualified_name, named
-        node.members = self.class_body(node.name)
-        self.outer, self.named = outer, outer_named
-
-    def class_body(self, type_name: str | None) -> tuple:
+        self.enclosing.append(outer)
         self.expect("{", "to open the type body")
         members: list = []
         while not self.at("}"):
@@ -301,9 +259,10 @@ class _Parser:
                 raise self.error("unclosed type body")
             if self.accept(";"):
                 continue
-            members.append(self.member(type_name))
+            members.append(self.member(node.name))
         self.next()  # }
-        return tuple(members)
+        node.members = tuple(members)
+        self.open = outer
 
     def member(self, type_name: str | None):
         start_i = self.i
@@ -846,11 +805,7 @@ class _Parser:
                 anonymous=True,
                 anon_supertype=ty,
             )
-            owner, bodies = self.named
-            entry = [body, len(self.types), 0]
-            bodies.append(entry)
-            self.type_body(body, f"{owner}$anon{len(bodies)}", self.named)
-            entry[2] = len(self.types)
+            self.type_body(body)
         return ast.NewObject(ty, args, body, start)
 
     def array_creator(self, elem: ast.TypeName, start: int) -> ast.NewArray:
@@ -869,8 +824,32 @@ class _Parser:
         return ast.NewArray(elem, tuple(dim_exprs), init, start)
 
 
-def _renamed(name: str | None, old: str, new: str) -> str | None:
-    """``name`` with the type name ``old`` it is or starts with made ``new``."""
-    if name is not None and (name == old or name.startswith(old + "$")):
-        return new + name[len(old):]
-    return name
+def _name_types(
+    package: str | None, types: list[ast.TypeDeclNode], enclosing: list[int]
+) -> None:
+    """Set the ``qualified_name`` and ``outer`` of each of ``types``, listed
+    in preorder with the index of each one's enclosing type: the one place
+    that spells a nested type's name."""
+    named: list[int] = []  # each type's nearest named type, by index
+    # Per named type: the N of its last anonN, and its member types' names.
+    anon: dict[int, tuple[int, set]] = {}
+    for i, node in enumerate(types):
+        up = enclosing[i]
+        if up < 0:
+            node.qualified_name = f"{package}.{node.name}" if package else node.name
+            named.append(i)
+            continue
+        owner, simple = up, node.name
+        if node.anonymous:
+            owner = named[up]
+            n, taken = anon.get(owner) or (
+                0, {m.name for m in types[owner].members if isinstance(m, ast.TypeDeclNode)}
+            )
+            n += 1
+            while f"anon{n}" in taken:
+                n += 1
+            anon[owner] = n, taken
+            simple = f"anon{n}"
+        named.append(owner if node.anonymous else i)
+        node.outer = types[up].qualified_name
+        node.qualified_name = f"{types[owner].qualified_name}${simple}"

@@ -9,6 +9,7 @@ tracemalloc sees over the same calls.
 """
 
 import cProfile
+import gc
 import json
 import pstats
 import tracemalloc
@@ -37,6 +38,10 @@ def _work(sources: list[tuple[str, str]]) -> int:
 
 
 def _peak(sources: list[tuple[str, str]]) -> int:
+    # A full collection empties the interpreter's free lists, whose reuse
+    # tracemalloc does not see, so the peak does not depend on what ran
+    # before (``tokenize`` makes one 2-tuple per token).
+    gc.collect()
     tracemalloc.start()
     try:
         build_front(sources)
