@@ -223,9 +223,10 @@ class _Names:
     part in the ambiguity check.
 
     ``universe`` holds the stub types and the top-level source types, which
-    a qualified name, an import, the package and java.lang reach.  A member
-    or anonymous type is reached by the scope chain alone, by its enclosing
-    type and simple name, never by the ``Outer$Inner`` name it was given.
+    a qualified name, an on-demand import, the package and java.lang reach;
+    a single-type import names any type but a member or anonymous one.
+    Those, ``inner``, are reached by the scope chain alone, by enclosing type
+    and simple name, never by the ``Outer$Inner`` name they were given.
 
     A type's supertypes resolve when first asked for, from the scope that
     holds its declaration in ``decls``, so the order of the files does not
@@ -246,8 +247,8 @@ class _Names:
         for env in envs:
             for n in env.unit.type_decls:
                 decls.setdefault(n.qualified_name, (n, env))
-        universe.difference_update(q for q, (n, _) in decls.items() if n.outer)
-        self.universe = universe
+        self.inner = {q for q, (n, _) in decls.items() if n.outer}
+        self.universe = universe - self.inner
         # The named member types by (enclosing type, simple name), and
         # their simple names: no other name needs the scope chain.
         self.nested = {(n.outer, n.name): q for q, (n, _) in decls.items() if n.outer and n.name}
@@ -308,7 +309,7 @@ class _Names:
             return env.top[name]
         if name in env.single:
             q = env.single[name]
-            return q if q in self.universe else None
+            return None if q in self.inner else q
         q = f"{env.package}.{name}" if env.package else name
         if q in self.universe:
             return q
@@ -402,7 +403,7 @@ def build_type_table(
     """
     universe: set[str] = {d.name for d in stubs}
     for unit in units:
-        universe.update(n.qualified_name for n in unit.type_decls)
+        universe.update(n.qualified_name for n in unit.types)
 
     envs = [_UnitEnv(unit) for unit in units]
     names = _Names(envs, universe, mode)

@@ -8,8 +8,10 @@ accepts the project.  ``{A}`` stands for the path of ``A.java``, and so on
 for each file of a case.
 """
 
+import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,7 @@ import naive_scope
 STUBS = Path(__file__).parent / "fixtures" / "stubs"
 
 
-def _run(tmp_path, files: dict[str, str], stubs=(), lenient=False):
+def _run(tmp_path, files: dict[str, str], stubs=(), lenient=False, configs=()):
     """Write ``files`` and analyze them, in json; the exit code, the
     report's verdicts as (site, access, member, receiver, chain types) and
     stderr with each file's path written as its ``{stem}``."""
@@ -36,6 +38,7 @@ def _run(tmp_path, files: dict[str, str], stubs=(), lenient=False):
     options = RunOptions(
         source_paths=tuple(paths),
         stub_paths=tuple(STUBS / s for s in stubs),
+        config_paths=configs,
         format="json",
         resolution=ResolutionMode.LENIENT if lenient else ResolutionMode.STRICT,
     )
@@ -94,17 +97,13 @@ def test_a_dollar_in_a_name_is_not_nesting(tmp_path, text, expected):
 #: Errors of the bind, one line each.  javac rejects every one of these
 #: units, with ``cannot find symbol`` unless the case says otherwise.
 ERROR_CASES = {
-    # javac: package q does not exist.  The import names no known type, so
-    # the name it imports is unknown where it is used.
-    "import-of-an-unknown-type": (
-        "package p;\nimport q.Missing;\nclass A { void m(Missing x) { } }\n",
+    # javac accepts it.  A single-type import names its type even when no
+    # stub declares it, so the type keeps its qualified name.
+    "member-of-an-imported-library-type": (
+        "package p;\nimport java.util.concurrent.Executor;\n"
+        "class A { void m(Executor e) { e.execute(null); } }\n",
         (),
-        "E-BIND: {A}:3:18: unknown type 'Missing'",
-    ),
-    "import-of-an-unknown-supertype": (
-        "package p;\nimport q.Missing;\nclass A extends Missing { }\n",
-        (),
-        "E-BIND: {A}:3:17: unknown type 'Missing'",
+        "E-BIND: {A}:3:34: no member execute(1 args) on type java.util.concurrent.Executor",
     ),
     "member-of-an-array": (
         "package p;\nclass A { void m(int[] a) { a.f(); } }\n",
@@ -189,11 +188,60 @@ def test_bound_site(tmp_path, text, stubs, lenient, verdicts):
     assert _run(tmp_path, {"A.java": text}, stubs, lenient) == (1, verdicts, "")
 
 
-def test_lenient_import_of_an_unknown_supertype(tmp_path):
-    """javac: package q does not exist.  Lenient binding types the
-    supertype as unknown, as it does any name it cannot resolve."""
+@pytest.mark.parametrize("lenient", [False, True])
+def test_import_of_an_undeclared_supertype(tmp_path, lenient):
+    """javac: package q does not exist.  The import names ``q.Missing``,
+    which no stub declares, in either mode."""
     text = "package p;\nimport q.Missing;\nclass A extends Missing { }\n"
-    assert _run(tmp_path, {"A.java": text}, lenient=True) == (0, [], "")
+    expected = "E-BIND: p.A: supertype q.Missing is not declared\n"
+    assert _run(tmp_path, {"A.java": text}, lenient=lenient) == (2, [], expected)
+
+
+def test_lenient_import_of_a_library_type_keeps_its_name(tmp_path):
+    """javac accepts it.  The imported type no stub declares keeps its
+    qualified name, so a rule that befriends that name silences the site."""
+    text = (
+        "package p;\nimport java.util.concurrent.Executor;\n"
+        "class K { Executor e() { return null; } }\n"
+        "class A { void m(K k) { k.e().execute(null); } }\n"
+    )
+    executor = "java.util.concurrent.Executor"
+    verdict = ("p.A#m(K)@0002", "method-call", "execute", executor, ["p.K", executor])
+    assert _run(tmp_path, {"A.java": text}, lenient=True) == (1, [verdict], "")
+    config = tmp_path / "friends.json"
+    config.write_text(
+        json.dumps(
+            {
+                "schema": "demeterlint-config/1",
+                "layer": 0,
+                "rules": [{"id": "U", "kind": "universal-friend-types", "types": [executor]}],
+            }
+        )
+    )
+    # The site is still listed, now silenced, so the run exits 0.
+    warning = f"W-CONFIG: rule U: unknown type '{executor}'\n"
+    assert _run(tmp_path, {"A.java": text}, lenient=True, configs=(config,)) == (
+        0,
+        [verdict],
+        warning,
+    )
+
+
+@contextlib.contextmanager
+def _frame_budget(frames: int):
+    """Let the body nest ``frames`` calls deeper than the caller, whatever
+    the depth of the stack that runs the test.  The parse of each case
+    below fits in 800 frames and its bind does not; each needs 620 and
+    1,010 or more."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _nest(prefix: str, depth: int, extends, inner: str = "") -> str:
@@ -220,7 +268,8 @@ def test_too_deep_supertype_lookup(tmp_path):
         + _nest("C", depth, lambda k: "Z" if k else None).replace(" { ", " { interface Z { } ", 1),
     }
     expected = "E-BIND: {A}:1:1: nesting too deep to analyze\n"
-    assert _run(tmp_path, files) == (2, [], expected)
+    with _frame_budget(800):
+        assert _run(tmp_path, files) == (2, [], expected)
 
 
 def test_too_deep_expression(tmp_path):
@@ -228,4 +277,5 @@ def test_too_deep_expression(tmp_path):
     javac accepts it."""
     text = "package p;\nclass A { int x; void m() { x = " + "- " * 600 + "x; } }\n"
     expected = "E-BIND: {A}:1:1: nesting too deep to analyze\n"
-    assert _run(tmp_path, {"A.java": text}) == (2, [], expected)
+    with _frame_budget(800):
+        assert _run(tmp_path, {"A.java": text}) == (2, [], expected)
