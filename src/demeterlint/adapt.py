@@ -480,10 +480,15 @@ class Adapter:
     What a rule does comes from its kind's entry in ``_KINDS``: a grant,
     which depends on the executable and is kept per executable for every
     layer prefix at once, and a part, which does not.  A switch rule turned
-    off is inert: it has neither.  The adapter also caches the base sets
-    that classify and explain read, each rule's listed types, part and grant
-    to each executable, per-class constructor parameters and field calls,
-    and every effective set asked for, ablated ones included.
+    off is inert: it has neither.
+
+    The adapter caches what classify and explain read.  What it keeps per
+    rule, layer prefix or owner type (listed types, parts, ladder entries,
+    universal grants, constructor parameters and field calls) lives for the
+    run.  What it keeps per executable (``_start_group``), every effective
+    set asked for included, lives for one executable group: classify drops
+    it when it moves on to the next group, and explain builds again what it
+    reads.
     """
 
     def __init__(
@@ -495,7 +500,6 @@ class Adapter:
         self.by_owner: dict[str, list[Executable]] = {}
         for ex in executables:
             self.by_owner.setdefault(ex.owner_type.name, []).append(ex)
-        self.base = _BaseSets(self.by_id, table)
         # Per rule: the types it lists (``types`` or ``grants``), its part
         # and its layer's position in layer_indices; per layer, the granting
         # rules with their kinds' grant functions.
@@ -517,18 +521,26 @@ class Adapter:
         # for many executables (for every one, for universal-friend-types),
         # so its entry is built once for them all.
         self._entries: dict[str, tuple[Contribution, tuple[_Grant, int]]] = {}
-        self._ladder_cache: dict[str, _Ladder] = {}
         self._fixed_cache: dict[tuple[int, frozenset[str]], _Fixed] = {}
-        self._calls_cache: dict[str, dict[str, list[_Call]]] = {}
-        self._effective_cache: dict[tuple[str, int, frozenset[str]], FriendSet] = {}
         self._universal_cache: dict[str, Contribution] = {}
         self._ctor_param_cache: dict[str, Contribution] = {}
         self._field_calls_cache: dict[str, tuple[tuple[str, tuple[TypeRef, ...]], ...]] = {}
-        self._base_seeds_cache: dict[str, tuple[TypeRef, ...]] = {}
         self._executable_grant_rules = tuple(
             (r, _id_matcher(r.executables)) for r in config.rules if r.executables
         )
+        self._start_group()
+
+    def _start_group(self) -> None:
+        """Start afresh the memos kept per executable.  Classify keeps them
+        for one executable group at a time: an executable with the
+        anonymous-body executables nested in it, whose sets read its own.
+        The memos made in ``__init__`` live for the run."""
+        self.base = _BaseSets(self.by_id, self.table)
+        self._base_seeds_cache: dict[str, tuple[TypeRef, ...]] = {}
+        self._ladder_cache: dict[str, _Ladder] = {}
+        self._calls_cache: dict[str, dict[str, list[_Call]]] = {}
         self._executable_grants_cache: dict[str, dict[str, Rule]] = {}
+        self._effective_cache: dict[tuple[str, int, frozenset[str]], FriendSet] = {}
 
     def _close(self, types: Iterable[TypeRef]) -> Contribution:
         kept = tuple(dict.fromkeys(t for t in types if not t.is_primitive))
@@ -765,11 +777,34 @@ class Adapter:
     # -- classification -------------------------------------------------------
 
     def classify(self, violations: Sequence[PotentialViolation]) -> list["Verdict"]:
-        """One verdict per violation, sorted by site id."""
-        return sorted(
-            map(self._classify_one, violations),
-            key=lambda verdict: verdict.violation.site.site_id,
-        )
+        """One verdict per violation, sorted by site id.
+
+        The per-executable memos are dropped (``_start_group``) whenever a
+        violation's executable group differs from the last one's.  Violations
+        in position order, as ``cli`` passes them, bring each group's
+        together, so no memo is built twice; any other order gives the same
+        verdicts and only builds some again.
+        """
+        verdicts = []
+        exec_id = root = None
+        for v in violations:
+            if v.executable_id != exec_id:
+                exec_id = v.executable_id
+                group = self._root(exec_id)
+                if group != root:
+                    root = group
+                    self._start_group()
+            verdicts.append(self._classify_one(v))
+        verdicts.sort(key=lambda verdict: verdict.violation.site.site_id)
+        return verdicts
+
+    def _root(self, exec_id: str) -> str:
+        """The outermost executable enclosing ``exec_id``; itself if none."""
+        enclosing = self.by_id[exec_id].enclosing_executable
+        while enclosing is not None:
+            exec_id = enclosing
+            enclosing = self.by_id[exec_id].enclosing_executable
+        return exec_id
 
     def _silenced_at(self, v: PotentialViolation, k: int, disabled=frozenset()) -> bool:
         friends = self.effective(v.executable_id, k, disabled)

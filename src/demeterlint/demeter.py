@@ -42,9 +42,13 @@ class MemberExemption(Value):
     ``public-static`` exempts any public static member; ``array-length``
     exempts the built-in array length read; ``pattern`` exempts members whose
     declaring type equals ``type_name`` and whose name matches ``name_glob``.
+    A glob without ``*``, ``?`` or ``[`` matches the one name it equals, as
+    in fnmatch, and is tested without compiling a pattern, which fnmatch
+    and ``re`` would keep cached for the life of the process.
     """
 
-    __slots__ = ("rule_id", "predicate", "type_name", "name_glob")
+    __slots__ = ("rule_id", "predicate", "type_name", "name_glob", "literal")
+    _fields = ("rule_id", "predicate", "type_name", "name_glob")
 
     def __init__(
         self, rule_id: str, predicate: str, type_name: str = "", name_glob: str = ""
@@ -53,6 +57,7 @@ class MemberExemption(Value):
         self.predicate = predicate  # public-static | array-length | pattern
         self.type_name = type_name
         self.name_glob = name_glob
+        self.literal = not any(c in name_glob for c in "*?[")
 
     def matches(self, site: AccessSite) -> bool:
         if self.predicate == "public-static":
@@ -60,8 +65,11 @@ class MemberExemption(Value):
         if self.predicate == "array-length":
             return site.access_kind == "array-length"
         if self.predicate == "pattern":
-            return site.member.declaring_type == self.type_name and fnmatchcase(
-                site.member.name, self.name_glob
+            member = site.member
+            return member.declaring_type == self.type_name and (
+                member.name == self.name_glob
+                if self.literal
+                else fnmatchcase(member.name, self.name_glob)
             )
         raise ValueError(f"unknown member predicate '{self.predicate}'")
 

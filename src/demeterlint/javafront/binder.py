@@ -338,8 +338,23 @@ class _Names:
                 return ()
             node, env = self.decls[name]
             written = [node.anon_supertype] if node.anonymous else node.extends + node.implements
-            supers = self.supers[name] = tuple(self.resolve(env, tn, node.outer) for tn in written)
+            supers = self.supers[name] = tuple(
+                self.supertype(env, tn, node.outer) for tn in written
+            )
         return supers
+
+    def supertype(self, env: _UnitEnv, tn: ast.TypeName, scope: Optional[str]) -> TypeRef:
+        """The supertype ``tn`` names in ``scope``.  A single-type import is
+        taken as given, so the class type it names may be declared nowhere:
+        that is an error at ``tn``, or an unknown type when lenient, as an
+        unresolved name is."""
+        ref = self.resolve(env, tn, scope)
+        declared = ref.name in self.universe or ref.name in self.inner
+        if declared or ref.kind is not TypeKind.DECLARED:
+            return ref
+        if self.mode is ResolutionMode.LENIENT:
+            return unknown_type(ref.name)
+        raise env.error(tn.pos, f"supertype {ref.name} is not declared")
 
     def member_type(self, owner: str, name: str) -> Optional[str]:
         """The member type ``name`` of ``owner``: its own, else the nearest

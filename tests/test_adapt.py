@@ -1,6 +1,7 @@
 """Configuration loading, effective friend sets, and waterfall attribution."""
 
 import json
+import random
 
 import pytest
 
@@ -13,17 +14,19 @@ from demeterlint.adapt import (
     config_warnings,
     load_config,
 )
+from demeterlint.cli import _explain, _Loaded
 from demeterlint.codemodel import (
     ResolutionMode,
     TypeRef,
     parse_type_name,
     unknown_type,
 )
-from demeterlint.demeter import detect
+from demeterlint.demeter import base_friend_set, detect
 from demeterlint.presets import GENERIC, JHOTDRAW, STACK
 
 from bruteforce import naive_closure
 from conftest import INITIALIZERS, OBJECT_STUB, STUBS, build_case_front, build_front
+from randprog import LARGE_STACK, random_config, random_program
 
 
 def front(*sources: str, stubs=(), mode=ResolutionMode.STRICT):
@@ -756,6 +759,70 @@ class TestClassification:
         _, verdicts = analyze([src], EMPTY_CONFIG)
         ids = [v.violation.site.site_id for v in verdicts]
         assert ids == sorted(ids)
+
+
+def _shared_anonymous_bodies(seeds):
+    """(table, executables, config, violations) of each generated program
+    whose stack holds an enabled anon-inner-share rule and that has a
+    violation in an anonymous body, in position order."""
+    for seed in seeds:
+        config = random_config(seed, max_rules=LARGE_STACK)
+        if not any(r.kind == "anon-inner-share" and r.enabled for r in config.rules):
+            continue
+        table, exes = build_front(random_program(seed))
+        by_id = {ex.id: ex for ex in exes}
+        violations = [v for ex in exes for v in detect(ex, base_friend_set(ex, table))]
+        if any(by_id[v.executable_id].enclosing_executable for v in violations):
+            yield seed, (table, exes, config, violations)
+
+
+SHARED = dict(_shared_anonymous_bodies(range(100)))
+
+
+class TestExecutableGroups:
+    """Classify keeps the per-executable memos for one executable group at
+    a time; the verdicts and explain text do not depend on that."""
+
+    def test_generated_programs_share_anonymous_bodies(self):
+        assert len(SHARED) >= 15
+
+    @pytest.mark.parametrize("seed", sorted(SHARED))
+    def test_order_does_not_change_verdicts(self, seed):
+        table, exes, config, violations = SHARED[seed]
+        shuffled = list(violations)
+        random.Random(seed).shuffle(shuffled)
+        expected = Adapter(exes, table, config).classify(violations)
+        assert Adapter(exes, table, config).classify(shuffled) == expected
+
+    @pytest.mark.parametrize("seed", sorted(SHARED))
+    def test_explain_after_classify(self, seed):
+        table, exes, config, violations = SHARED[seed]
+        loaded = _Loaded(table, exes, config, ())
+        adapter = Adapter(exes, table, config)
+        verdicts = adapter.classify(violations)
+        for v in violations:
+            site = v.site.site_id
+            fresh = Adapter(exes, table, config)
+            assert _explain(loaded, adapter, verdicts, site) == _explain(
+                loaded, fresh, verdicts, site
+            )
+
+    @pytest.mark.parametrize("seed", sorted(SHARED))
+    def test_position_order_builds_each_ladder_once(self, seed, monkeypatch):
+        """An anonymous body reads its enclosing executable's ladder, so a
+        group is the outermost executable and the bodies nested in it."""
+        table, exes, config, violations = SHARED[seed]
+        built = []
+        ladder = Adapter._ladder
+
+        def counted(self, ex):
+            if ex.id not in self._ladder_cache:
+                built.append(ex.id)
+            return ladder(self, ex)
+
+        monkeypatch.setattr(Adapter, "_ladder", counted)
+        Adapter(exes, table, config).classify(violations)
+        assert len(built) == len(set(built))
 
 
 class TestWaterfall:

@@ -295,6 +295,21 @@ class TestExemptions:
         )
         assert [v.site.member.name for v in out] == ["save"]
 
+    @pytest.mark.parametrize(
+        "glob, kept",
+        [("print", ["printAll", "save"]), ("printAll", ["print", "save"]),
+         ("print?ll", ["print", "save"]), ("[ps]*", [])],
+    )
+    def test_pattern_literal_or_wildcard(self, glob, kept):
+        """A glob without a wildcard matches only the name it equals."""
+        src = (
+            "package p;\n"
+            "class A { void m() { B b = null; b.print(); b.printAll(); b.save(); } }\n"
+            "class B { void print() { } void printAll() { } void save() { } }"
+        )
+        out = self.run(src, "p.A#m()", [MemberExemption("R", "pattern", "p.B", glob)])
+        assert [v.site.member.name for v in out] == kept
+
     def test_pattern_wrong_type_inert(self):
         src = (
             "package p;\n"

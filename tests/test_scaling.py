@@ -139,14 +139,18 @@ def test_classify_work_grows_linearly_on_a_call_chain():
     assert large <= BOUND * small, f"non_friend_chain: {small} -> {large} calls"
 
 
-#: One violation in each of 200 executables: ``p.T.f`` called on a
-#: non-friend receiver.
-MANY_VIOLATIONS = [(
-    "A.java",
-    "package p;\nclass T { void f() { } }\nclass H { T t() { return null; } }\nclass A {\n"
-    + "".join(f"  void m{i}(H h) {{ h.t().f(); }}\n" for i in range(200))
-    + "}\n",
-)]
+def one_violation_each(n: int) -> list[tuple[str, str]]:
+    """n executables, each with one violation: ``p.T.f`` called on a
+    non-friend receiver."""
+    return [(
+        "A.java",
+        "package p;\nclass T { void f() { } }\nclass H { T t() { return null; } }\nclass A {\n"
+        + "".join(f"  void m{i}(H h) {{ h.t().f(); }}\n" for i in range(n))
+        + "}\n",
+    )]
+
+
+MANY_VIOLATIONS = one_violation_each(200)
 
 
 def many_rules(n: int):
@@ -273,3 +277,51 @@ def test_classify_memory_grows_linearly_in_member_rules():
         assert len(verdicts) == 200
         assert {(v.outcome, v.rule_id) for v in verdicts} == {("silenced", "MF")}
     assert large <= BOUND * small, f"many_member_rules: {small} -> {large} bytes"
+
+
+#: Two layers whose rules build a ladder, effective sets and ablation probes
+#: for every executable: the second layer's member exemption and grant each
+#: silence every violation alone.
+GROUP_STACK = load_config([
+    json.dumps({"schema": "demeterlint-config/1", "layer": 0, "rules": [
+        {"id": "U", "kind": "universal-friend-types", "types": ["p.H"]},
+        {"id": "S", "kind": "anon-inner-share"},
+    ]}),
+    json.dumps({"schema": "demeterlint-config/1", "layer": 1, "rules": [
+        {"id": "M", "kind": "universal-friend-members",
+         "member_pattern": {"type": "p.T", "name": "f"}},
+        {"id": "E", "kind": "executable-grant", "executables": ["p.A#*"], "grants": ["p.T"]},
+    ]}),
+])
+
+#: What classify may hold beyond its verdicts per violation at its peak:
+#: the sort's key and its merge space for a key and a verdict, with slack.
+SORT_BYTES_PER_VIOLATION = 32
+
+
+def _classify_transient(sources: list[tuple[str, str]]) -> int:
+    """Classify's tracemalloc peak less what it still holds on return once
+    the adapter is gone: its verdicts and the table's memos."""
+    table, executables = build_front(sources)
+    violations = [v for ex in executables for v in detect(ex, base_friend_set(ex, table))]
+    adapter = Adapter(executables, table, GROUP_STACK)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verdicts = adapter.classify(violations)
+        del adapter
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert {(v.outcome, v.rule_id) for v in verdicts} == {("silenced", "M")}
+    return peak - held
+
+
+def test_classify_keeps_the_memos_of_one_executable_group():
+    """The memos of each executable are dropped when classify moves on to
+    the next group, so what it holds at its peak, beyond what it returns,
+    does not grow with the number of groups but for the sort's few words
+    per violation."""
+    small = _classify_transient(one_violation_each(N))
+    large = _classify_transient(one_violation_each(4 * N))
+    assert large - small <= SORT_BYTES_PER_VIOLATION * 3 * N, f"{small} -> {large} bytes"
