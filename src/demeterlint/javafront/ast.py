@@ -4,10 +4,13 @@ Nodes are plain classes with ``__slots__`` and a written-out ``__init__``
 taking the fields in order; the parser gives type declarations their
 qualified names (``qualified_name``), including generated names for
 anonymous classes.  Slots keep the per-node memory small, since an analysis
-holds every unit's tree at once; a node takes no attribute beyond its
-fields.  Nodes compare by identity.  A node's position is ``pos``, the
-character offset of its first token in the unit's text, an int rather than
-an object; ``lexer.line_col`` decodes it against the unit's ``line_starts``
+holds every unit's tree at once until the declare (``build_type_table``)
+ends; a node takes no attribute beyond its fields.  The declare drops from
+each type's node what only it reads, as the field comments below say, and
+the bind (``bind_and_extract``) drops each unit's tree once it is bound.
+Nodes compare by identity.  A node's position is ``pos``, the character
+offset of its first token in the unit's text, an int rather than an
+object; ``lexer.line_col`` decodes it against the unit's ``line_starts``
 where a line and column are shown.  No method is generated at import time,
 so importing this module costs a per-file invocation next to nothing.
 
@@ -558,12 +561,12 @@ class FieldDecl(Struct):
     def __init__(
         self,
         modifiers: tuple[str, ...],
-        type: TypeName,
+        type: Optional[TypeName],
         declarators: tuple[Declarator, ...],
         pos: int,
     ) -> None:
-        self.modifiers = modifiers
-        self.type = type
+        self.modifiers = modifiers  # () after the declare
+        self.type = type  # None after the declare
         self.declarators = declarators
         self.pos = pos
 
@@ -599,8 +602,8 @@ class MethodDecl(Struct):
         is_ctor: bool,
         pos: int,
     ) -> None:
-        self.modifiers = modifiers
-        self.ret = ret  # None for constructors
+        self.modifiers = modifiers  # () after the declare
+        self.ret = ret  # None for constructors, and for any method after the declare
         self.name = name
         self.params = params
         self.body = body
@@ -652,10 +655,14 @@ class TypeDeclNode(Struct):
     ) -> None:
         self.name = name  # None for anonymous classes until named
         self.kind = kind  # "class" | "interface"
+        # Each of these three is () after the declare.
         self.modifiers = modifiers
         self.extends = extends
         self.implements = implements
-        self.members = members  # FieldDecl | MethodDecl | InitBlock | TypeDeclNode
+        # FieldDecl | MethodDecl | InitBlock | TypeDeclNode.  After the
+        # declare, only fields with an initializer and methods with a body
+        # are left, next to every initializer block and member type.
+        self.members = members
         self.pos = pos
         self.anonymous = anonymous
         # Supplied by the anonymous-class creation site: the written supertype.

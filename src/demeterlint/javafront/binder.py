@@ -344,11 +344,14 @@ class _Names:
         return supers
 
     def supertype(self, env: _UnitEnv, tn: ast.TypeName, scope: Optional[str]) -> TypeRef:
-        """The supertype ``tn`` names in ``scope``.  A single-type import is
-        taken as given, so the class type it names may be declared nowhere:
-        that is an error at ``tn``, or an unknown type when lenient, as an
-        unresolved name is."""
+        """The supertype ``tn`` names in ``scope``.  A primitive or array
+        type is no class or interface: an error at ``tn`` in either mode.  A
+        single-type import is taken as given, so the class type it names may
+        be declared nowhere: that is an error at ``tn``, or an unknown type
+        when lenient, as an unresolved name is."""
         ref = self.resolve(env, tn, scope)
+        if ref.kind is TypeKind.PRIMITIVE or ref.kind is TypeKind.ARRAY:
+            raise env.error(tn.pos, f"supertype {ref.name} is not a class or interface")
         declared = ref.name in self.universe or ref.name in self.inner
         if declared or ref.kind is not TypeKind.DECLARED:
             return ref
@@ -415,6 +418,11 @@ def build_type_table(
 
     A type declared twice among the sources is an error at its second
     declaration, even when both declarations are the same text.
+
+    Consumes the declaration-only parts of the trees, as
+    ``bind_and_extract`` consumes the units: once a type is declared, its
+    node keeps only what the bind reads (see ``_declare``), and its
+    supertype names are dropped once they are resolved.
     """
     universe: set[str] = {d.name for d in stubs}
     for unit in units:
@@ -430,6 +438,7 @@ def build_type_table(
                     raise env.error(node.pos, f"duplicate type {node.qualified_name}")
                 supers = names.supertypes(node.qualified_name)
                 source.add(_declare(node, supers, names, env))
+                node.extends = node.implements = ()
         except RecursionError:
             raise _too_deep(env.unit) from None
     merged = stubs.merge(source)
@@ -446,9 +455,14 @@ def _too_deep(unit: ast.CompilationUnit) -> BindError:
 def _declare(
     node: ast.TypeDeclNode, supers: tuple[TypeRef, ...], names: _Names, env: _UnitEnv
 ) -> TypeDecl:
+    """The declaration of ``node``'s type.  Leaves in ``node`` only what the
+    bind reads: the fields with an initializer, less their type, the
+    methods with a body, less their return type, and every initializer
+    block and member type; no modifiers are left anywhere."""
     assert node.qualified_name is not None
     owner = node.qualified_name
     members: list[MemberDecl] = []
+    kept = []
     is_interface = node.kind == "interface"
     for m in node.members:
         if isinstance(m, ast.FieldDecl):
@@ -465,6 +479,10 @@ def _declare(
                         declaring_type=owner,
                     )
                 )
+            if any(d.init is not None for d in m.declarators):
+                m.type = None
+                m.modifiers = ()
+                kept.append(m)
         elif isinstance(m, ast.MethodDecl):
             params = tuple(
                 names.resolve(env, p.type, owner, p.extra_dims)
@@ -495,6 +513,14 @@ def _declare(
                         declaring_type=owner,
                     )
                 )
+            if m.body is not None:
+                m.ret = None
+                m.modifiers = ()
+                kept.append(m)
+        else:
+            kept.append(m)
+    node.members = tuple(kept)
+    node.modifiers = ()
     return TypeDecl(
         ref=TypeRef(owner),
         decl_kind=DeclKind.INTERFACE if is_interface else DeclKind.CLASS,

@@ -199,6 +199,28 @@ def test_import_of_an_undeclared_supertype(tmp_path, lenient):
     assert got == ((0, [], "") if lenient else (2, [], expected))
 
 
+#: javac: unexpected type (required: class), at 2:17 for ``int`` and at 2:23,
+#: the ``[``, for ``String[]``.  No mode lets a primitive or an array be a
+#: supertype, so the error is the same under ``--lenient``.
+NOT_A_CLASS_CASES = {
+    "primitive-supertype": (
+        "package p;\nclass A extends int { }\n",
+        "E-BIND: {A}:2:17: supertype int is not a class or interface",
+    ),
+    "array-supertype": (
+        "package p;\nclass A extends String[] { }\n",
+        "E-BIND: {A}:2:17: supertype java.lang.String[] is not a class or interface",
+    ),
+}
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+@pytest.mark.parametrize("text, expected", NOT_A_CLASS_CASES.values(), ids=NOT_A_CLASS_CASES)
+def test_supertype_that_is_not_a_class(tmp_path, text, expected, lenient):
+    got = _run(tmp_path, {"A.java": text}, ("jdk.json",), lenient)
+    assert got == (2, [], expected + "\n")
+
+
 def test_lenient_import_of_a_library_type_keeps_its_name(tmp_path):
     """javac accepts it.  The imported type no stub declares keeps its
     qualified name, so a rule that befriends that name silences the site."""

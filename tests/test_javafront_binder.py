@@ -14,7 +14,7 @@ from demeterlint.codemodel import (
     TypeRef,
     TypeTable,
 )
-from demeterlint.javafront import BindError, bind_and_extract, build_type_table, parse_unit
+from demeterlint.javafront import BindError, ast, bind_and_extract, build_type_table, parse_unit
 
 from conftest import build_case_front, build_front
 
@@ -210,6 +210,92 @@ class TestExecutables:
             "package p;\nclass A { void q() { } }",
         )
         assert [ex.id for ex in exes] == ["p.B#z()", "p.B#a()", "p.A#q()"]
+
+    #: javac accepts it.  Every kind of member the declare reads and the
+    #: bind skips stands next to one the bind walks.
+    DECLARED_AND_BOUND = (
+        "package p;\n"
+        "public abstract class A extends B implements I {\n"
+        "  private static B b;\n"
+        "  protected B c = new B(), d;\n"
+        "  public final I r = new I() { public void f() { c.n().g(); } };\n"
+        "  static { b.n(); }\n"
+        "  { c.g(); g(); }\n"
+        "  abstract void h(B x);\n"
+        "  public A(B y) { y.n().g(); }\n"
+        "  final B m(B z) { return z.n(); }\n"
+        "  static class In { B k; B k2() { return k.n(); } }\n"
+        "}\n"
+        "interface I { void f(); }\n"
+        "class B { void g() { } B n() { return this; } }\n"
+    )
+
+    def test_declared_and_bound_members_side_by_side(self):
+        table, exes = front(self.DECLARED_AND_BOUND)
+        assert [
+            (ex.id, ex.exec_kind, ex.line, ex.col, ex.enclosing_executable) for ex in exes
+        ] == [
+            ("p.A#<field:c>", "field-initializer", 4, 15, None),
+            ("p.A#<field:r>", "field-initializer", 5, 18, None),
+            ("p.A$anon1#f()", "method", 5, 32, "p.A#<field:r>"),
+            ("p.A#<clinit>[1]", "static-initializer", 6, 3, None),
+            ("p.A#<init-block>[1]", "instance-initializer", 7, 3, None),
+            ("p.A#<init>(B)", "constructor", 9, 3, None),
+            ("p.A#m(B)", "method", 10, 3, None),
+            ("p.A$In#k2()", "method", 11, 26, None),
+            ("p.B#g()", "method", 14, 11, None),
+            ("p.B#n()", "method", 14, 24, None),
+        ]
+        assert [
+            (s.site_id, s.member.name, s.receiver.form, s.receiver.static_type.name)
+            for ex in exes
+            for s in ex.body_accesses
+        ] == [
+            ("p.A$anon1#f()@0001", "c", "outer-instance", "p.A"),
+            ("p.A$anon1#f()@0002", "n", "expression", "p.B"),
+            ("p.A$anon1#f()@0003", "g", "expression", "p.B"),
+            ("p.A#<clinit>[1]@0001", "b", "this-implicit", "p.A"),
+            ("p.A#<clinit>[1]@0002", "n", "expression", "p.B"),
+            ("p.A#<init-block>[1]@0001", "c", "this-implicit", "p.A"),
+            ("p.A#<init-block>[1]@0002", "g", "expression", "p.B"),
+            ("p.A#<init-block>[1]@0003", "g", "this-implicit", "p.A"),
+            ("p.A#<init>(B)@0001", "n", "expression", "p.B"),
+            ("p.A#<init>(B)@0002", "g", "expression", "p.B"),
+            ("p.A#m(B)@0001", "n", "expression", "p.B"),
+            ("p.A$In#k2()@0001", "k", "this-implicit", "p.A$In"),
+            ("p.A$In#k2()@0002", "n", "expression", "p.B"),
+        ]
+        assert [
+            (m.name, m.is_static, m.visibility, m.declared_type.name)
+            for m in table.get("p.A").members
+        ] == [
+            ("b", True, "private", "p.B"),
+            ("c", False, "protected", "p.B"),
+            ("d", False, "protected", "p.B"),
+            ("r", False, "public", "p.I"),
+            ("h", False, "package", "void"),
+            ("<init>", False, "public", "p.A"),
+            ("m", False, "package", "p.B"),
+        ]
+        assert table.get("p.A").supertypes == (TypeRef("p.B"), TypeRef("p.I"))
+
+    def test_declare_keeps_only_what_the_bind_reads(self):
+        (unit,) = units = [parse_unit(self.DECLARED_AND_BOUND, "S0.java")]
+        build_type_table(units, TypeTable())
+        a, anon, a_in, i, b = unit.type_decls
+        assert [type(m).__name__ for m in a.members] == [
+            "FieldDecl", "FieldDecl", "InitBlock", "InitBlock", "MethodDecl", "MethodDecl",
+            "TypeDeclNode",
+        ]
+        assert i.members == ()
+        for node in (a, anon, a_in, i, b):
+            assert (node.modifiers, node.extends, node.implements) == ((), (), ())
+            for m in node.members:
+                if isinstance(m, ast.FieldDecl):
+                    assert (m.modifiers, m.type) == ((), None)
+                elif isinstance(m, ast.MethodDecl):
+                    assert (m.modifiers, m.ret) == ((), None)
+        assert anon.anon_supertype.name == "I"
 
     def test_catch_var_becomes_param(self):
         src = (
